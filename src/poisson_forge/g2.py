@@ -12,6 +12,7 @@ quotient rewrite identities.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,7 +100,10 @@ def load_algebra(source) -> AlgebraData:
     return AlgebraData(ctx, structure, ore, weights, casimirs)
 
 
+@functools.cache
 def builtin_algebra() -> AlgebraData:
+    """The built-in algebra, loaded once per process; callers share it and
+    must not change its tables."""
     with resources.files("poisson_forge.data").joinpath("g2_algebra.json").open(
             encoding="utf-8") as handle:
         return load_algebra(json.load(handle))

@@ -8,7 +8,9 @@
 
 Identifiers are letters followed by letters/digits; whitespace is
 insignificant.  Parsing yields a canonical LaurentPoly directly, so
-parse(format(p)) == p.
+parse(format(p)) == p.  Nesting of parentheses and unary minus is bounded
+by ``MAX_DEPTH``, so hostile input ends in a ParseError, not a
+RecursionError.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ class ParseError(ExprError):
 
 
 _OPS = set("+-*^/()")
+
+#: Deepest nesting of "(" and unary "-" the parser accepts.
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -64,6 +69,7 @@ class _Parser:
                  aliases: Mapping[str, str] | None = None):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.context = context
         self.aliases = dict(aliases or {})
 
@@ -74,6 +80,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def descend(self, position: int):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH}", position)
 
     def expect_op(self, op: str):
         kind, value, position = self.next()
@@ -110,10 +121,13 @@ class _Parser:
                 return result
 
     def factor(self) -> LaurentPoly:
-        kind, value, _ = self.peek()
+        kind, value, position = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return -self.factor()
+            self.descend(position)
+            negated = -self.factor()
+            self.depth -= 1
+            return negated
         base = self.base()
         kind, value, position = self.peek()
         if kind == "op" and value == "^":
@@ -143,6 +157,8 @@ class _Parser:
                 kind, denom, dpos = self.next()
                 if kind != "int":
                     raise ParseError("expected an integer denominator", dpos)
+                if int(denom) == 0:
+                    raise ParseError("zero denominator", dpos)
                 return self.context.scalar(Fraction(numerator, int(denom)))
             return self.context.scalar(numerator)
         if kind == "ident":
@@ -151,8 +167,10 @@ class _Parser:
                 raise ParseError(f"unknown identifier {value!r}", position)
             return self.context.var(name)
         if kind == "op" and value == "(":
+            self.descend(position)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected {value or 'end of input'!r}", position)
 

@@ -5,6 +5,15 @@ A structure is an antisymmetric table of generator brackets {x_i, x_j}
 
     {f, g} = sum_{i,j} {x_i, x_j} * df/dx_i * dg/dx_j.
 
+On a pair of terms, with e1, e2 the exponent vectors of the monomials m1,
+m2 and b_ij = {x_i, x_j}, this reads
+
+    {c1*m1, c2*m2} = c1*c2 * sum_{i<j} (e1_i*e2_j - e1_j*e2_i) * b_ij
+                     * m1*m2 / (x_i*x_j),
+
+which is what ``PoissonStructure.bracket`` evaluates: one pass over term
+pairs into a single term dict, exact for negative exponents as well.
+
 Jacobi and Poisson-derivation checking run on generators only: the
 Jacobiator of a biderivation-extended bracket is a tri-derivation, and the
 defect of the derivation identity is a bi-derivation, so vanishing on
@@ -16,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping
 
 from .expr import ContextMismatch, ExprError, LaurentPoly, VarContext
@@ -31,6 +42,11 @@ class PoissonStructure:
 
     context: VarContext
     table: dict[tuple[int, int], LaurentPoly]
+    # (i, j, [(exponent shift, numerator)]) per nonzero entry: the terms of
+    # b_ij / (x_i*x_j) with integer numerators over the common denominator
+    # ``_den`` of the table, so the bracket loop runs on ints.
+    _entries: tuple = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = set(self.context.generators())
@@ -39,6 +55,21 @@ class PoissonStructure:
                 raise ExprError(f"bad table key {(i, j)}: need generator pair i < j")
             if value.context != self.context:
                 raise ContextMismatch("table entry over wrong context")
+        den = lcm(*(c.denominator for value in self.table.values()
+                    for c in value.terms.values()))
+        entries = []
+        for (i, j), value in self.table.items():
+            if value.is_zero():
+                continue
+            shifted = []
+            for m, c in value.terms.items():
+                shift = list(m)
+                shift[i] -= 1
+                shift[j] -= 1
+                shifted.append((tuple(shift), c.numerator * (den // c.denominator)))
+            entries.append((i, j, shifted))
+        object.__setattr__(self, "_entries", tuple(entries))
+        object.__setattr__(self, "_den", den)
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         """{x_i, x_j} with antisymmetry filled in; zero when absent."""
@@ -54,25 +85,32 @@ class PoissonStructure:
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.context != self.context or g.context != self.context:
             raise ContextMismatch("bracket operands over wrong context")
-        names = self.context.names
-        fp: dict[int, LaurentPoly] = {}
-        gp: dict[int, LaurentPoly] = {}
-        result = self.context.zero()
-        for (i, j), b in self.table.items():
-            if b.is_zero():
-                continue
-            fi = fp.setdefault(i, f.partial(names[i]))
-            fj = fp.setdefault(j, f.partial(names[j]))
-            gi = gp.setdefault(i, g.partial(names[i]))
-            gj = gp.setdefault(j, g.partial(names[j]))
-            cross = fi * gj - fj * gi
-            if not cross.is_zero():
-                result = result + b * cross
-        return result
+        fterms, fden = _integer_terms(f)
+        gterms, gden = _integer_terms(g)
+        acc: dict[tuple[int, ...], int] = {}
+        for m1, a1 in fterms:
+            for m2, a2 in gterms:
+                base = None
+                for i, j, shifted in self._entries:
+                    k = m1[i] * m2[j] - m1[j] * m2[i]
+                    if not k:
+                        continue
+                    if base is None:
+                        base = tuple(map(add, m1, m2))
+                        a12 = a1 * a2
+                    ak = a12 * k
+                    for shift, b in shifted:
+                        m = tuple(map(add, base, shift))
+                        acc[m] = acc.get(m, 0) + ak * b
+        den = fden * gden * self._den
+        return LaurentPoly(self.context,
+                           {m: Fraction(n, den) for m, n in acc.items() if n})
 
 
-def bracket(f: LaurentPoly, g: LaurentPoly, structure: PoissonStructure) -> LaurentPoly:
-    return structure.bracket(f, g)
+def _integer_terms(p: LaurentPoly) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """The terms of p as integer numerators over their common denominator."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
 
 
 @dataclass(frozen=True)
@@ -95,14 +133,7 @@ class DerivationSpec:
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """Leibniz extension: D(f) = sum_v D(v) * df/dv."""
-        result = self.context.zero()
-        for name, img in self.images.items():
-            if img.is_zero():
-                continue
-            d = f.partial(name)
-            if not d.is_zero():
-                result = result + img * d
-        return result
+        return apply_images(self.images, f)
 
     @staticmethod
     def zero(context: VarContext) -> "DerivationSpec":

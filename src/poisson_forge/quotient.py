@@ -60,6 +60,11 @@ class QuotientRing:
         ctx = self.context
         self.alpha_poly = ctx.var("alpha") if self.alpha is None else ctx.scalar(self.alpha)
         self.beta_poly = ctx.var("beta") if self.beta is None else ctx.scalar(self.beta)
+        # (context position, value) of each numeric parameter
+        self._fixed = tuple((ctx.index(name), value)
+                            for name, value in (("alpha", self.alpha),
+                                                ("beta", self.beta))
+                            if value is not None)
         rename = dict(_AMBIENT_TO_QUOTIENT)
         table = {key: value.rename(rename, into=ctx)
                  for key, value in algebra.structure.table.items()}
@@ -78,14 +83,20 @@ class QuotientRing:
 
     # -- normal form ---------------------------------------------------------
     def _specialise(self, p: LaurentPoly) -> LaurentPoly:
-        images = {}
-        if self.alpha is not None:
-            images["alpha"] = self.context.scalar(self.alpha)
-        if self.beta is not None:
-            images["beta"] = self.context.scalar(self.beta)
+        """p with each numeric parameter replaced by its value."""
         if p.context != self.context:
             p = p.substitute({}, into=self.context)
-        return p.substitute(images) if images else p
+        fixed = self._fixed
+        if not any(m[i] for m in p.terms for i, _ in fixed):
+            return p
+        terms: dict = {}
+        for m, c in p.terms.items():
+            for i, value in fixed:
+                if m[i]:
+                    c = c * value ** m[i]
+                    m = m[:i] + (0,) + m[i + 1:]
+            terms[m] = terms.get(m, 0) + c
+        return LaurentPoly(self.context, terms)
 
     def _reduce(self, p: LaurentPoly, use_x4: bool = True) -> LaurentPoly:
         i3, i4 = self._i3, self._i4

@@ -4,6 +4,7 @@ import io
 import json
 
 import jsonschema
+import pytest
 
 from poisson_forge.cli import main
 from poisson_forge.report import REPORT_SCHEMA, Report, ReportItem
@@ -105,6 +106,16 @@ class TestExitCodes:
     def test_unknown_suite(self):
         code, _ = run_cli("verify", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "1/0",
+        "(" * 3000 + "x1" + ")" * 3000,
+        "(" + "-" * 3000 + "x1)",
+    ], ids=["zero-denominator", "nested-parentheses", "nested-minus"])
+    def test_hostile_expression_is_usage_error(self, text, capsys):
+        code, _ = run_cli("nf", text)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_parameter_value(self):
         code, _ = run_cli("nf", "x1", "--alpha", "many")

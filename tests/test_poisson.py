@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from poisson_forge import g2
 from poisson_forge.chain import localize_structure
-from poisson_forge.expr import VarContext
+from poisson_forge.expr import ContextMismatch, VarContext
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, EtaError, PoissonOreData,
                                    PoissonStructure, WeightVector,
@@ -63,6 +64,64 @@ class TestBracket:
         table = {(0, 1): QCTX.monomial({"x1": 1, "x2": 1}, 3)}
         struct = PoissonStructure(QCTX, table)
         assert struct.bracket(QCTX.var("alpha"), QCTX.var("x1")).is_zero()
+
+
+def reference_bracket(structure, f, g):
+    """The bi-derivation formula spelled out with partial derivatives."""
+    names = structure.context.names
+    result = structure.context.zero()
+    for (i, j), b in structure.table.items():
+        cross = (f.partial(names[i]) * g.partial(names[j])
+                 - f.partial(names[j]) * g.partial(names[i]))
+        result = result + b * cross
+    return result
+
+
+def laurent_polys(ctx, low=0, max_terms=3):
+    """Polynomials in every variable of ctx; exponents of the invertible
+    ones range down to ``low``."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    def exponent(inv):
+        return st.integers(min_value=low if inv else 0, max_value=2)
+
+    def build(termlist):
+        p = ctx.zero()
+        for coeff, exps in termlist:
+            p = p + ctx.monomial(dict(zip(ctx.names, exps)), coeff)
+        return p
+
+    term = st.tuples(coeffs, st.tuples(*[exponent(inv) for inv in ctx.invertible]))
+    return st.lists(term, max_size=max_terms).map(build)
+
+
+# rational entries, one of them not a monomial
+YCTX = VarContext.make(["y0", "y1", "y2"])
+RATIONAL = PoissonStructure(YCTX, {(0, 1): parse_expr("1/2*y0*y1 - 2/3*y2^2", YCTX),
+                                   (1, 2): parse_expr("5/4*y1*y2", YCTX)})
+
+
+class TestBracketReference:
+    def check(self, structure, f, g):
+        value = structure.bracket(f, g)
+        assert value == reference_bracket(structure, f, g)
+        assert all(type(c) is Fraction for c in value.terms.values())
+
+    @given(laurent_polys(CTX), laurent_polys(CTX))
+    def test_builtin(self, f, g):
+        self.check(S, f, g)
+
+    @given(laurent_polys(LOCAL.context, low=-2), laurent_polys(LOCAL.context, low=-2))
+    def test_localized_negative_exponents(self, f, g):
+        self.check(LOCAL, f, g)
+
+    @given(laurent_polys(RATIONAL.context), laurent_polys(RATIONAL.context))
+    def test_rational_table(self, f, g):
+        self.check(RATIONAL, f, g)
+
+    def test_context_mismatch(self):
+        with pytest.raises(ContextMismatch):
+            S.bracket(LOCAL.context.var("X1"), CTX.var("X2"))
 
 
 class TestJacobi:
@@ -204,6 +263,9 @@ class TestGrading:
 
 
 class TestLoader:
+    def test_builtin_algebra_loaded_once(self):
+        assert g2.builtin_algebra() is g2.builtin_algebra()
+
     def test_reversed_bracket_key_normalises(self):
         data = {"variables": ["a", "b"], "brackets": {"2,1": "-3*a*b"},
                 "sigma": {"2,1": -3}}

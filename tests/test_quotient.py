@@ -107,6 +107,30 @@ class TestNormalForm:
         assert NUM11.normal_form(NUM11.casimir1) == NUM11.context.one()
 
 
+SPECIALISED = [QuotientRing(alpha=1, beta=0), QuotientRing(alpha=0, beta=1),
+               QuotientRing(alpha="-2/3", beta=5)]
+
+
+class TestSpecialise:
+    @given(quotient_polys(names=("x1", "x5", "alpha", "beta"), max_terms=4))
+    def test_matches_substitution(self, p):
+        for ring in SPECIALISED:
+            ctx = ring.context
+            images = {"alpha": ctx.scalar(ring.alpha), "beta": ctx.scalar(ring.beta)}
+            assert ring._specialise(p) == p.substitute(images)
+
+    def test_symbolic_parameters_left_alone(self):
+        p = parse_expr("alpha*x1 + beta^2", SYM.context)
+        assert SYM._specialise(p) is p
+        assert NUM11._specialise(SYM.context.var("x1")) == SYM.context.var("x1")
+
+    def test_one_parameter_specialised(self):
+        p = parse_expr("alpha^2*beta + 3*beta + alpha", SYM.context)
+        # ALPHA_ONLY fixes beta = 0, BETA_ONLY fixes alpha = 0
+        assert ALPHA_ONLY._specialise(p) == parse_expr("alpha", SYM.context)
+        assert BETA_ONLY._specialise(p) == parse_expr("3*beta", SYM.context)
+
+
 class TestQuotientBracket:
     def test_table_value(self):
         ctx = SYM.context
