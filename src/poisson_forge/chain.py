@@ -29,6 +29,7 @@ from .expr import ExprError, LaurentPoly, VarContext, divide_exact
 from .g2 import (CHAIN_FORMULAS, CHAIN_STABLE_LEVEL, OMEGA1_LADDER,
                  OMEGA2_LADDER, ChainTerm)
 from .poisson import PoissonOreData, PoissonStructure
+from .report import CheckItem, check_item
 
 
 class TruncationError(ExprError):
@@ -157,9 +158,7 @@ class FractionElement:
         return self.field.context.scalar(value)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FractionElement(self.field, self.num * other, self.den)
-        if isinstance(other, LaurentPoly):
+        if isinstance(other, (int, Fraction, LaurentPoly)):
             return FractionElement(self.field, self.num * other, self.den)
         den = {k: self.den.get(k, 0) + other.den.get(k, 0)
                for k in set(self.den) | set(other.den)}
@@ -265,11 +264,7 @@ def chain_step(stage: ChainStage, ore: PoissonOreData, bound: int = 16) -> Chain
 def run_chain(structure: PoissonStructure, ore: PoissonOreData,
               bound: int = 16) -> dict[int, ChainStage]:
     """All stages, keyed by level 7 down to 2."""
-    return continue_chain(initial_stage(structure), ore, bound)
-
-
-def continue_chain(stage: ChainStage, ore: PoissonOreData,
-                   bound: int = 16) -> dict[int, ChainStage]:
+    stage = initial_stage(structure)
     stages = {stage.level: stage}
     while stage.level > 2:
         stage = chain_step(stage, ore, bound)
@@ -279,14 +274,6 @@ def continue_chain(stage: ChainStage, ore: PoissonOreData,
 
 # -- verification ------------------------------------------------------------
 
-CheckItem = tuple[str, bool, str]
-
-
-def _item(label: str, residue: FractionElement | LaurentPoly) -> CheckItem:
-    ok = residue.is_zero()
-    return (label, ok, "0" if ok else str(residue))
-
-
 def verify_stage_contract(stage: ChainStage, ore: PoissonOreData) -> list[CheckItem]:
     """At level j, {X[l,j], X[i,j]} = mu_li X[l,j] X[i,j] for l >= j, i < l."""
     items = []
@@ -295,7 +282,7 @@ def verify_stage_contract(stage: ChainStage, ore: PoissonOreData) -> list[CheckI
         for i in range(1, l):
             lhs = stage.gen(l).bracket(stage.gen(i))
             rhs = ore.mu(l - 1, i - 1) * stage.gen(l) * stage.gen(i)
-            items.append(_item(
+            items.append(check_item(
                 f"level {stage.level}: {{X[{l},{stage.level}], X[{i},{stage.level}]}}"
                 f" log-canonical", lhs - rhs))
     return items
@@ -315,17 +302,16 @@ def verify_torus_relations(stage2: ChainStage, matrix,
         for j in range(i + 1, n + 1):
             lhs = stage2.gen(i).bracket(stage2.gen(j))
             rhs = Fraction(matrix[i - 1][j - 1]) * stage2.gen(i) * stage2.gen(j)
-            items.append(_item(
+            items.append(check_item(
                 f"{{T{i}, T{j}}} = {matrix[i - 1][j - 1]}*T{i}*T{j}", lhs - rhs))
     return items
 
 
 def _eval_terms(terms: list[ChainTerm], stages: dict[int, ChainStage]) -> FractionElement:
-    some_stage = next(iter(stages.values()))
-    total = some_stage.gens[0].field.element(some_stage.gens[0].field.context.zero())
+    fld = next(iter(stages.values())).gens[0].field
+    total = fld.element(fld.context.zero())
     for coeff, powers in terms:
-        piece = some_stage.gens[0].field.element(
-            some_stage.gens[0].field.context.scalar(Fraction(coeff)))
+        piece = fld.element(fld.context.scalar(Fraction(coeff)))
         for i, j, e in powers:
             piece = piece * stages[j].gen(i) ** e
         total = total + piece
@@ -337,19 +323,11 @@ def verify_chain_formulas(stages: dict[int, ChainStage]) -> list[CheckItem]:
     items = []
     for (i, j), terms in sorted(CHAIN_FORMULAS.items(), key=lambda kv: (-kv[0][1], kv[0][0])):
         expected = _eval_terms(terms, stages)
-        items.append(_item(f"X[{i},{j}] explicit formula", stages[j].gen(i) - expected))
+        items.append(check_item(f"X[{i},{j}] explicit formula", stages[j].gen(i) - expected))
     for i, stable in sorted(CHAIN_STABLE_LEVEL.items()):
-        residue = None
-        for j in range(2, stable):
-            diff = stages[j].gen(i) - stages[j + 1].gen(i)
-            if not diff.is_zero():
-                residue = diff
-                break
-        label = f"T{i} = X[{i},2] = ... = X[{i},{stable}]"
-        if residue is None:
-            items.append((label, True, "0"))
-        else:
-            items.append((label, False, str(residue)))
+        diffs = [stages[j].gen(i) - stages[j + 1].gen(i) for j in range(2, stable)]
+        items.append(check_item(f"T{i} = X[{i},2] = ... = X[{i},{stable}]",
+                                next((d for d in diffs if not d.is_zero()), diffs[0])))
     return items
 
 
@@ -362,11 +340,11 @@ def verify_central_ladders(stages: dict[int, ChainStage],
         levels = sorted(ladder)
         values = {lvl: _eval_terms(ladder[lvl], stages) for lvl in levels}
         for lo, hi in zip(levels, levels[1:]):
-            items.append(_item(f"{name} ladder: level {lo} = level {hi}",
-                               values[lo] - values[hi]))
+            items.append(check_item(f"{name} ladder: level {lo} = level {hi}",
+                                    values[lo] - values[hi]))
         top = levels[-1]
-        items.append(_item(f"{name} ladder: level {top} = polynomial form",
-                           values[top] - fld.element(casimirs[name])))
+        items.append(check_item(f"{name} ladder: level {top} = polynomial form",
+                                values[top] - fld.element(casimirs[name])))
     return items
 
 
@@ -378,6 +356,6 @@ def verify_centrality(structure: PoissonStructure,
         omega = casimirs[name]
         for i in structure.context.generators():
             residue = structure.bracket(omega, structure.gen(i))
-            items.append(_item(
+            items.append(check_item(
                 f"{{{name}, {structure.context.names[i]}}} = 0", residue))
     return items

@@ -30,8 +30,6 @@ from .report import Report
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .torus import TorusStructure, decompose_derivation
 
-_QUOTIENT_ALIASES = {f"X{i}": f"x{i}" for i in range(1, 7)}
-
 
 class UsageError(Exception):
     pass
@@ -89,19 +87,27 @@ def _cmd_nf(args, out) -> int:
     ring = QuotientRing(alpha=_parameter_value(args.alpha, "alpha"),
                         beta=_parameter_value(args.beta, "beta"),
                         localized=True)
-    value = ring.normal_form(parse_expr(args.expr, ring.context,
-                                        aliases=_QUOTIENT_ALIASES))
+    value = ring.normal_form(args.expr)
     return _emit_value({"result": str(value)}, str(value), args.format, out)
 
 
 def _cmd_decompose(args, out) -> int:
     with open(args.file, encoding="utf-8") as handle:
         spec = json.load(handle)
+    if not isinstance(spec, dict):
+        raise UsageError("decomposition spec must be a JSON object")
     for field in ("rank", "lambda", "images"):
         if field not in spec:
             raise UsageError(f"decomposition spec misses {field!r}")
+    if not isinstance(spec["rank"], int):
+        raise UsageError("'rank' must be an integer")
+    if not (isinstance(spec["lambda"], list)
+            and all(isinstance(row, list) for row in spec["lambda"])):
+        raise UsageError("'lambda' must be a list of matrix rows")
+    if not isinstance(spec["images"], dict):
+        raise UsageError("'images' must map generator names to expressions")
     torus = TorusStructure.make(spec["lambda"])
-    if torus.rank != int(spec["rank"]):
+    if torus.rank != spec["rank"]:
         raise UsageError("rank does not match the lambda matrix")
     ctx = torus.context
     images = {}

@@ -149,16 +149,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        zero = (0,) * self.context.rank
-        return all(m == zero for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        zero = (0,) * self.context.rank
-        if not all(m == zero for m in self.terms):
-            raise ExprError("polynomial is not constant")
-        return self.terms.get(zero, Fraction(0))
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -167,14 +157,6 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]))
-
-    def var_degree(self, skip_parameters: bool = True) -> int:
-        """Max over terms of the summed exponents (parameters skipped)."""
-        if self.is_zero():
-            return 0
-        par = self.context.parameters
-        return max(sum(e for i, e in enumerate(m) if not (skip_parameters and par[i]))
-                   for m in self.terms)
 
     # -- ring operations -------------------------------------------------
     def _coerce(self, other) -> "LaurentPoly":

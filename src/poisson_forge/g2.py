@@ -43,6 +43,11 @@ def _pair_key(key: str, rank: int) -> tuple[int, int]:
     return i - 1, j - 1
 
 
+_FIELD_KINDS = {"variables": list, "invertible": list, "parameters": list,
+                "brackets": dict, "sigma": dict, "delta": dict,
+                "weights": list, "casimirs": dict}
+
+
 def load_algebra(source) -> AlgebraData:
     """Build an AlgebraData from a JSON definition file or parsed dict.
 
@@ -57,9 +62,15 @@ def load_algebra(source) -> AlgebraData:
             data = json.load(handle)
     else:
         data = source
+    if not isinstance(data, dict):
+        raise ExprError("algebra definition must be a JSON object")
     for field in ("variables", "brackets", "sigma"):
         if field not in data:
             raise ExprError(f"algebra definition misses {field!r}")
+    for field, kind in _FIELD_KINDS.items():
+        if field in data and not isinstance(data[field], kind):
+            raise ExprError(f"algebra field {field!r} must be a JSON"
+                            f" {'object' if kind is dict else 'array'}")
     ctx = VarContext.make(data["variables"],
                           invertible=data.get("invertible", ()),
                           parameters=data.get("parameters", ()))
@@ -90,7 +101,10 @@ def load_algebra(source) -> AlgebraData:
 
     weights = None
     if "weights" in data:
-        pairs = [tuple(int(c) for c in w) for w in data["weights"]]
+        if not all(isinstance(w, list) and len(w) == 2
+                   and all(isinstance(c, int) for c in w) for w in data["weights"]):
+            raise ExprError("weights must be [a, b] integer pairs")
+        pairs = [tuple(w) for w in data["weights"]]
         gens = ctx.generators()
         if len(pairs) != len(gens):
             raise ExprError("weights must list one pair per generator")

@@ -10,6 +10,7 @@ form for a canonical answer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Row = dict[int, Fraction]
@@ -110,34 +111,18 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     mat = [list(map(int, r)) for r in rows]
     if not mat:
         return []
-    ncols = len(mat[0])
-    top = 0
-    for col in range(ncols):
-        # gcd-eliminate below `top` in this column
-        while True:
-            live = [i for i in range(top, len(mat)) if mat[i][col] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(mat[i][col]))
-            mat[top], mat[i0] = mat[i0], mat[top]
-            done = True
-            for i in range(top + 1, len(mat)):
-                if mat[i][col]:
-                    q = mat[i][col] // mat[top][col]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                    if mat[i][col]:
-                        done = False
-            if done:
-                break
-        if top < len(mat) and mat[top][col] != 0:
-            if mat[top][col] < 0:
-                mat[top] = [-a for a in mat[top]]
-            for i in range(top):
-                q = mat[i][col] // mat[top][col]
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-            top += 1
-    return [r for r in mat if any(r)]
+    mat = [r for r in _echelon_integer(mat, len(mat[0])) if any(r)]
+    # Each row vanishes left of its pivot, so reducing the rows above it
+    # leaves the earlier pivot columns as they were.
+    for top, row in enumerate(mat):
+        col = next(c for c, a in enumerate(row) if a)
+        if row[col] < 0:
+            mat[top] = row = [-a for a in row]
+        for i in range(top):
+            q = mat[i][col] // row[col]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], row)]
+    return mat
 
 
 def integer_kernel(mat: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -146,34 +131,26 @@ def integer_kernel(mat: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     Accepts a rational matrix given as rows of the bilinear form; the
     kernel condition is sum_i v[i] * mat[i][j] == 0 for every j.
     """
-    mat = [list(r) for r in mat]
+    mat = [[Fraction(v) for v in r] for r in mat]
     n = len(mat)
     if n == 0:
         return []
     m = len(mat[0])
-    denom = 1
-    for row in mat:
-        for v in row:
-            denom = denom * Fraction(v).denominator // _gcd(denom, Fraction(v).denominator)
-    A = [[int(Fraction(v) * denom) for v in row] for row in mat]  # n x m, integral
+    denom = lcm(*(v.denominator for row in mat for v in row))
+    A = [[int(v * denom) for v in row] for row in mat]  # n x m, integral
 
     # Augment [A | I_n] and run unimodular row reduction on the A-part.
     aug = [A[i] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     reduced = _echelon_integer(aug, m)
     kernel = [row[m:] for row in reduced if not any(row[:m])]
-    return hnf_rows(kernel) if kernel else []
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return hnf_rows(kernel)
 
 
 def _echelon_integer(mat: list[list[int]], ncols: int) -> list[list[int]]:
     """Integer row echelon on the first ``ncols`` columns (unimodular ops)."""
     top = 0
     for col in range(ncols):
+        # gcd-eliminate below `top` in this column
         while True:
             live = [i for i in range(top, len(mat)) if mat[i][col] != 0]
             if not live:

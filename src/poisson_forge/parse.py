@@ -182,4 +182,6 @@ def parse_expr(text: str, context: VarContext,
     ``aliases`` maps alternative spellings onto context names (the CLI uses
     this to accept X1..X6 for the quotient generators x1..x6).
     """
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {text!r}", 0)
     return _Parser(text, context, aliases).parse()

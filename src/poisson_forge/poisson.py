@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Mapping
@@ -170,17 +171,16 @@ def jacobiator(structure: PoissonStructure, i: int, j: int, k: int) -> LaurentPo
             + b(x(k), structure.entry(i, j)))
 
 
+def jacobi_residues(structure: PoissonStructure):
+    """((i, j, k), Jacobiator) for every generator triple i < j < k."""
+    for triple in combinations(structure.context.generators(), 3):
+        yield triple, jacobiator(structure, *triple)
+
+
 def check_jacobi(structure: PoissonStructure):
     """None on pass; else the first failing generator triple with residue."""
-    gens = structure.context.generators()
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            for c in range(b + 1, len(gens)):
-                i, j, k = gens[a], gens[b], gens[c]
-                residue = jacobiator(structure, i, j, k)
-                if not residue.is_zero():
-                    return (i, j, k), residue
-    return None
+    return next(((triple, residue) for triple, residue in jacobi_residues(structure)
+                 if not residue.is_zero()), None)
 
 
 def derivation_defect(D: DerivationSpec, structure: PoissonStructure,
@@ -195,13 +195,10 @@ def derivation_defect(D: DerivationSpec, structure: PoissonStructure,
 
 def check_poisson_derivation(D: DerivationSpec, structure: PoissonStructure):
     """None on pass; else the first failing generator pair with residue."""
-    gens = structure.context.generators()
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            i, j = gens[a], gens[b]
-            residue = derivation_defect(D, structure, i, j)
-            if not residue.is_zero():
-                return (i, j), residue
+    for i, j in combinations(structure.context.generators(), 2):
+        residue = derivation_defect(D, structure, i, j)
+        if not residue.is_zero():
+            return (i, j), residue
     return None
 
 
@@ -252,10 +249,6 @@ class PoissonOreData:
         names = self.context.names
         return {names[j]: self.delta.get((i, j), self.context.zero())
                 for j in range(i)}
-
-    def delta_is_zero(self, i: int) -> bool:
-        return all(self.delta.get((i, j), self.context.zero()).is_zero()
-                   for j in range(i))
 
     def eta(self, i: int) -> Fraction:
         """The scalar eta_i with (delta_i sigma_i - sigma_i delta_i) = eta_i delta_i.

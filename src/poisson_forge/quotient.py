@@ -26,15 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import ExprError, LaurentPoly, VarContext
-from .g2 import AlgebraData, builtin_algebra
+from .g2 import builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
-from .poisson import PoissonStructure, apply_images
+from .poisson import (DerivationSpec, PoissonStructure, derivation_defect,
+                      jacobi_residues)
+from .report import CheckItem, check_item
 
 QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 _AMBIENT_TO_QUOTIENT = {f"X{i}": f"x{i}" for i in range(1, 7)}
-
-CheckItem = tuple[str, bool, str]
 
 
 def _parameter(value) -> Fraction | None:
@@ -47,12 +47,11 @@ def _parameter(value) -> Fraction | None:
 class QuotientRing:
     """The quotient with parameters alpha, beta each symbolic or rational."""
 
-    def __init__(self, alpha="symbolic", beta="symbolic", localized: bool = False,
-                 algebra: AlgebraData | None = None):
+    def __init__(self, alpha="symbolic", beta="symbolic", localized: bool = False):
         self.alpha = _parameter(alpha)
         self.beta = _parameter(beta)
         self.localized = localized
-        algebra = algebra or builtin_algebra()
+        algebra = builtin_algebra()
         invertible = ("x5", "x6") if localized else ()
         self.context = VarContext.make(QUOTIENT_NAMES + ("alpha", "beta"),
                                        invertible=invertible,
@@ -223,46 +222,30 @@ class QuotientElement:
         return str(self.poly)
 
 
-def _item(label: str, residue: LaurentPoly) -> CheckItem:
-    ok = residue.is_zero()
-    return (label, ok, "0" if ok else str(residue))
-
-
 def check_casimirs(ring: QuotientRing, identities=None) -> list[CheckItem]:
     """normal_form(Omega1) = alpha, normal_form(Omega2) = beta, and the
     four rewrite identities reduce to zero."""
     from .g2 import REWRITE_IDENTITIES
     identities = REWRITE_IDENTITIES if identities is None else identities
     items = [
-        _item("normal_form(Omega1) = alpha",
-              ring.normal_form(ring.casimir1) - ring.normal_form(ring.alpha_poly)),
-        _item("normal_form(Omega2) = beta",
-              ring.normal_form(ring.casimir2) - ring.normal_form(ring.beta_poly)),
+        check_item("normal_form(Omega1) = alpha",
+                   ring.normal_form(ring.casimir1) - ring.normal_form(ring.alpha_poly)),
+        check_item("normal_form(Omega2) = beta",
+                   ring.normal_form(ring.casimir2) - ring.normal_form(ring.beta_poly)),
     ]
     for name, (lhs, rhs) in identities.items():
         residue = ring.normal_form(parse_expr(lhs, ring.context)
                                    - parse_expr(rhs, ring.context))
-        items.append(_item(f"identity {name} reduces to 0", residue))
+        items.append(check_item(f"identity {name} reduces to 0", residue))
     return items
 
 
 def quotient_jacobi_items(ring: QuotientRing) -> list[CheckItem]:
     """Jacobiator of every generator triple, reduced modulo the ideal."""
-    ctx = ring.context
-    gens = [ctx.var(n) for n in QUOTIENT_NAMES]
-    items = []
-    for a in range(6):
-        for b in range(a + 1, 6):
-            for c in range(b + 1, 6):
-                x, y, z = gens[a], gens[b], gens[c]
-                s = ring.structure
-                jac = (s.bracket(x, s.bracket(y, z))
-                       + s.bracket(y, s.bracket(z, x))
-                       + s.bracket(z, s.bracket(x, y)))
-                items.append(_item(
-                    f"jacobi ({QUOTIENT_NAMES[a]},{QUOTIENT_NAMES[b]},"
-                    f"{QUOTIENT_NAMES[c]}) mod ideal", ring.normal_form(jac)))
-    return items
+    names = ring.context.names
+    return [check_item(f"jacobi ({names[i]},{names[j]},{names[k]}) mod ideal",
+                       ring.normal_form(residue))
+            for (i, j, k), residue in jacobi_residues(ring.structure)]
 
 
 # -- the localisation tower -------------------------------------------------
@@ -364,14 +347,13 @@ def verify_localized_identities(ring: QuotientRing | None = None) -> list[CheckI
     ctx = ring.context
     alpha = LocalizedFraction.of(ring, ring.alpha_poly)
     beta = LocalizedFraction.of(ring, ring.beta_poly)
-    one = LocalizedFraction.of(ring, ctx.one())
     x = {name: LocalizedFraction.of(ring, ctx.var(name)) for name in QUOTIENT_NAMES}
     inv = lambda name, power=1: ctx.monomial({name: -power})
 
     items = []
 
     def check(label, lhs, rhs):
-        items.append(_item(label, (lhs - rhs).num))
+        items.append(check_item(label, (lhs - rhs).num))
 
     check("t5 = x5", e["t5"], x["x5"])
     check("relation z2*t5 = 2*(z1*t3*t5 - alpha)",
@@ -439,21 +421,17 @@ def check_quotient_derivation(images: dict[str, LaurentPoly],
                               ring: QuotientRing) -> list[CheckItem]:
     """Well-definedness on both Casimir relations plus bracket
     compatibility on all 15 generator pairs, modulo the ideal."""
-    ctx = ring.context
+    D = DerivationSpec(ring.context, images)
     items = [
-        _item("D preserves the Omega1 relation",
-              ring.normal_form(apply_images(images, ring.casimir1))),
-        _item("D preserves the Omega2 relation",
-              ring.normal_form(apply_images(images, ring.casimir2))),
+        check_item("D preserves the Omega1 relation",
+                   ring.normal_form(D.apply(ring.casimir1))),
+        check_item("D preserves the Omega2 relation",
+                   ring.normal_form(D.apply(ring.casimir2))),
     ]
-    for i in range(6):
-        for j in range(i + 1, 6):
-            ni, nj = QUOTIENT_NAMES[i], QUOTIENT_NAMES[j]
-            lhs = apply_images(images, ring.structure.entry(i, j))
-            rhs = (ring.structure.bracket(images[ni], ctx.var(nj))
-                   + ring.structure.bracket(ctx.var(ni), images[nj]))
-            items.append(_item(f"D compatible with {{{ni},{nj}}}",
-                               ring.normal_form(lhs - rhs)))
+    for i, j in itertools.combinations(range(len(QUOTIENT_NAMES)), 2):
+        items.append(check_item(
+            f"D compatible with {{{QUOTIENT_NAMES[i]},{QUOTIENT_NAMES[j]}}}",
+            ring.normal_form(derivation_defect(D, ring.structure, i, j))))
     return items
 
 
@@ -470,28 +448,13 @@ def bounded_inner_search(images: dict[str, LaurentPoly], ring: QuotientRing,
     canonical solution or None when the system is infeasible."""
     if ring.alpha is None or ring.beta is None:
         raise ExprError("the inner search needs numeric parameters")
-    monomials = list(ring.basis_monomials(degree))
-    columns = {m.sorted_terms()[0][0]: idx for idx, m in enumerate(monomials)}
-    rows: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-    rhs: dict[tuple[int, tuple], Fraction] = {}
-    for gi, name in enumerate(QUOTIENT_NAMES):
-        target = ring.normal_form(images[name])
-        for m, c in target.terms.items():
-            rhs[(gi, m)] = c
-        for idx, mono in enumerate(monomials):
-            value = ring.bracket(mono, ring.context.var(name))
-            for m, c in value.terms.items():
-                rows.setdefault((gi, m), {})[idx] = c
+    monomials, rows = _bracket_rows(ring, degree)
+    rhs = {(gi, m): c for gi, name in enumerate(QUOTIENT_NAMES)
+           for m, c in ring.normal_form(images[name]).terms.items()}
     keys = sorted(set(rows) | set(rhs))
     solution = solve(((rows.get(key, {}), rhs.get(key, Fraction(0)))
                       for key in keys), len(monomials))
-    if solution is None:
-        return None
-    total = ring.context.zero()
-    for idx, c in enumerate(solution):
-        if c:
-            total = total + c * monomials[idx]
-    return total
+    return None if solution is None else _combine(ring.context, solution, monomials)
 
 
 def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
@@ -500,37 +463,48 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
     Accepts either an ambient PoissonStructure (polynomial ring, no
     reduction) or a numeric QuotientRing (brackets reduced to normal form).
     """
+    monomials, rows = _bracket_rows(structure_or_ring, degree)
+    system = LinearSystem()
+    for key in sorted(rows):
+        system.add_row(rows[key])
+    return [_combine(structure_or_ring.context, vec, monomials)
+            for vec in system.null_space(len(monomials))]
+
+
+def _bracket_rows(structure_or_ring, degree: int):
+    """The basis monomials of degree <= d and the matrix of
+    f -> ({f, x_1}, ..., {f, x_n}) on their span, as rows
+    (generator index, result monomial) -> {monomial index: coefficient}."""
     if isinstance(structure_or_ring, QuotientRing):
         ring = structure_or_ring
         monomials = list(ring.basis_monomials(degree))
-        gen_names = QUOTIENT_NAMES
-        def bracket_with(mono, name):
-            return ring.bracket(mono, ring.context.var(name))
+        bracket = ring.bracket
+        gens = [ring.context.var(name) for name in QUOTIENT_NAMES]
     else:
         structure = structure_or_ring
         ctx = structure.context
         gen_names = [ctx.names[i] for i in ctx.generators()]
         monomials = [ctx.monomial(dict(zip(gen_names, exps)))
                      for exps in _ambient_exponents(len(gen_names), degree)]
-        def bracket_with(mono, name):
-            return structure.bracket(mono, ctx.var(name))
-    system = LinearSystem()
+        bracket = structure.bracket
+        gens = [structure.gen(i) for i in ctx.generators()]
     rows: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-    for gi, name in enumerate(gen_names):
+    for gi, g in enumerate(gens):
         for idx, mono in enumerate(monomials):
-            for m, c in bracket_with(mono, name).terms.items():
+            for m, c in bracket(mono, g).terms.items():
                 rows.setdefault((gi, m), {})[idx] = c
-    for key in sorted(rows):
-        system.add_row(rows[key])
-    basis = []
-    some_ctx = monomials[0].context
-    for vec in system.null_space(len(monomials)):
-        total = some_ctx.zero()
-        for idx, c in enumerate(vec):
-            if c:
-                total = total + c * monomials[idx]
-        basis.append(total)
-    return basis
+    return monomials, rows
+
+
+def _combine(ctx: VarContext, vec: list[Fraction],
+             monomials: list[LaurentPoly]) -> LaurentPoly:
+    """sum_idx vec[idx] * monomials[idx], accumulated in one term dict."""
+    terms: dict[tuple, Fraction] = {}
+    for c, mono in zip(vec, monomials):
+        if c:
+            for m, mc in mono.terms.items():
+                terms[m] = terms.get(m, 0) + c * mc
+    return LaurentPoly(ctx, terms)
 
 
 def _ambient_exponents(n: int, degree: int):

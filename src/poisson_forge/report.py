@@ -34,6 +34,15 @@ REPORT_SCHEMA = {
 }
 
 
+CheckItem = tuple[str, bool, str]
+
+
+def check_item(label: str, residue) -> CheckItem:
+    """A (label, ok, residue text) check that passes on a zero residue."""
+    ok = residue.is_zero()
+    return (label, ok, "0" if ok else str(residue))
+
+
 @dataclass(frozen=True)
 class ReportItem:
     label: str

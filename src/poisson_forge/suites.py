@@ -7,10 +7,8 @@ The torus suite is the only randomized one; it is seeded and reproducible.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import g2
@@ -19,13 +17,13 @@ from .chain import (localize_structure, run_chain, verify_central_ladders,
                     verify_stage_contract, verify_torus_relations)
 from .expr import LaurentPoly
 from .poisson import (EtaError, PoissonStructure, WeightVector, check_grading,
-                      jacobiator)
+                      check_jacobi, jacobi_residues)
 from .quotient import (QuotientRing, bounded_centre, bounded_inner_search,
                        check_casimirs, check_quotient_derivation,
                        hamiltonian_quotient_images, parse_derivation,
                        quotient_jacobi_items, spans_same_space,
                        verify_localized_identities)
-from .report import Report
+from .report import Report, check_item
 from .torus import (Decomposition, TorusStructure, apply_decomposition,
                     central_lattice, decompose_derivation)
 
@@ -43,18 +41,10 @@ def _timed(builder):
     return run
 
 
-def _triple_items(structure: PoissonStructure, prefix: str = "jacobi"):
+def _triple_items(structure: PoissonStructure):
     names = structure.context.names
-    gens = structure.context.generators()
-    items = []
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            for c in range(b + 1, len(gens)):
-                i, j, k = gens[a], gens[b], gens[c]
-                residue = jacobiator(structure, i, j, k)
-                items.append((f"{prefix} ({names[i]},{names[j]},{names[k]})",
-                              residue.is_zero(), str(residue)))
-    return items
+    return [check_item(f"jacobi ({names[i]},{names[j]},{names[k]})", residue)
+            for (i, j, k), residue in jacobi_residues(structure)]
 
 
 def _mutations(structure: PoissonStructure):
@@ -77,11 +67,8 @@ def _mutations(structure: PoissonStructure):
     table[(0, 2)] = parse_expr("X1*X3 + 2*X2", ctx)
     cases.append(("mutation {X3,X1} -> -X1*X3 - 2*X2 is detected",
                   PoissonStructure(ctx, table)))
-    items = []
-    for label, mutated in cases:
-        broken = any(not ok for _, ok, _ in _triple_items(mutated))
-        items.append((label, broken, "mutation passed the Jacobi check"))
-    return items
+    return [(label, check_jacobi(mutated) is not None,
+             "mutation passed the Jacobi check") for label, mutated in cases]
 
 
 @_timed
@@ -299,20 +286,11 @@ _BUILDERS = {
 
 
 def run_suites(names, seed: int = DEFAULT_SEED) -> list[Report]:
-    """Run the named suites (or all of them), honouring the thread cap."""
+    """Run the named suites (or all of them) in the order given."""
     if "all" in names:
         names = SUITE_NAMES
-    jobs = []
     for name in names:
         if name not in _BUILDERS:
             raise KeyError(f"unknown suite {name!r}")
-        builder = _BUILDERS[name]
-        kwargs = {"seed": seed} if name == "torus" else {}
-        jobs.append((name, builder, kwargs))
-    workers = int(os.environ.get("POISSON_FORGE_THREADS", "1") or "1")
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(builder, **kwargs)
-                       for _, builder, kwargs in jobs]
-            return [f.result() for f in futures]
-    return [builder(**kwargs) for _, builder, kwargs in jobs]
+    return [_BUILDERS[name](**({"seed": seed} if name == "torus" else {}))
+            for name in names]

@@ -186,8 +186,3 @@ def verify_decomposition(D: DerivationSpec, dec: Decomposition,
                          torus: TorusStructure) -> bool:
     recombined = apply_decomposition(dec, torus)
     return all(recombined[name] == D.images[name] for name in torus.names)
-
-
-def derivation_from_images(torus: TorusStructure,
-                           images: dict[str, LaurentPoly]) -> DerivationSpec:
-    return DerivationSpec(torus.context, images)

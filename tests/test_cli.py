@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -9,6 +10,10 @@ import pytest
 from poisson_forge.cli import main
 from poisson_forge.report import REPORT_SCHEMA, Report, ReportItem
 from poisson_forge.suites import run_suites
+
+# `poisson-forge verify all` as the reference implementation printed it;
+# refactors must reproduce it byte for byte.
+GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.txt"
 
 
 def run_cli(*argv):
@@ -117,6 +122,22 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, spec", [
+        (["decompose", "--file"], {"rank": 1, "lambda": [[0]], "images": ["t1"]}),
+        (["decompose", "--file"], {"rank": 2, "lambda": 5,
+                                   "images": {"t1": "t1", "t2": "0"}}),
+        (["bracket", "a", "b", "--algebra"],
+         {"variables": ["a", "b"], "brackets": [], "sigma": {}}),
+    ], ids=["images-list", "lambda-scalar", "brackets-list"])
+    def test_malformed_file_is_usage_error(self, argv, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _ = run_cli(*argv, str(path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_bad_parameter_value(self):
         code, _ = run_cli("nf", "x1", "--alpha", "many")
         assert code == 2
@@ -148,6 +169,11 @@ class TestReports:
                      if item["status"] == "pass")
         assert passes == text.count("[ok  ]")
 
+    def test_verify_all_matches_golden_text(self):
+        code, text = run_cli("verify", "all")
+        assert code == 0
+        assert text.encode("utf-8") == GOLDEN_VERIFY_ALL.read_bytes()
+
     def test_deterministic_text_output(self):
         _, first = run_cli("verify", "torus", "--seed", "7")
         _, second = run_cli("verify", "torus", "--seed", "7")
@@ -157,8 +183,7 @@ class TestReports:
         code, _ = run_cli("verify", "torus", "--seed", "99")
         assert code == 0
 
-    def test_thread_cap_does_not_change_verdicts(self, monkeypatch):
-        monkeypatch.setenv("POISSON_FORGE_THREADS", "4")
+    def test_reports_follow_requested_order(self):
         reports = run_suites(["casimir", "grading", "pl2"])
         assert all(r.ok for r in reports)
         assert [r.suite for r in reports] == ["casimir", "grading", "pl2"]

@@ -245,6 +245,12 @@ class TestBoundedSearches:
                 ("x1", "x2", "x3", "x4", "x5", "x6")}
         assert bounded_inner_search(zero, NUM11, degree=2).is_zero()
 
+    def test_empty_degree_range(self):
+        zero = {name: NUM11.context.zero() for name in
+                ("x1", "x2", "x3", "x4", "x5", "x6")}
+        assert bounded_inner_search(zero, NUM11, degree=-1).is_zero()
+        assert bounded_centre(NUM11, -1) == []
+
     def test_scalar_derivation_not_inner_at_low_degree(self):
         ring = QuotientRing(alpha=1, beta=0)
         images = parse_derivation(

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poisson_forge import g2
 from poisson_forge.linalg import hnf_rows, integer_kernel
@@ -25,6 +27,39 @@ class TestLinalg:
         # Over Q the kernel of [[0,0],[0,1]] is spanned by (1,0); any
         # integer multiple generates the same saturated lattice.
         assert integer_kernel([[0, 0], [0, 1]]) == [[1, 0]]
+
+    @given(st.data())
+    def test_hnf_is_invariant_under_unimodular_rows(self, data):
+        # U*A spans the same lattice as A, and the HNF is unique per lattice.
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 4))
+        A = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                               min_size=n, max_size=n))
+        UA = [list(row) for row in A]
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                        st.integers(-3, 3), st.booleans())
+        for i, j, k, swap in data.draw(st.lists(ops, max_size=8)):
+            if swap:
+                UA[i], UA[j] = UA[j], UA[i]
+            elif i != j:
+                UA[i] = [a + k * b for a, b in zip(UA[i], UA[j])]
+            else:
+                UA[i] = [-a for a in UA[i]]
+        assert hnf_rows(UA) == hnf_rows(A)
+
+    @given(st.data())
+    def test_integer_kernel_annihilates_rational_matrix(self, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 3))
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        mat = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                                 min_size=n, max_size=n))
+        kernel = integer_kernel(mat)
+        for v in kernel:
+            assert len(v) == n and all(isinstance(a, int) for a in v)
+            assert all(sum(v[i] * mat[i][j] for i in range(n)) == 0
+                       for j in range(m))
+        assert hnf_rows(kernel) == kernel
 
 
 class TestCentralLattice:
