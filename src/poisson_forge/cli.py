@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import g2
 from .chain import localize_structure, run_chain
-from .expr import ExprError
+from .expr import ExprError, rational
 from .parse import parse_expr
 from .poisson import DerivationSpec, EtaError
 from .quotient import QuotientRing
@@ -40,8 +40,8 @@ def _parameter_value(raw: str, which: str) -> str | Fraction:
     if raw.lower() in aliases:
         return "symbolic"
     try:
-        return Fraction(raw)
-    except ValueError:
+        return rational(raw)
+    except ExprError:
         raise UsageError(
             f"--{which} expects 'symbolic' or a rational, got {raw!r}") from None
 
@@ -110,11 +110,8 @@ def _cmd_decompose(args, out) -> int:
     if torus.rank != spec["rank"]:
         raise UsageError("rank does not match the lambda matrix")
     ctx = torus.context
-    images = {}
-    for name in torus.names:
-        if name not in spec["images"]:
-            raise UsageError(f"images miss generator {name!r}")
-        images[name] = parse_expr(spec["images"][name], ctx)
+    images = {name: parse_expr(text, ctx)
+              for name, text in spec["images"].items()}
     dec = decompose_derivation(DerivationSpec(ctx, images), torus)
     payload = {"gamma": str(dec.gamma),
                "theta": {name: str(img)

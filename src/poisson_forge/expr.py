@@ -32,6 +32,15 @@ class ExprError(ValueError):
     """Base error for expression-level failures."""
 
 
+def rational(value) -> Fraction:
+    """The exact rational of a number or of "p/q" text from outside input;
+    ExprError on anything else, a zero denominator included."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ExprError(f"expected a rational, got {value!r}") from None
+
+
 class ContextMismatch(ExprError):
     """Two operands live over different variable contexts."""
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .expr import ExprError, LaurentPoly, VarContext
+from .expr import ExprError, LaurentPoly, VarContext, rational
 from .parse import parse_expr
 from .poisson import PoissonOreData, PoissonStructure, WeightVector
 
@@ -90,7 +89,7 @@ def load_algebra(source) -> AlgebraData:
         i, j = _pair_key(key, ctx.rank)
         if not j < i:
             raise ExprError(f"sigma key {key!r} must have i > j")
-        sigma[(i, j)] = Fraction(str(value))
+        sigma[(i, j)] = rational(value)
     delta = {}
     for key, text in data.get("delta", {}).items():
         i, j = _pair_key(key, ctx.rank)

@@ -24,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .expr import ExprError, LaurentPoly, VarContext
-from .g2 import builtin_algebra
+from .expr import ExprError, LaurentPoly, VarContext, rational
+from .g2 import REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
 from .poisson import (DerivationSpec, PoissonStructure, derivation_defect,
@@ -41,7 +42,7 @@ def _parameter(value) -> Fraction | None:
     """'symbolic' -> None, otherwise an exact rational."""
     if value is None or value == "symbolic":
         return None
-    return Fraction(str(value))
+    return rational(value)
 
 
 class QuotientRing:
@@ -175,16 +176,18 @@ class QuotientRing:
     def basis_monomials(self, degree: int):
         """Monomials of the quotient basis with total x-degree <= degree."""
         for e1, e2 in itertools.product((0, 1), repeat=2):
-            rest = degree - e1 - e2
-            if rest < 0:
-                continue
-            for i in range(rest + 1):
-                for j in range(rest - i + 1):
-                    for k in range(rest - i - j + 1):
-                        for l in range(rest - i - j - k + 1):
-                            yield self.context.monomial(
-                                {"x1": i, "x2": j, "x3": e1, "x4": e2,
-                                 "x5": k, "x6": l})
+            for i, j, k, l in _ambient_exponents(4, degree - e1 - e2):
+                yield self.context.monomial(
+                    {"x1": i, "x2": j, "x3": e1, "x4": e2, "x5": k, "x6": l})
+
+    # -- the chain denominators -------------------------------------------
+    @cached_property
+    def t3(self) -> LaurentPoly:
+        return parse_expr("x3 - 3/2*x4*x5^-1", self.context)
+
+    @cached_property
+    def t4(self) -> LaurentPoly:
+        return parse_expr("x4 - 2/3*x5^3*x6^-1", self.context)
 
 
 @dataclass(frozen=True)
@@ -222,18 +225,16 @@ class QuotientElement:
         return str(self.poly)
 
 
-def check_casimirs(ring: QuotientRing, identities=None) -> list[CheckItem]:
+def check_casimirs(ring: QuotientRing) -> list[CheckItem]:
     """normal_form(Omega1) = alpha, normal_form(Omega2) = beta, and the
     four rewrite identities reduce to zero."""
-    from .g2 import REWRITE_IDENTITIES
-    identities = REWRITE_IDENTITIES if identities is None else identities
     items = [
         check_item("normal_form(Omega1) = alpha",
                    ring.normal_form(ring.casimir1) - ring.normal_form(ring.alpha_poly)),
         check_item("normal_form(Omega2) = beta",
                    ring.normal_form(ring.casimir2) - ring.normal_form(ring.beta_poly)),
     ]
-    for name, (lhs, rhs) in identities.items():
+    for name, (lhs, rhs) in REWRITE_IDENTITIES.items():
         residue = ring.normal_form(parse_expr(lhs, ring.context)
                                    - parse_expr(rhs, ring.context))
         items.append(check_item(f"identity {name} reduces to 0", residue))
@@ -263,21 +264,19 @@ class LocalizedFraction:
     def of(ring: QuotientRing, poly, a: int = 0, b: int = 0) -> "LocalizedFraction":
         return LocalizedFraction(ring, ring.normal_form(poly), a, b)
 
-    def _scale(self, a: int, b: int, t3: LaurentPoly, t4: LaurentPoly) -> LaurentPoly:
+    def _scale(self, a: int, b: int) -> LaurentPoly:
         num = self.num
         for _ in range(a - self.a):
-            num = num * t3
+            num = num * self.ring.t3
         for _ in range(b - self.b):
-            num = num * t4
+            num = num * self.ring.t4
         return self.ring.normal_form(num)
 
     def __add__(self, other):
-        t3, t4 = _chain_denominators(self.ring)
         a, b = max(self.a, other.a), max(self.b, other.b)
         return LocalizedFraction(
             self.ring,
-            self.ring.normal_form(self._scale(a, b, t3, t4)
-                                  + other._scale(a, b, t3, t4)), a, b)
+            self.ring.normal_form(self._scale(a, b) + other._scale(a, b)), a, b)
 
     def __neg__(self):
         return LocalizedFraction(self.ring, -self.num, self.a, self.b)
@@ -305,19 +304,13 @@ class LocalizedFraction:
         return f"({self.num}) / (t3^{self.a} * t4^{self.b})"
 
 
-def _chain_denominators(ring: QuotientRing) -> tuple[LaurentPoly, LaurentPoly]:
-    t3 = parse_expr("x3 - 3/2*x4*x5^-1", ring.context)
-    t4 = parse_expr("x4 - 2/3*x5^3*x6^-1", ring.context)
-    return t3, t4
-
-
 def chain_elements(ring: QuotientRing) -> dict[str, LocalizedFraction]:
     """The images of the chain elements in the localised quotient."""
     if not ring.localized:
         raise ExprError("chain elements need the localisation at x5, x6")
     ctx = ring.context
     el = lambda text: LocalizedFraction.of(ring, parse_expr(text, ctx))
-    t3_poly, t4_poly = _chain_denominators(ring)
+    t3_poly, t4_poly = ring.t3, ring.t4
     x16 = el("x1 - 1/2*x5*x6^-1")
     x26 = el("x2 + 3/2*x4*x6^-1 - 3*x3*x5*x6^-1 + x5^3*x6^-2")
     x36 = el("x3 - x5^2*x6^-1")
@@ -340,9 +333,8 @@ def chain_elements(ring: QuotientRing) -> dict[str, LocalizedFraction]:
             "t4": t4, "t5": t5, "t6": t6, "z1": z1, "z2": z2, "f1": f1}
 
 
-def verify_localized_identities(ring: QuotientRing | None = None) -> list[CheckItem]:
+def verify_localized_identities(ring: QuotientRing) -> list[CheckItem]:
     """The localisation-tower identities in cleared-denominator form."""
-    ring = ring or QuotientRing(localized=True)
     e = chain_elements(ring)
     ctx = ring.context
     alpha = LocalizedFraction.of(ring, ring.alpha_poly)

@@ -3,8 +3,8 @@
 A report is a named suite of labelled pass/fail items; failing items carry
 the residue expression that witnessed the failure.  Items are sorted by
 label so that report assembly is order-stable; the text rendering omits
-the (non-deterministic) timing unless asked, keeping output bytes
-reproducible run over run.
+the (non-deterministic) timing, which only the JSON form carries, keeping
+output bytes reproducible run over run.
 """
 
 from __future__ import annotations
@@ -89,9 +89,8 @@ class Report:
                  for entry in data["items"]]
         return Report(data["suite"], items, data.get("seconds", 0.0))
 
-    def render_text(self, timings: bool = False) -> str:
-        lines = [f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}"
-                 + (f" ({self.seconds:.2f}s)" if timings else "")]
+    def render_text(self) -> str:
+        lines = [f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}"]
         for item in self.items:
             mark = "ok  " if item.ok else "FAIL"
             line = f"  [{mark}] {item.label}"

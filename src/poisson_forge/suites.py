@@ -28,6 +28,7 @@ from .torus import (Decomposition, TorusStructure, apply_decomposition,
                     central_lattice, decompose_derivation)
 
 DEFAULT_SEED = 20250809
+TORUS_ROUNDS = 100
 
 SUITE_NAMES = ["jacobi", "casimir", "pdda", "pullback", "pl2", "quotient",
                "localization", "torus", "derivations", "centre", "grading"]
@@ -129,7 +130,7 @@ def suite_localization():
 
 
 @_timed
-def suite_torus(seed: int = DEFAULT_SEED, rounds: int = 100):
+def suite_torus(seed: int = DEFAULT_SEED):
     torus = TorusStructure.make(g2.TORUS_MATRIX)
     items = [("central lattice of the torus matrix is"
               " [(1,0,1,0,1,0), (0,1,0,1,0,1)]",
@@ -139,7 +140,7 @@ def suite_torus(seed: int = DEFAULT_SEED, rounds: int = 100):
     lattice = central_lattice(torus)
     failures = []
     witness_failures = []
-    for case in range(rounds):
+    for case in range(TORUS_ROUNDS):
         gamma, theta = _random_decomposition(torus, lattice, rng)
         D = _derivation_of(torus, gamma, theta)
         try:
@@ -152,7 +153,7 @@ def suite_torus(seed: int = DEFAULT_SEED, rounds: int = 100):
             failures.append(f"case {case}: decomposition differs from input")
         if high.gamma != low.gamma or high.theta_images != low.theta_images:
             witness_failures.append(f"case {case}")
-    items.append((f"{rounds} seeded decomposition roundtrips recover"
+    items.append((f"{TORUS_ROUNDS} seeded decomposition roundtrips recover"
                   " (gamma, theta) exactly", not failures,
                   "; ".join(failures[:3]) or "0"))
     items.append(("compatibility holds across all witness choices",

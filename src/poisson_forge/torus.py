@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .expr import ExprError, LaurentPoly, VarContext
+from .expr import ExprError, LaurentPoly, VarContext, rational
 from .linalg import integer_kernel
-from .poisson import DerivationSpec, PoissonStructure
+from .poisson import DerivationSpec, PoissonStructure, hamiltonian_derivation
 
 
 class DecompositionError(ExprError):
@@ -34,15 +35,15 @@ class DecompositionError(ExprError):
 
 @dataclass(frozen=True)
 class TorusStructure:
-    """Rank-n Poisson torus with lam(e_i, e_j) given by an antisymmetric
-    rational matrix."""
+    """Rank-n Poisson torus over generators t1..tn with lam(e_i, e_j) given
+    by an antisymmetric rational matrix."""
 
     lam: tuple[tuple[Fraction, ...], ...]
     names: tuple[str, ...]
 
     @staticmethod
-    def make(matrix: Sequence[Sequence], names: Sequence[str] | None = None) -> "TorusStructure":
-        lam = tuple(tuple(Fraction(str(v)) for v in row) for row in matrix)
+    def make(matrix: Sequence[Sequence]) -> "TorusStructure":
+        lam = tuple(tuple(rational(v) for v in row) for row in matrix)
         n = len(lam)
         for row in lam:
             if len(row) != n:
@@ -51,19 +52,18 @@ class TorusStructure:
             for j in range(n):
                 if lam[i][j] != -lam[j][i]:
                     raise ExprError("lambda matrix must be antisymmetric")
-        if names is None:
-            names = tuple(f"t{i + 1}" for i in range(n))
-        return TorusStructure(lam, tuple(names))
+        return TorusStructure(lam, tuple(f"t{i + 1}" for i in range(n)))
 
     @property
     def rank(self) -> int:
         return len(self.lam)
 
-    @property
+    @cached_property
     def context(self) -> VarContext:
         return VarContext.make(self.names, invertible=self.names)
 
-    def structure(self) -> PoissonStructure:
+    @cached_property
+    def _structure(self) -> PoissonStructure:
         ctx = self.context
         table = {}
         for i in range(self.rank):
@@ -72,27 +72,23 @@ class TorusStructure:
                     {self.names[i]: 1, self.names[j]: 1}, self.lam[i][j])
         return PoissonStructure(ctx, table)
 
-    def pairing(self, g: Sequence[int], h: Sequence[int]) -> Fraction:
-        """Biadditive extension lam(g, h) = g . lam . h."""
-        total = Fraction(0)
-        for i, gi in enumerate(g):
-            if gi:
-                for j, hj in enumerate(h):
-                    if hj:
-                        total += gi * hj * self.lam[i][j]
-        return total
+    def structure(self) -> PoissonStructure:
+        """The log-canonical bracket {t_i, t_j} = lam_ij t_i t_j, built once
+        per torus."""
+        return self._structure
+
+    def pairings(self, g: Sequence[int]) -> tuple[Fraction, ...]:
+        """(lam(g, e_1), ..., lam(g, e_n)) for the biadditive extension
+        lam(g, h) = g . lam . h."""
+        return tuple(sum((gi * self.lam[i][j] for i, gi in enumerate(g) if gi),
+                         Fraction(0))
+                     for j in range(self.rank))
 
     def is_central(self, g: Sequence[int]) -> bool:
-        return all(self.pairing(g, unit) == 0
-                   for unit in _unit_vectors(self.rank))
+        return not any(self.pairings(g))
 
     def monomial(self, g: Sequence[int], coeff=1) -> LaurentPoly:
-        ctx = self.context
-        return ctx.monomial(dict(zip(self.names, g)), coeff)
-
-
-def _unit_vectors(n: int):
-    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        return self.context.monomial(dict(zip(self.names, g)), coeff)
 
 
 def central_lattice(torus: TorusStructure) -> list[list[int]]:
@@ -121,7 +117,6 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure,
     """
     ctx = torus.context
     n = torus.rank
-    units = _unit_vectors(n)
     coeffs: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i, name in enumerate(torus.names):
         image = D.images[name]
@@ -133,8 +128,8 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure,
     theta_terms: dict[str, dict[tuple[int, ...], Fraction]] = {
         name: {} for name in torus.names}
     for g, a in sorted(coeffs.items()):
-        pairings = [torus.pairing(g, unit) for unit in units]
-        if all(p == 0 for p in pairings):
+        pairings = torus.pairings(g)
+        if not any(pairings):
             for i, c in a.items():
                 theta_terms[torus.names[i]][g] = c
             continue
@@ -158,26 +153,10 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure,
     return Decomposition(gamma, theta)
 
 
-def hamiltonian_images(gamma: LaurentPoly, torus: TorusStructure) -> dict[str, LaurentPoly]:
-    """ham_gamma on generators, through the log-canonical bracket."""
-    ctx = torus.context
-    units = _unit_vectors(torus.rank)
-    images = {}
-    for i, name in enumerate(torus.names):
-        t_i = ctx.var(name)
-        total = ctx.zero()
-        for g, c in gamma.terms.items():
-            lam = torus.pairing(g, units[i])
-            if lam:
-                total = total + torus.monomial(g, c * lam) * t_i
-        images[name] = total
-    return images
-
-
 def apply_decomposition(dec: Decomposition, torus: TorusStructure) -> dict[str, LaurentPoly]:
     """Generator images of ham_gamma + D_theta."""
     ctx = torus.context
-    ham = hamiltonian_images(dec.gamma, torus)
+    ham = hamiltonian_derivation(dec.gamma, torus.structure()).images
     return {name: ham[name] + dec.theta_images[name] * ctx.var(name)
             for name in torus.names}
 

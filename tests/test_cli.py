@@ -128,7 +128,14 @@ class TestExitCodes:
                                    "images": {"t1": "t1", "t2": "0"}}),
         (["bracket", "a", "b", "--algebra"],
          {"variables": ["a", "b"], "brackets": [], "sigma": {}}),
-    ], ids=["images-list", "lambda-scalar", "brackets-list"])
+        (["bracket", "a", "b", "--algebra"],
+         {"variables": ["a", "b"], "brackets": {}, "sigma": {"2,1": "1/0"}}),
+        (["decompose", "--file"], {"rank": 2, "lambda": [[0, "1/0"], [-1, 0]],
+                                   "images": {"t1": "t1", "t2": "0"}}),
+        (["decompose", "--file"], {"rank": 2, "lambda": [[0, 1], [-1, 0]],
+                                   "images": {"t1": "t1", "t2": "0", "t3": "1"}}),
+    ], ids=["images-list", "lambda-scalar", "brackets-list", "sigma-zero-denominator",
+            "lambda-zero-denominator", "image-not-a-generator"])
     def test_malformed_file_is_usage_error(self, argv, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -138,9 +145,15 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_bad_parameter_value(self):
-        code, _ = run_cli("nf", "x1", "--alpha", "many")
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "many"), ("--alpha", "1/0"), ("--beta", "1/0"),
+    ], ids=["alpha-many", "alpha-zero-denominator", "beta-zero-denominator"])
+    def test_bad_parameter_value(self, flag, value, capsys):
+        code, _ = run_cli("nf", "x1", flag, value)
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.startswith(f"error: {flag} expects 'symbolic' or a rational")
+        assert "Traceback" not in err
 
     def test_failing_report_exits_one(self):
         from poisson_forge.cli import _emit_reports

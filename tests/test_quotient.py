@@ -184,6 +184,18 @@ class TestLocalizedTower:
         assert "t1*t3*t5 = alpha" in labels
         assert "t2*t4*t6 = beta" in labels
 
+    def test_denominators_parsed_once_per_ring(self, monkeypatch):
+        # t3 and t4 are parsed once per ring, not again on every addition.
+        from poisson_forge import quotient
+        calls = []
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parse_expr(*args, **kwargs)
+        monkeypatch.setattr(quotient, "parse_expr", counting)
+        items = verify_localized_identities(QuotientRing(localized=True))
+        assert all(ok for _, ok, _ in items)
+        assert len(calls) <= 7
+
 
 class TestQuotientDerivations:
     def test_scalar_derivation_on_beta_zero_quotient(self):
@@ -232,6 +244,13 @@ class TestQuotientDerivations:
         assert images["x6"] == 2 * ring.context.var("x6")
         for label, ok, residue in check_quotient_derivation(images, ring):
             assert ok, f"{label}: {residue}"
+
+    @pytest.mark.parametrize("value", ["1/0", "many", [1]],
+                             ids=["zero-denominator", "word", "list"])
+    def test_derivation_file_rejects_non_rational_parameter(self, value):
+        from poisson_forge.quotient import load_derivation_file
+        with pytest.raises(ExprError, match="expected a rational"):
+            load_derivation_file({"alpha": value, "beta": 0, "images": {}})
 
 
 class TestBoundedSearches:

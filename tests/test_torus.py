@@ -1,5 +1,6 @@
 """Centre lattices and the inner-plus-central derivation decomposition."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from poisson_forge import g2
 from poisson_forge.linalg import hnf_rows, integer_kernel
-from poisson_forge.poisson import DerivationSpec, check_poisson_derivation
+from poisson_forge.poisson import (DerivationSpec, check_poisson_derivation,
+                                   hamiltonian_derivation)
 from poisson_forge.torus import (Decomposition, DecompositionError,
                                  TorusStructure, apply_decomposition,
                                  central_lattice, decompose_derivation,
@@ -89,12 +91,48 @@ class TestCentralLattice:
 
     def test_hamiltonian_of_t3_is_log_canonical(self):
         # ham_{t3}(t_i) = lam(e3, e_i) t3 t_i with the built-in matrix row.
-        from poisson_forge.poisson import hamiltonian_derivation
         struct = M6.structure()
         D = hamiltonian_derivation(M6.context.var("t3"), struct)
         for i, name in enumerate(M6.names):
             expected = M6.lam[2][i] * M6.context.monomial({"t3": 1, name: 1})
             assert D.images[name] == expected
+
+    @given(st.data())
+    def test_hamiltonian_is_log_canonical(self, data):
+        # ham_gamma(t_i) = sum_g c_g lam(g, e_i) t^g t_i on random tori,
+        # with lam(g, e_i) computed here from the matrix, not by the torus.
+        n = data.draw(st.integers(1, 5))
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        lam = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                lam[i][j] = data.draw(entries)
+                lam[j][i] = -lam[i][j]
+        torus = TorusStructure.make(lam)
+        ctx = torus.context
+        exponents = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        support = data.draw(st.lists(exponents, max_size=4))
+        gamma = ctx.zero()
+        for g in support:
+            gamma = gamma + torus.monomial(g, data.draw(entries))
+        struct = torus.structure()
+        images = hamiltonian_derivation(gamma, struct).images
+        for i, name in enumerate(torus.names):
+            expected = ctx.zero()
+            for g, c in gamma.terms.items():
+                pairing = sum(g[k] * lam[k][i] for k in range(n))
+                expected = expected + torus.monomial(g, c * pairing) * ctx.var(name)
+            assert images[name] == expected
+        for g in support + list(itertools.product((-1, 0, 1), repeat=n)):
+            brackets_to_zero = all(
+                struct.bracket(torus.monomial(g), ctx.var(name)).is_zero()
+                for name in torus.names)
+            assert torus.is_central(g) == brackets_to_zero
+
+    def test_derived_data_built_once(self):
+        torus = TorusStructure.make([[0, 1], [-1, 0]])
+        assert torus.context is torus.context
+        assert torus.structure() is torus.structure()
 
 
 class TestDecomposition:
