@@ -34,9 +34,15 @@ class ExprError(ValueError):
 
 def rational(value) -> Fraction:
     """The exact rational of a number or of "p/q" text from outside input;
-    ExprError on anything else, a zero denominator included."""
+    ExprError on anything else, a zero denominator included.
+
+    Exponent text ("1e300000") is refused before it is converted: its
+    integer can be any size, so converting it is unbounded work."""
+    text = str(value)
+    if "e" in text or "E" in text:
+        raise ExprError(f"expected a rational without an exponent, got {value!r}")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ExprError(f"expected a rational, got {value!r}") from None
 
@@ -142,7 +148,8 @@ class LaurentPoly:
     def __init__(self, context: VarContext, terms: Mapping[Monomial, Fraction]):
         clean: dict[Monomial, Fraction] = {}
         for exps, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             context.check_monomial(exps)

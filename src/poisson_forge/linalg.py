@@ -25,13 +25,14 @@ class LinearSystem:
     def reduce_row(self, row: Row) -> Row:
         # Pivot rows carry no other pivot columns, so one pass over the
         # pivot columns present in the incoming row fully reduces it.
-        row = {c: Fraction(v) for c, v in row.items() if v != 0}
+        row = {c: v if type(v) is Fraction else Fraction(v)
+               for c, v in row.items() if v != 0}
         for c in sorted(c for c in row if c in self.pivots):
             factor = row.get(c)
             if not factor:
                 continue
             for pc, pv in self.pivots[c].items():
-                s = row.get(pc, Fraction(0)) - factor * pv
+                s = row.get(pc, 0) - factor * pv
                 if s:
                     row[pc] = s
                 else:
@@ -50,7 +51,7 @@ class LinearSystem:
             if c in pivot:
                 factor = pivot[c]
                 for col, v in row.items():
-                    s = pivot.get(col, Fraction(0)) - factor * v
+                    s = pivot.get(col, 0) - factor * v
                     if s:
                         pivot[col] = s
                     else:
@@ -97,9 +98,10 @@ def solve(rows: Iterable[tuple[Row, Fraction]], ncols: int) -> list[Fraction] | 
         system.add_row(full)
     if rhs_col in system.pivots:
         return None
-    x = [Fraction(0)] * ncols
+    zero = Fraction(0)
+    x = [zero] * ncols
     for pc, row in system.pivots.items():
-        x[pc] = row.get(rhs_col, Fraction(0))
+        x[pc] = row.get(rhs_col, zero)
     return x
 
 

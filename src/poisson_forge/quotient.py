@@ -4,9 +4,14 @@ Setting Omega1 = alpha and Omega2 = beta turns the two Casimirs into
 rewrite rules for x3^2 and x4^2 (solve each relation for its square term,
 then reduce the x4 rule by the x3 rule).  Exhaustive rewriting terminates:
 with (a, b) the x3/x4 exponents of a term, the x3 rule strictly lowers
-a + b while the x4 rule keeps a + b non-increasing and strictly lowers b,
-so (a + b, b) drops lexicographically.  The normal forms are the unique
-representatives over the monomial basis
+a + b and raises b by at most one, while the x4 rule keeps a + b
+non-increasing and strictly lowers b.  So (a + b, b) drops
+lexicographically, and the weight 2a + 3b = 2(a + b) + b drops by at
+least one.  With termination, local confluence gives, by Newman's lemma
+(Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*), a result that
+does not depend on the order of the rewrites, so ``QuotientRing._reduce``
+may rewrite in falling weight, each monomial once.  The normal forms are
+the unique representatives over the monomial basis
 
     x1^i x2^j x3^e1 x4^e2 x5^k x6^l,  e1, e2 in {0, 1},
 
@@ -25,6 +30,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import inf, lcm
+from operator import add
 
 from .expr import ExprError, LaurentPoly, VarContext, rational
 from .g2 import REWRITE_IDENTITIES, builtin_algebra
@@ -80,6 +87,7 @@ class QuotientRing:
         raw_x4 = (Fraction(2, 3) * self.beta_poly
                   - Fraction(2, 3) * self.casimir2 + x4sq)
         self.rewrite_x4 = self._reduce(raw_x4, use_x4=False)
+        self._integer_rules = self._scaled_rules(self.rewrite_x3, self.rewrite_x4)
 
     # -- normal form ---------------------------------------------------------
     def _specialise(self, p: LaurentPoly) -> LaurentPoly:
@@ -98,33 +106,87 @@ class QuotientRing:
             terms[m] = terms.get(m, 0) + c
         return LaurentPoly(self.context, terms)
 
-    def _reduce(self, p: LaurentPoly, use_x4: bool = True) -> LaurentPoly:
+    def _scaled_rules(self, *rules: LaurentPoly):
+        """(R, the x3 rule[, the x4 rule]) in the integer form ``_reduce`` uses.
+
+        R is the lcm of every denominator of the given rules.  Each rule is
+        a list of (exponent shift, integer) pairs, one per term c*m of the
+        rule for x3^2 (x4^2): the shift is m / x3^2 (m / x4^2), and the
+        integer is c * R^d, where d >= 1 is how far the term lowers the
+        weight 2a + 3b.
+        """
         i3, i4 = self._i3, self._i4
-        zero = Fraction(0)
-        terms = dict(p.terms)
-        while True:
-            reducible = [m for m in terms
-                         if m[i3] >= 2 or (use_x4 and m[i4] >= 2)]
-            if not reducible:
-                return LaurentPoly(self.context, terms)
-            for m in reducible:
-                # an earlier reduction in this pass may have cancelled m away
-                c = terms.pop(m, None)
-                if c is None:
+        R = lcm(*(c.denominator for rule in rules for c in rule.terms.values()))
+        scaled = []
+        for pos, rule in zip((i3, i4), rules):
+            pairs = []
+            for m, c in rule.terms.items():
+                shift = m[:pos] + (m[pos] - 2,) + m[pos + 1:]
+                drop = -2 * shift[i3] - 3 * shift[i4]
+                pairs.append((shift, int(c * R ** drop)))
+            scaled.append(pairs)
+        return (R, *scaled)
+
+    def _reduce(self, p: LaurentPoly, use_x4: bool = True) -> LaurentPoly:
+        """The normal form of p, rewritten with the x3 rule and (unless
+        ``use_x4`` is false, as when the x4 rule itself is built) the x4 rule.
+
+        Rewriting a monomial of weight w = 2a + 3b ((a, b) its x3, x4
+        exponents) only adds to monomials of lower weight.  So the
+        monomials are taken in falling weight, from one bucket per weight:
+        when a bucket comes up, every monomial of higher weight has been
+        rewritten, so nothing more can add to its monomials, and each is
+        rewritten once, with its whole coefficient.  A monomial joins its
+        bucket when it enters the term dict; one that cancels to zero and
+        comes back is in its bucket twice and is skipped the second time,
+        being gone from the dict.
+
+        The arithmetic is on integers.  Let D be the lcm of the
+        denominators of p, R that of the rules in use (cached in __init__), and
+        ``top`` the highest weight in p.  The term dict holds, for each
+        monomial of weight w, the integer numerator n of its coefficient
+        n / (D * R^k), at the level k = top - w.  A rule term that lowers
+        the weight by d >= 1 lands d levels down, so the rule carries it as
+        the integer c * R^d and a rewrite adds n times that to the target's
+        numerator, with no rescaling.  One Fraction is built per output term.
+        """
+        i3, i4 = self._i3, self._i4
+        low4 = 2 if use_x4 else inf
+        if not any(m[i3] >= 2 or m[i4] >= low4 for m in p.terms):
+            return p
+        R, rule3, rule4 = (self._integer_rules if use_x4 else
+                           (*self._scaled_rules(self.rewrite_x3), None))
+        top = max(2 * m[i3] + 3 * m[i4] for m in p.terms)
+        D = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {m: c.numerator * (D // c.denominator)
+                    * R ** (top - 2 * m[i3] - 3 * m[i4])
+                 for m, c in p.terms.items()}
+        buckets: list[list] = [[] for _ in range(top + 1)]
+        for m in terms:
+            if m[i3] >= 2 or m[i4] >= low4:
+                buckets[2 * m[i3] + 3 * m[i4]].append(m)
+        get = terms.get
+        for w in range(top, 3, -1):  # x3^2 has the least reducible weight, 4
+            for m in buckets[w]:
+                n = terms.pop(m, None)
+                if n is None:
                     continue
-                if m[i3] >= 2:
-                    stripped = m[:i3] + (m[i3] - 2,) + m[i3 + 1:]
-                    rule = self.rewrite_x3
-                else:
-                    stripped = m[:i4] + (m[i4] - 2,) + m[i4 + 1:]
-                    rule = self.rewrite_x4
-                for rm, rc in rule.terms.items():
-                    mm = tuple(a + b for a, b in zip(stripped, rm))
-                    s = terms.get(mm, zero) + c * rc
-                    if s:
-                        terms[mm] = s
+                for shift, rc in (rule3 if m[i3] >= 2 else rule4):
+                    mm = tuple(map(add, m, shift))
+                    s = get(mm)
+                    if s is None:
+                        terms[mm] = n * rc
+                        if mm[i3] >= 2 or mm[i4] >= low4:
+                            buckets[2 * mm[i3] + 3 * mm[i4]].append(mm)
                     else:
-                        terms.pop(mm, None)
+                        s += n * rc
+                        if s:
+                            terms[mm] = s
+                        else:
+                            del terms[mm]
+        return LaurentPoly(self.context, {
+            m: Fraction(n, D * R ** (top - 2 * m[i3] - 3 * m[i4]))
+            for m, n in terms.items()})
 
     def normal_form(self, p: LaurentPoly | str) -> LaurentPoly:
         if isinstance(p, str):

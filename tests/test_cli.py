@@ -147,7 +147,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "many"), ("--alpha", "1/0"), ("--beta", "1/0"),
-    ], ids=["alpha-many", "alpha-zero-denominator", "beta-zero-denominator"])
+        ("--alpha", "1e100000000"),
+    ], ids=["alpha-many", "alpha-zero-denominator", "beta-zero-denominator",
+            "alpha-exponent"])
     def test_bad_parameter_value(self, flag, value, capsys):
         code, _ = run_cli("nf", "x1", flag, value)
         err = capsys.readouterr().err

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poisson_forge.expr import (ContextMismatch, InvertibilityError,
-                                VarContext, divide_exact)
+from poisson_forge.expr import (ContextMismatch, ExprError, InvertibilityError,
+                                VarContext, divide_exact, rational)
 from poisson_forge.parse import parse_expr
 
 CTX = VarContext.make(["X1", "X2", "X3", "X4", "X5", "X6"],
@@ -31,6 +31,21 @@ def small_polys(ctx, names=None, max_terms=4):
 
     term = st.tuples(coeffs, st.tuples(*[exponents] * len(names)))
     return st.lists(term, max_size=max_terms).map(build)
+
+
+class TestRational:
+    @pytest.mark.parametrize("value, expected", [
+        ("3", 3), ("-2/3", Fraction(-2, 3)), ("0.25", Fraction(1, 4)),
+        (5, 5), (Fraction(1, 3), Fraction(1, 3)),
+    ])
+    def test_plain_forms_accepted(self, value, expected):
+        assert rational(value) == expected
+
+    @pytest.mark.parametrize("value", ["1e5", "2.5E-3", 1e16])
+    def test_exponent_text_rejected(self, value):
+        # the integer behind exponent text can be any size
+        with pytest.raises(ExprError, match="without an exponent"):
+            rational(value)
 
 
 class TestContext:

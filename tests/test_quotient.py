@@ -1,11 +1,15 @@
 """Normal forms, quotient brackets, localised identities, bounded searches."""
 
+import operator
+import random
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import g2
-from poisson_forge.expr import ExprError
+from poisson_forge.expr import ExprError, LaurentPoly
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import WeightVector
 from poisson_forge.quotient import (QuotientRing, bounded_centre,
@@ -42,6 +46,70 @@ def quotient_polys(names=("x1", "x3", "x4"), max_terms=3):
 
     term = st.tuples(coeffs, st.tuples(*[exponents] * len(names)))
     return st.lists(term, max_size=max_terms).map(build)
+
+
+# The x3 rule of the (9/8, 5) ring has the denominator 4 and the x4 rule
+# only 9, so integer forms of the rules need one denominator for both.
+REFERENCE_RINGS = [SYM, LOC, NUM11, QuotientRing(alpha="-2/3", beta=5),
+                   QuotientRing(alpha="1/2", beta="-1/3"),
+                   QuotientRing(alpha="9/8", beta=5)]
+REFERENCE_IDS = ["sym", "loc", "1,1", "-2/3,5", "1/2,-1/3", "9/8,5"]
+
+
+def reference_normal_form(ring, p, rng):
+    """Rewrite one reducible term at a time, on Fractions, until none is
+    left.  The term is picked by rng among those of highest x3 + x4
+    degree (which keeps repeated rewrites of one monomial few), and so is
+    the rule when both apply; by confluence any choice gives the same
+    normal form."""
+    i3, i4 = ring.context.index("x3"), ring.context.index("x4")
+    terms = dict(p.terms)
+    pending: dict[int, list] = {}
+
+    def push(m):
+        if m[i3] >= 2 or m[i4] >= 2:
+            pending.setdefault(m[i3] + m[i4], []).append(m)
+
+    for m in terms:
+        push(m)
+    while pending:
+        top = pending[max(pending)]
+        k = rng.randrange(len(top))
+        top[k], top[-1] = top[-1], top[k]
+        m = top.pop()
+        if not top:
+            del pending[m[i3] + m[i4]]
+        if m not in terms:
+            continue
+        c = terms.pop(m)
+        pos = i3 if m[i3] >= 2 and (m[i4] < 2 or rng.random() < 0.5) else i4
+        rule = ring.rewrite_x3 if pos == i3 else ring.rewrite_x4
+        stripped = m[:pos] + (m[pos] - 2,) + m[pos + 1:]
+        for rm, rc in rule.terms.items():
+            mm = tuple(map(operator.add, stripped, rm))
+            s = terms.get(mm, 0) + c * rc
+            if not s:
+                terms.pop(mm, None)
+                continue
+            if mm not in terms:
+                push(mm)
+            terms[mm] = s
+    return terms
+
+
+@st.composite
+def reduction_inputs(draw, ring):
+    low = -2 if ring.localized else 0
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    core = st.integers(min_value=0, max_value=6)
+    outer = st.integers(min_value=0, max_value=1)
+    laurent = st.integers(min_value=low, max_value=1)
+    term = st.tuples(coeffs, st.tuples(outer, outer, core, core, laurent, laurent))
+    p = ring.context.zero()
+    for c, exps in draw(st.lists(term, min_size=1, max_size=4)):
+        p = p + ring.context.monomial(
+            dict(zip(("x1", "x2", "x3", "x4", "x5", "x6"), exps)), c)
+    return p
 
 
 class TestNormalForm:
@@ -106,9 +174,54 @@ class TestNormalForm:
         assert ALPHA_ONLY.normal_form(ALPHA_ONLY.casimir2).is_zero()
         assert NUM11.normal_form(NUM11.casimir1) == NUM11.context.one()
 
+    # each example costs up to 0.6 s in the Fraction reference
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=REFERENCE_IDS)
+    @settings(max_examples=6)
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+    def test_matches_reference_reducer(self, ring, data, seed):
+        p = data.draw(reduction_inputs(ring))
+        reduced = ring.normal_form(p)
+        assert reduced.terms == reference_normal_form(ring, p, random.Random(seed))
+        assert all(type(c) is Fraction for c in reduced.terms.values())
+
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=REFERENCE_IDS)
+    def test_rewrites_lower_the_weight(self, ring):
+        # every rule term lowers 2a + 3b, (a, b) the x3, x4 exponents:
+        # the order in which the normal form rewrites its monomials
+        i3, i4 = ring.context.index("x3"), ring.context.index("x4")
+        for rule, (d3, d4) in ((ring.rewrite_x3, (2, 0)),
+                               (ring.rewrite_x4, (0, 2))):
+            for m in rule.terms:
+                assert 2 * (m[i3] - d3) + 3 * (m[i4] - d4) <= -1
+
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS[2:4], ids=REFERENCE_IDS[2:4])
+    def test_ideal_membership_against_groebner_basis(self, ring):
+        # outside oracle: sympy's grevlex Groebner basis of
+        # (Omega1 - alpha, Omega2 - beta) certifies p - nf(p) in the ideal
+        from sympy import QQ
+        from sympy.polys.groebnertools import groebner
+        from sympy.polys.orderings import grevlex
+        from sympy.polys.rings import ring as polynomial_ring
+
+        R, *_ = polynomial_ring("x1:7", QQ, grevlex)
+
+        def to_sympy(poly: LaurentPoly):
+            return R.from_dict({m[:6]: QQ(c.numerator, c.denominator)
+                                for m, c in poly.terms.items()})
+
+        basis = groebner([to_sympy(ring.casimir1 - ring.alpha),
+                          to_sympy(ring.casimir2 - ring.beta)], R)
+        i3, i4 = ring.context.index("x3"), ring.context.index("x4")
+        for text in ("x3^8", "x4^6", "x1*(x3 + 1/2*x4)^5"):
+            p = parse_expr(text, ring.context)
+            reduced = ring.normal_form(p)
+            assert all(m[i3] <= 1 and m[i4] <= 1 for m in reduced.terms)
+            assert to_sympy(p - reduced).rem(basis) == 0, text
+
 
 SPECIALISED = [QuotientRing(alpha=1, beta=0), QuotientRing(alpha=0, beta=1),
                QuotientRing(alpha="-2/3", beta=5)]
+
 
 
 class TestSpecialise:
@@ -245,8 +358,8 @@ class TestQuotientDerivations:
         for label, ok, residue in check_quotient_derivation(images, ring):
             assert ok, f"{label}: {residue}"
 
-    @pytest.mark.parametrize("value", ["1/0", "many", [1]],
-                             ids=["zero-denominator", "word", "list"])
+    @pytest.mark.parametrize("value", ["1/0", "many", [1], "1e300000"],
+                             ids=["zero-denominator", "word", "list", "exponent"])
     def test_derivation_file_rejects_non_rational_parameter(self, value):
         from poisson_forge.quotient import load_derivation_file
         with pytest.raises(ExprError, match="expected a rational"):
