@@ -206,8 +206,8 @@ def main(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (UsageError, ExprError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as err:
+    except (UsageError, ExprError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ is equality of their term dicts over equal contexts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -324,6 +325,16 @@ class LaurentPoly:
         return f"LaurentPoly({format_poly(self)})"
 
 
+def _coefficient_text(c: Fraction) -> str:
+    try:
+        return str(c)
+    except ValueError:  # Python's int-to-str digit limit
+        raise ExprError(
+            "coefficient too large to print: over"
+            f" {sys.get_int_max_str_digits()} digits, Python's limit for"
+            " integer string conversion") from None
+
+
 def format_poly(p: LaurentPoly) -> str:
     """Canonical text form; parse(format(p)) == p for every p."""
     if p.is_zero():
@@ -336,12 +347,10 @@ def format_poly(p: LaurentPoly) -> str:
                 continue
             factors.append(name if e == 1 else f"{name}^{e}")
         mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
+        if factors and mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_coefficient_text(mag)] + factors)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

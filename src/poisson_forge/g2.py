@@ -70,6 +70,10 @@ def load_algebra(source) -> AlgebraData:
         if field in data and not isinstance(data[field], kind):
             raise ExprError(f"algebra field {field!r} must be a JSON"
                             f" {'object' if kind is dict else 'array'}")
+    for field in ("variables", "invertible", "parameters"):
+        if not all(isinstance(name, str) for name in data.get(field, ())):
+            raise ExprError(f"algebra field {field!r} must list names as"
+                            " JSON strings")
     ctx = VarContext.make(data["variables"],
                           invertible=data.get("invertible", ()),
                           parameters=data.get("parameters", ()))

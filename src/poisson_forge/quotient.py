@@ -206,34 +206,6 @@ class QuotientRing:
         return self.normal_form(self.structure.bracket(self._specialise(f),
                                                        self._specialise(g)))
 
-    def rewrite_chain_depth(self, powers: dict[str, int]) -> int:
-        """Longest dependent-rewrite chain reducing the given monomial.
-
-        Only the (x3, x4) exponent pair matters: the rules inspect nothing
-        else, so the recursion is memoised on that pair.
-        """
-        i3, i4 = self._i3, self._i4
-        deltas3 = sorted({(m[i3], m[i4]) for m in self.rewrite_x3.terms})
-        deltas4 = sorted({(m[i3], m[i4]) for m in self.rewrite_x4.terms})
-        memo: dict[tuple[int, int], int] = {}
-
-        def depth(a: int, b: int) -> int:
-            if a < 2 and b < 2:
-                return 0
-            key = (a, b)
-            if key not in memo:
-                memo[key] = 0  # cut (impossible) cycles while recursing
-                if a >= 2:
-                    memo[key] = 1 + max(depth(a - 2 + da, b + db)
-                                        for da, db in deltas3)
-                else:
-                    memo[key] = 1 + max(depth(a + da, b - 2 + db)
-                                        for da, db in deltas4)
-            return memo[key]
-
-        m = self.context.monomial(powers).sorted_terms()[0][0]
-        return depth(m[i3], m[i4])
-
     # -- basis enumeration ----------------------------------------------------
     def basis_monomials(self, degree: int):
         """Monomials of the quotient basis with total x-degree <= degree."""
@@ -443,23 +415,6 @@ def verify_localized_identities(ring: QuotientRing) -> list[CheckItem]:
 
 
 # -- derivations --------------------------------------------------------------
-
-def load_derivation_file(source) -> tuple[QuotientRing, dict[str, LaurentPoly]]:
-    """Read {"alpha": "symbolic"|"p/q", "beta": ..., "images": {...}} from a
-    JSON file or parsed dict; returns the specialised ring and the images."""
-    import json
-    from pathlib import Path
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = source
-    for field in ("alpha", "beta", "images"):
-        if field not in data:
-            raise ExprError(f"derivation spec misses {field!r}")
-    ring = QuotientRing(alpha=data["alpha"], beta=data["beta"])
-    return ring, parse_derivation(data["images"], ring)
-
 
 def parse_derivation(images: dict[str, str], ring: QuotientRing) -> dict[str, LaurentPoly]:
     parsed = {}

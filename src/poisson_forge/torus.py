@@ -8,13 +8,14 @@ uniquely as D = ham_gamma + D_theta with supp(gamma) disjoint from C and
 theta an additive map into the centre:
 
     D(t_i) * t_i^-1 = sum_g a_g(e_i) m_g,
-    c_g = a_g(e_y) / lam(g, e_y)     for g outside C, any witness y,
+    a_g(e_x) = c_g lam(g, e_x)       for g outside C and every x,
     theta(e_i) = sum_{g in C} a_g(e_i) m_g.
 
-The witness independence is exactly the compatibility relation
-a_g(x) lam(g, y) = a_g(y) lam(g, x), which is cross-checked on all
-generator pairs; its failure certifies that the input was not a Poisson
-derivation.
+c_g is read off the first generator y with lam(g, e_y) != 0 and checked
+on every x.  Because lam(g, e_y) != 0, that check is equivalent to the
+compatibility relation a_g(e_x) lam(g, e_y) = a_g(e_y) lam(g, e_x) on all
+generator pairs, so any other witness gives the same c_g; its failure
+certifies that the input was not a Poisson derivation.
 """
 
 from __future__ import annotations
@@ -106,17 +107,9 @@ class Decomposition:
     theta_images: dict[str, LaurentPoly]
 
 
-def decompose_derivation(D: DerivationSpec, torus: TorusStructure,
-                         witness: str = "smallest") -> Decomposition:
-    """Split D into ham_gamma + D_theta from its generator images.
-
-    ``witness`` picks the index y with lam(g, e_y) != 0 used for c_g
-    ("smallest" or "largest"); the result is witness-independent for
-    genuine Poisson derivations, which is asserted via the compatibility
-    relation on all generator pairs.
-    """
+def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposition:
+    """Split D into ham_gamma + D_theta from its generator images."""
     ctx = torus.context
-    n = torus.rank
     coeffs: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i, name in enumerate(torus.names):
         image = D.images[name]
@@ -129,24 +122,21 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure,
         name: {} for name in torus.names}
     for g, a in sorted(coeffs.items()):
         pairings = torus.pairings(g)
-        if not any(pairings):
+        y = next((i for i, p in enumerate(pairings) if p), None)
+        if y is None:
             for i, c in a.items():
                 theta_terms[torus.names[i]][g] = c
             continue
-        for x in range(n):
-            for y in range(n):
-                lhs = a.get(x, Fraction(0)) * pairings[y]
-                rhs = a.get(y, Fraction(0)) * pairings[x]
-                if lhs != rhs:
-                    raise DecompositionError(
-                        f"compatibility fails at support {g}, pair"
-                        f" ({torus.names[x]}, {torus.names[y]}):"
-                        f" {lhs} != {rhs}; not a Poisson derivation")
-        candidates = [y for y in range(n) if pairings[y] != 0]
-        y = candidates[0] if witness == "smallest" else candidates[-1]
-        c_g = a.get(y, Fraction(0)) / pairings[y]
-        if c_g:
-            gamma_terms[g] = c_g
+        c_g = a.get(y, 0) / pairings[y]
+        for x, p in enumerate(pairings):
+            if a.get(x, 0) != c_g * p:
+                lhs = a.get(x, 0) * pairings[y]
+                rhs = a.get(y, 0) * p
+                raise DecompositionError(
+                    f"compatibility fails at support {g}, pair"
+                    f" ({torus.names[x]}, {torus.names[y]}):"
+                    f" {lhs} != {rhs}; not a Poisson derivation")
+        gamma_terms[g] = c_g
     gamma = LaurentPoly(ctx, gamma_terms)
     theta = {name: LaurentPoly(ctx, terms)
              for name, terms in theta_terms.items()}

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -134,11 +135,21 @@ class TestExitCodes:
                                    "images": {"t1": "t1", "t2": "0"}}),
         (["decompose", "--file"], {"rank": 2, "lambda": [[0, 1], [-1, 0]],
                                    "images": {"t1": "t1", "t2": "0", "t3": "1"}}),
+        (["bracket", "X1", "X2", "--algebra"],
+         {"variables": [[1]], "brackets": {}, "sigma": {}}),
+        (["bracket", "X1", "X2", "--algebra"],
+         {"variables": [1, 2], "brackets": {}, "sigma": {}}),
+        (["bracket", "X1", "X2", "--algebra"], b"\xff\xfe{}"),
+        (["decompose", "--file"], b"\xff\xfe{}"),
     ], ids=["images-list", "lambda-scalar", "brackets-list", "sigma-zero-denominator",
-            "lambda-zero-denominator", "image-not-a-generator"])
+            "lambda-zero-denominator", "image-not-a-generator", "variables-nested",
+            "variables-integers", "algebra-not-utf8", "spec-not-utf8"])
     def test_malformed_file_is_usage_error(self, argv, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        if isinstance(spec, bytes):
+            path.write_bytes(spec)
+        else:
+            path.write_text(json.dumps(spec))
         code, _ = run_cli(*argv, str(path))
         err = capsys.readouterr().err
         assert code == 2
@@ -156,6 +167,23 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error: {flag} expects 'symbolic' or a rational")
         assert "Traceback" not in err
+
+    def test_unprintable_coefficient_is_usage_error(self, capsys):
+        code, _ = run_cli("nf", "2^15000")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: coefficient too large to print: over"
+                              f" {sys.get_int_max_str_digits()} digits")
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        # exit 2 is for bad input only; a fault in the program must surface
+        from poisson_forge import cli
+
+        def broken(args, out):
+            raise ValueError("internal fault")
+        monkeypatch.setattr(cli, "_cmd_eta", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run_cli("eta")
 
     def test_failing_report_exits_one(self):
         from poisson_forge.cli import _emit_reports

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import g2
@@ -165,11 +165,73 @@ class TestDecomposition:
             decompose_derivation(D, RANK2)
 
     def test_witness_independence(self):
+        # every y with lam(g, e_y) != 0 reads the same c_g off the images
         D = _random_derivation(M6, random.Random(7))
-        low = decompose_derivation(D, M6, witness="smallest")
-        high = decompose_derivation(D, M6, witness="largest")
-        assert low.gamma == high.gamma
-        assert low.theta_images == high.theta_images
+        dec = decompose_derivation(D, M6)
+        ratios = _witness_ratios(D, M6)
+        assert ratios and any(len(_witnesses(M6, g)) > 1 for g in ratios)
+        assert {g: {c} for g, c in dec.gamma.terms.items()} == ratios
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_rejects_exactly_the_incompatible_images(self, data):
+        # Genuine derivations ham_gamma + D_theta on random tori, half of
+        # them with an extra term t^g t_x in the image of t_x.  The
+        # decomposition must raise iff a_g(e_x) lam(g, e_y) = a_g(e_y)
+        # lam(g, e_x) fails for some support g and generator pair (x, y),
+        # checked here on all pairs; otherwise every witness y gives c_g.
+        n = data.draw(st.integers(1, 4))
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        # some zeros in lam, not mostly zeros as fractions() would draw
+        pairs = st.sampled_from(
+            [Fraction(v) for v in ("1", "-2", "1/2", "-3/2", "2/3", "0")])
+        lam = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                lam[i][j] = data.draw(pairs)
+                lam[j][i] = -lam[i][j]
+        torus = TorusStructure.make(lam)
+        ctx = torus.context
+        exponents = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        gamma = ctx.zero()
+        for g in data.draw(st.lists(exponents, max_size=3)):
+            gamma = gamma + torus.monomial(g, data.draw(entries))
+        lattice = central_lattice(torus)
+        coords = st.lists(st.integers(-1, 1), min_size=len(lattice),
+                          max_size=len(lattice))
+        theta = {}
+        for name in torus.names:
+            img = ctx.zero()
+            for cs in data.draw(st.lists(coords, max_size=2)):
+                vec = [sum(c * b[i] for c, b in zip(cs, lattice)) for i in range(n)]
+                img = img + torus.monomial(vec, data.draw(entries))
+            theta[name] = img
+        images = apply_decomposition(Decomposition(gamma, theta), torus)
+        if data.draw(st.booleans()):
+            x = data.draw(st.sampled_from(range(n)))
+            # a support k*e_x pairs to zero with e_x, so a wrong term there
+            # shows only at x itself, never at the witness
+            g = data.draw(exponents | st.integers(-2, 2).map(
+                lambda k: [k if i == x else 0 for i in range(n)]))
+            name = torus.names[x]
+            images[name] = images[name] + torus.monomial(
+                g, data.draw(entries.filter(bool))) * ctx.var(name)
+        D = DerivationSpec(ctx, images)
+
+        compatible = all(
+            a[x] * _pairing(torus, g, y) == a[y] * _pairing(torus, g, x)
+            for g, a in _image_coefficients(D, torus).items()
+            for x in range(n) for y in range(n))
+        if not compatible:
+            with pytest.raises(DecompositionError, match="compatibility"):
+                decompose_derivation(D, torus)
+            return
+        dec = decompose_derivation(D, torus)
+        assert {g: {c} for g, c in dec.gamma.terms.items()} \
+            == _witness_ratios(D, torus)
+        for img in dec.theta_images.values():
+            assert all(torus.is_central(g) for g in img.terms)
+        assert verify_decomposition(D, dec, torus)
 
     def test_perturbed_theta_fails(self):
         ctx = RANK2.context
@@ -217,6 +279,34 @@ class TestDecomposition:
         D = DerivationSpec(M6.context,
                            apply_decomposition(Decomposition(gamma, theta), M6))
         assert check_poisson_derivation(D, M6.structure()) is None
+
+
+def _image_coefficients(D, torus):
+    """{g: [a_g(e_1), ..., a_g(e_n)]} with D(t_x) t_x^-1 = sum_g a_g(e_x) t^g."""
+    ctx = torus.context
+    coeffs = {}
+    for x, name in enumerate(torus.names):
+        shifted = D.images[name] * ctx.monomial({name: -1})
+        for g, c in shifted.terms.items():
+            coeffs.setdefault(g, [Fraction(0)] * torus.rank)[x] = c
+    return coeffs
+
+
+def _pairing(torus, g, y):
+    """lam(g, e_y), computed here from the matrix, not by the torus."""
+    return sum(g[k] * torus.lam[k][y] for k in range(torus.rank))
+
+
+def _witnesses(torus, g):
+    return [y for y in range(torus.rank) if _pairing(torus, g, y)]
+
+
+def _witness_ratios(D, torus):
+    """{g: {a_g(e_y) / lam(g, e_y) for every witness y}} over the supports
+    outside the centre lattice."""
+    return {g: {a[y] / _pairing(torus, g, y) for y in _witnesses(torus, g)}
+            for g, a in _image_coefficients(D, torus).items()
+            if _witnesses(torus, g)}
 
 
 def _random_exponent(rng):
