@@ -2,7 +2,9 @@
 
 Rows are sparse dicts column -> Fraction.  The reducer keeps a fully
 reduced (RREF) pivot set so null spaces and particular solutions read off
-directly.  Integer lattice kernels go through unimodular row reduction of
+directly.  A batch of rows is loaded by ``LinearSystem.from_rows``, which
+settles the single-entry rows by substitution before the RREF sees the
+rest.  Integer lattice kernels go through unimodular row reduction of
 [A^T | I], which yields a saturated basis, then a row-style Hermite normal
 form for a canonical answer.
 """
@@ -21,6 +23,57 @@ class LinearSystem:
 
     def __init__(self):
         self.pivots: dict[int, Row] = {}  # pivot column -> reduced row
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row], rhs_col: int | None = None) -> LinearSystem:
+        """The reduced system of ``rows``, which are consumed in place.
+
+        Singleton elimination first (LaMacchia-Odlyzko structured Gaussian
+        elimination): a row whose one nonzero entry a sits at a column
+        c != rhs_col fixes x_c = b/a, b its ``rhs_col`` entry, and c is
+        substituted out of every other row, which may make new singletons.
+        The rows left over go through ``add_row``.  Each pivot row is still
+        led by its least column, so the pivots are the same unique RREF
+        that ``add_row`` alone gives, provided ``rhs_col`` exceeds every
+        other column.
+        """
+        system = cls()
+        rows = list(rows)
+        by_col: dict[int, list[Row]] = {}  # column -> the rows holding it
+        queue = []
+        for row in rows:
+            for c in [c for c, v in row.items() if not v]:
+                del row[c]
+            for c in row:
+                if c != rhs_col:
+                    by_col.setdefault(c, []).append(row)
+            if len(row) - (rhs_col in row) == 1:
+                queue.append(row)
+        while queue:
+            row = queue.pop()
+            if len(row) - (rhs_col in row) != 1:
+                continue
+            b = row.pop(rhs_col, 0)
+            (c, a), = row.items()
+            row.clear()
+            x = Fraction(b) / a
+            system.pivots[c] = {c: Fraction(1), rhs_col: x} if x else {c: Fraction(1)}
+            for other in by_col.pop(c):
+                a = other.pop(c, 0)
+                if not a:
+                    continue
+                if x:
+                    s = other.get(rhs_col, 0) - a * x
+                    if s:
+                        other[rhs_col] = s
+                    else:
+                        del other[rhs_col]
+                if len(other) - (rhs_col in other) == 1:
+                    queue.append(other)
+        for row in rows:
+            if row:
+                system.add_row(row)
+        return system
 
     def reduce_row(self, row: Row) -> Row:
         # Pivot rows carry no other pivot columns, so one pass over the
@@ -85,17 +138,18 @@ class LinearSystem:
 def solve(rows: Iterable[tuple[Row, Fraction]], ncols: int) -> list[Fraction] | None:
     """One exact solution of A x = b with free coordinates pinned to zero.
 
-    ``rows`` yields (coefficient row, rhs).  Returns None when the system is
+    ``rows`` yields (coefficient row, rhs); the rows are consumed in place,
+    as by ``LinearSystem.from_rows``.  Returns None when the system is
     inconsistent.  The rhs is carried as an extra column, so a pivot landing
     there certifies infeasibility.
     """
     rhs_col = ncols
-    system = LinearSystem()
+    full_rows = []
     for row, b in rows:
-        full = dict(row)
         if b:
-            full[rhs_col] = Fraction(b)
-        system.add_row(full)
+            row[rhs_col] = Fraction(b)
+        full_rows.append(row)
+    system = LinearSystem.from_rows(full_rows, rhs_col)
     if rhs_col in system.pivots:
         return None
     zero = Fraction(0)

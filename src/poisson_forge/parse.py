@@ -9,12 +9,13 @@
 Identifiers are letters followed by letters/digits; whitespace is
 insignificant.  Parsing yields a canonical LaurentPoly directly, so
 parse(format(p)) == p.  Nesting of parentheses and unary minus is bounded
-by ``MAX_DEPTH``, so hostile input ends in a ParseError, not a
-RecursionError.
+by ``MAX_DEPTH`` and exponents by ``MAX_EXPONENT``, so hostile input ends
+in a ParseError, not a RecursionError or an unbounded power.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -33,6 +34,9 @@ _OPS = set("+-*^/()")
 
 #: Deepest nesting of "(" and unary "-" the parser accepts.
 MAX_DEPTH = 100
+
+#: Largest |n| the parser accepts in "base ^ n"; powers are repeated products.
+MAX_EXPONENT = 20000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -62,6 +66,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _integer(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # over Python's int-to-str digit limit
+        raise ParseError(f"integer longer than {sys.get_int_max_str_digits()} digits",
+                         position) from None
 
 
 class _Parser:
@@ -145,21 +157,25 @@ class _Parser:
         if kind != "int":
             raise ParseError("expected an integer exponent", position)
         self.next()
-        return sign * int(value)
+        n = _integer(value, position)
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent larger than {MAX_EXPONENT}", position)
+        return sign * n
 
     def base(self) -> LaurentPoly:
         kind, value, position = self.next()
         if kind == "int":
-            numerator = int(value)
+            numerator = _integer(value, position)
             kind, nxt, _ = self.peek()
             if kind == "op" and nxt == "/":
                 self.next()
                 kind, denom, dpos = self.next()
                 if kind != "int":
                     raise ParseError("expected an integer denominator", dpos)
-                if int(denom) == 0:
+                denominator = _integer(denom, dpos)
+                if denominator == 0:
                     raise ParseError("zero denominator", dpos)
-                return self.context.scalar(Fraction(numerator, int(denom)))
+                return self.context.scalar(Fraction(numerator, denominator))
             return self.context.scalar(numerator)
         if kind == "ident":
             name = self.aliases.get(value, value)

@@ -460,9 +460,8 @@ def bounded_inner_search(images: dict[str, LaurentPoly], ring: QuotientRing,
     monomials, rows = _bracket_rows(ring, degree)
     rhs = {(gi, m): c for gi, name in enumerate(QUOTIENT_NAMES)
            for m, c in ring.normal_form(images[name]).terms.items()}
-    keys = sorted(set(rows) | set(rhs))
     solution = solve(((rows.get(key, {}), rhs.get(key, Fraction(0)))
-                      for key in keys), len(monomials))
+                      for key in rows.keys() | rhs.keys()), len(monomials))
     return None if solution is None else _combine(ring.context, solution, monomials)
 
 
@@ -473,9 +472,7 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
     reduction) or a numeric QuotientRing (brackets reduced to normal form).
     """
     monomials, rows = _bracket_rows(structure_or_ring, degree)
-    system = LinearSystem()
-    for key in sorted(rows):
-        system.add_row(rows[key])
+    system = LinearSystem.from_rows(rows.values())
     return [_combine(structure_or_ring.context, vec, monomials)
             for vec in system.null_space(len(monomials))]
 

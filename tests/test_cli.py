@@ -117,7 +117,13 @@ class TestExitCodes:
         "1/0",
         "(" * 3000 + "x1" + ")" * 3000,
         "(" + "-" * 3000 + "x1)",
-    ], ids=["zero-denominator", "nested-parentheses", "nested-minus"])
+        "x1^99999999999999999999",
+        "x1^" + "9" * 5000,
+        "9" * 5000 + "*x1",
+        "1/" + "9" * 5000,
+    ], ids=["zero-denominator", "nested-parentheses", "nested-minus", "huge-exponent",
+            "exponent-over-digit-limit", "integer-over-digit-limit",
+            "denominator-over-digit-limit"])
     def test_hostile_expression_is_usage_error(self, text, capsys):
         code, _ = run_cli("nf", text)
         assert code == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from poisson_forge.expr import InvertibilityError, format_poly
-from poisson_forge.parse import ParseError, parse_expr
+from poisson_forge.parse import MAX_EXPONENT, ParseError, parse_expr
 from tests.test_expr import CTX, QCTX, small_polys
 
 
@@ -52,6 +52,12 @@ class TestParse:
     def test_division_is_not_an_operator(self):
         with pytest.raises(ParseError):
             parse_expr("X1/2", CTX)
+
+    def test_exponent_bound(self):
+        assert parse_expr(f"1^{MAX_EXPONENT}", CTX) == CTX.one()
+        for text in (f"X1^{MAX_EXPONENT + 1}", f"X5^-{MAX_EXPONENT + 1}"):
+            with pytest.raises(ParseError, match=f"exponent larger than {MAX_EXPONENT}"):
+                parse_expr(text, CTX)
 
     def test_aliases(self):
         assert parse_expr("X3^2", QCTX, aliases={f"X{i}": f"x{i}" for i in range(1, 7)}) \

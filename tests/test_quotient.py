@@ -1,5 +1,6 @@
 """Normal forms, quotient brackets, localised identities, bounded searches."""
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -384,6 +385,64 @@ class TestBoundedSearches:
         assert spans_same_space(basis2, [ctx.one()])
         basis3 = bounded_centre(alg.structure, 3)
         assert spans_same_space(basis3, [ctx.one(), alg.casimirs["Omega1"]])
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_ambient_centre_against_sympy_nullspace(self, degree):
+        # outside oracle: the matrix of f -> ({f, X1}, ..., {f, X6}) rebuilt
+        # in sympy from the JSON bracket table, f over the monomials of
+        # degree <= d in lexicographic exponent order; sympy's nullspace and
+        # bounded_centre both set one free column to 1 per basis vector
+        import json
+        from importlib import resources
+
+        import sympy
+
+        table = json.loads(resources.files("poisson_forge")
+                           .joinpath("data/g2_algebra.json").read_text())
+        X = sympy.symbols(table["variables"])
+        n = len(X)
+        pair = [[sympy.Integer(0)] * n for _ in range(n)]
+        for key, text in table["brackets"].items():
+            i, j = (int(k) - 1 for k in key.split(","))
+            pair[i][j] = sympy.sympify(text.replace("^", "**"),
+                                       locals=dict(zip(table["variables"], X)))
+            pair[j][i] = -pair[i][j]
+        exponents = sorted(e for e in itertools.product(range(degree + 1), repeat=n)
+                           if sum(e) <= degree)
+        rows: dict[tuple, dict[int, sympy.Rational]] = {}
+        for k in range(n):
+            for col, e in enumerate(exponents):
+                f = sympy.prod(x ** a for x, a in zip(X, e))
+                image = sympy.expand(sum(sympy.diff(f, X[i]) * pair[i][k]
+                                         for i in range(n)))
+                for m, c in sympy.Poly(image, *X).terms():
+                    if c:
+                        rows.setdefault((k, m), {})[col] = c
+        matrix = sympy.Matrix([[row.get(col, 0) for col in range(len(exponents))]
+                               for row in rows.values()] or [[0] * len(exponents)])
+        expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
+                    for vec in matrix.nullspace()]
+        basis = bounded_centre(g2.builtin_algebra().structure, degree)
+        assert [[p.terms.get(e, 0) for e in exponents] for p in basis] == expected
+
+    def test_rref_sees_few_rows_after_singleton_elimination(self, monkeypatch):
+        # the bracket matrices are mostly single-entry rows, which
+        # LinearSystem.from_rows settles before the RREF
+        from poisson_forge.linalg import LinearSystem
+        calls = []
+        original = LinearSystem.add_row
+        def counting(self, row):
+            calls.append(row)
+            return original(self, row)
+        monkeypatch.setattr(LinearSystem, "add_row", counting)
+        bounded_centre(g2.builtin_algebra().structure, 4)
+        assert len(calls) <= 100  # 2067 rows row by row
+        calls.clear()
+        ring10 = QuotientRing(alpha=1, beta=0)
+        theta10 = parse_derivation(
+            g2.builtin_scalar_derivation("beta_zero")["images"], ring10)
+        assert bounded_inner_search(theta10, ring10, 4) is None
+        assert len(calls) <= 50  # 3376 rows row by row
 
     def test_quotient_centre_is_scalars(self):
         basis = bounded_centre(NUM11, 3)
