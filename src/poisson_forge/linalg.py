@@ -4,9 +4,11 @@ Rows are sparse dicts column -> Fraction.  The reducer keeps a fully
 reduced (RREF) pivot set so null spaces and particular solutions read off
 directly.  A batch of rows is loaded by ``LinearSystem.from_rows``, which
 settles the single-entry rows by substitution before the RREF sees the
-rest.  Integer lattice kernels go through unimodular row reduction of
-[A^T | I], which yields a saturated basis, then a row-style Hermite normal
-form for a canonical answer.
+rest.  The RREF of a span is unique for a given column order, so two row
+sets span the same space exactly when their pivot sets are equal, and
+the rank is ``len(pivots)``.  Integer lattice kernels go through
+unimodular row reduction of [A^T | I], which yields a saturated basis,
+then a row-style Hermite normal form for a canonical answer.
 """
 
 from __future__ import annotations
@@ -112,9 +114,6 @@ class LinearSystem:
         self.pivots[c] = row
         return True
 
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def null_space(self, ncols: int) -> list[list[Fraction]]:
         """Canonical kernel basis, one vector per free column."""
         basis = []
@@ -129,10 +128,6 @@ class LinearSystem:
                     vec[pc] = -v
             basis.append(vec)
         return basis
-
-    def contains(self, row: Row) -> bool:
-        """Whether the row lies in the span of the inserted rows."""
-        return not self.reduce_row(row)
 
 
 def solve(rows: Iterable[tuple[Row, Fraction]], ncols: int) -> list[Fraction] | None:

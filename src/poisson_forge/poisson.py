@@ -83,6 +83,13 @@ class PoissonStructure:
     def gen(self, i: int) -> LaurentPoly:
         return self.context.var(self.context.names[i])
 
+    def basis_monomials(self, degree: int):
+        """Monomials in the generators of total degree <= degree."""
+        ctx = self.context
+        names = [ctx.names[i] for i in ctx.generators()]
+        for exps in exponents_up_to(len(names), degree):
+            yield ctx.monomial(dict(zip(names, exps)))
+
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.context != self.context or g.context != self.context:
             raise ContextMismatch("bracket operands over wrong context")
@@ -106,6 +113,17 @@ class PoissonStructure:
         den = fden * gden * self._den
         return LaurentPoly(self.context,
                            {m: Fraction(n, den) for m, n in acc.items() if n})
+
+
+def exponents_up_to(n: int, degree: int):
+    """Exponent vectors in N^n (n >= 1) of total degree <= degree, in
+    lexicographic order."""
+    for e in range(degree + 1):
+        if n == 1:
+            yield (e,)
+        else:
+            for rest in exponents_up_to(n - 1, degree - e):
+                yield (e,) + rest
 
 
 def _integer_terms(p: LaurentPoly) -> tuple[list[tuple[tuple[int, ...], int]], int]:
@@ -154,10 +172,11 @@ def apply_images(images: Mapping[str, LaurentPoly], f: LaurentPoly) -> LaurentPo
     return result
 
 
-def hamiltonian_derivation(f: LaurentPoly, structure: PoissonStructure) -> DerivationSpec:
-    """ham_f = {f, -} restricted to generator images."""
+def hamiltonian_derivation(f: LaurentPoly, structure) -> DerivationSpec:
+    """ham_f = {f, -} restricted to generator images; ``structure`` is a
+    PoissonStructure or a QuotientRing (images in normal form)."""
     ctx = structure.context
-    images = {ctx.names[i]: structure.bracket(f, structure.gen(i))
+    images = {ctx.names[i]: structure.bracket(f, ctx.var(ctx.names[i]))
               for i in ctx.generators()}
     return DerivationSpec(ctx, images)
 
@@ -183,23 +202,21 @@ def check_jacobi(structure: PoissonStructure):
                  if not residue.is_zero()), None)
 
 
-def derivation_defect(D: DerivationSpec, structure: PoissonStructure,
-                      i: int, j: int) -> LaurentPoly:
-    """D({x_i,x_j}) - {D(x_i),x_j} - {x_i,D(x_j)} on a generator pair."""
+def derivation_residues(D: DerivationSpec, structure: PoissonStructure):
+    """((i, j), D({x_i,x_j}) - {D(x_i),x_j} - {x_i,D(x_j)}) for every
+    generator pair i < j."""
     names = structure.context.names
-    lhs = D.apply(structure.entry(i, j))
-    rhs = (structure.bracket(D.images[names[i]], structure.gen(j))
-           + structure.bracket(structure.gen(i), D.images[names[j]]))
-    return lhs - rhs
+    for i, j in combinations(structure.context.generators(), 2):
+        lhs = D.apply(structure.entry(i, j))
+        rhs = (structure.bracket(D.images[names[i]], structure.gen(j))
+               + structure.bracket(structure.gen(i), D.images[names[j]]))
+        yield (i, j), lhs - rhs
 
 
 def check_poisson_derivation(D: DerivationSpec, structure: PoissonStructure):
     """None on pass; else the first failing generator pair with residue."""
-    for i, j in combinations(structure.context.generators(), 2):
-        residue = derivation_defect(D, structure, i, j)
-        if not residue.is_zero():
-            return (i, j), residue
-    return None
+    return next(((pair, residue) for pair, residue in derivation_residues(D, structure)
+                 if not residue.is_zero()), None)
 
 
 # -- Poisson-Ore data -------------------------------------------------------

@@ -19,6 +19,15 @@ with k, l ranging over Z in the localization at x5, x6 and over N
 otherwise; coefficients are polynomials in the parameters alpha, beta
 (or rationals once the parameters are specialised).
 
+A numeric or symbolic ``QuotientRing`` and an ambient ``PoissonStructure``
+serve one bracket protocol: ``context``, ``bracket(f, g)`` and
+``basis_monomials(degree)``.  ``bounded_centre``, ``bounded_inner_search``
+and ``poisson.hamiltonian_derivation`` are written against it, so each
+runs unchanged on the ambient algebra (no reduction) and on the quotient
+(brackets reduced to normal form).  Derivations are ``DerivationSpec``s
+over the ring's context, checked by ``poisson.derivation_residues`` with
+each residue reduced modulo the ideal.
+
 Everything with a t3 or t4 denominator is handled in cleared-denominator
 form: the quotient is a domain, so ``num / t3^a t4^b`` comparisons reduce
 to exact normal-form identities of cross-multiplied numerators.
@@ -37,8 +46,8 @@ from .expr import ExprError, LaurentPoly, VarContext, rational
 from .g2 import REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
-from .poisson import (DerivationSpec, PoissonStructure, derivation_defect,
-                      jacobi_residues)
+from .poisson import (DerivationSpec, PoissonStructure, derivation_residues,
+                      exponents_up_to, hamiltonian_derivation, jacobi_residues)
 from .report import CheckItem, check_item
 
 QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -210,7 +219,7 @@ class QuotientRing:
     def basis_monomials(self, degree: int):
         """Monomials of the quotient basis with total x-degree <= degree."""
         for e1, e2 in itertools.product((0, 1), repeat=2):
-            for i, j, k, l in _ambient_exponents(4, degree - e1 - e2):
+            for i, j, k, l in exponents_up_to(4, degree - e1 - e2):
                 yield self.context.monomial(
                     {"x1": i, "x2": j, "x3": e1, "x4": e2, "x5": k, "x6": l})
 
@@ -416,41 +425,35 @@ def verify_localized_identities(ring: QuotientRing) -> list[CheckItem]:
 
 # -- derivations --------------------------------------------------------------
 
-def parse_derivation(images: dict[str, str], ring: QuotientRing) -> dict[str, LaurentPoly]:
-    parsed = {}
-    for name in QUOTIENT_NAMES:
-        if name not in images:
-            raise ExprError(f"derivation misses generator {name!r}")
-        parsed[name] = parse_expr(images[name], ring.context,
-                                  aliases=_AMBIENT_TO_QUOTIENT)
-    return parsed
+def parse_derivation(images: dict[str, str], ring: QuotientRing) -> DerivationSpec:
+    """The derivation with the given image texts, one per generator."""
+    return DerivationSpec(ring.context, {
+        name: parse_expr(text, ring.context, aliases=_AMBIENT_TO_QUOTIENT)
+        for name, text in images.items()})
 
 
-def check_quotient_derivation(images: dict[str, LaurentPoly],
+def check_quotient_derivation(D: DerivationSpec,
                               ring: QuotientRing) -> list[CheckItem]:
     """Well-definedness on both Casimir relations plus bracket
     compatibility on all 15 generator pairs, modulo the ideal."""
-    D = DerivationSpec(ring.context, images)
+    names = ring.context.names
     items = [
         check_item("D preserves the Omega1 relation",
                    ring.normal_form(D.apply(ring.casimir1))),
         check_item("D preserves the Omega2 relation",
                    ring.normal_form(D.apply(ring.casimir2))),
     ]
-    for i, j in itertools.combinations(range(len(QUOTIENT_NAMES)), 2):
-        items.append(check_item(
-            f"D compatible with {{{QUOTIENT_NAMES[i]},{QUOTIENT_NAMES[j]}}}",
-            ring.normal_form(derivation_defect(D, ring.structure, i, j))))
+    for (i, j), residue in derivation_residues(D, ring.structure):
+        items.append(check_item(f"D compatible with {{{names[i]},{names[j]}}}",
+                                ring.normal_form(residue)))
     return items
 
 
-def hamiltonian_quotient_images(f, ring: QuotientRing) -> dict[str, LaurentPoly]:
-    f = ring.normal_form(f)
-    return {name: ring.bracket(f, ring.context.var(name))
-            for name in QUOTIENT_NAMES}
+def hamiltonian_quotient_images(f, ring: QuotientRing) -> DerivationSpec:
+    return hamiltonian_derivation(ring.normal_form(f), ring)
 
 
-def bounded_inner_search(images: dict[str, LaurentPoly], ring: QuotientRing,
+def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
                          degree: int = 4) -> LaurentPoly | None:
     """Exact solve for x with {x, x_i} = D(x_i) over basis monomials of
     total degree <= degree; constant term pinned to zero.  Returns the
@@ -459,7 +462,7 @@ def bounded_inner_search(images: dict[str, LaurentPoly], ring: QuotientRing,
         raise ExprError("the inner search needs numeric parameters")
     monomials, rows = _bracket_rows(ring, degree)
     rhs = {(gi, m): c for gi, name in enumerate(QUOTIENT_NAMES)
-           for m, c in ring.normal_form(images[name]).terms.items()}
+           for m, c in ring.normal_form(D.images[name]).terms.items()}
     solution = solve(((rows.get(key, {}), rhs.get(key, Fraction(0)))
                       for key in rows.keys() | rhs.keys()), len(monomials))
     return None if solution is None else _combine(ring.context, solution, monomials)
@@ -481,21 +484,12 @@ def _bracket_rows(structure_or_ring, degree: int):
     """The basis monomials of degree <= d and the matrix of
     f -> ({f, x_1}, ..., {f, x_n}) on their span, as rows
     (generator index, result monomial) -> {monomial index: coefficient}."""
-    if isinstance(structure_or_ring, QuotientRing):
-        ring = structure_or_ring
-        monomials = list(ring.basis_monomials(degree))
-        bracket = ring.bracket
-        gens = [ring.context.var(name) for name in QUOTIENT_NAMES]
-    else:
-        structure = structure_or_ring
-        ctx = structure.context
-        gen_names = [ctx.names[i] for i in ctx.generators()]
-        monomials = [ctx.monomial(dict(zip(gen_names, exps)))
-                     for exps in _ambient_exponents(len(gen_names), degree)]
-        bracket = structure.bracket
-        gens = [structure.gen(i) for i in ctx.generators()]
+    ctx = structure_or_ring.context
+    monomials = list(structure_or_ring.basis_monomials(degree))
+    bracket = structure_or_ring.bracket
     rows: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-    for gi, g in enumerate(gens):
+    for gi, i in enumerate(ctx.generators()):
+        g = ctx.var(ctx.names[i])
         for idx, mono in enumerate(monomials):
             for m, c in bracket(mono, g).terms.items():
                 rows.setdefault((gi, m), {})[idx] = c
@@ -513,32 +507,13 @@ def _combine(ctx: VarContext, vec: list[Fraction],
     return LaurentPoly(ctx, terms)
 
 
-def _ambient_exponents(n: int, degree: int):
-    def rec(remaining, budget):
-        if remaining == 1:
-            for e in range(budget + 1):
-                yield (e,)
-            return
-        for e in range(budget + 1):
-            for rest in rec(remaining - 1, budget - e):
-                yield (e,) + rest
-    return rec(n, degree)
-
-
 def spans_same_space(basis: list[LaurentPoly], expected: list[LaurentPoly]) -> bool:
-    """Exact span comparison via a common coefficient matrix."""
+    """Whether both lists span one space: their unique reduced row
+    echelon forms over one shared column order agree."""
     columns: dict[tuple, int] = {}
-    def row_of(p):
-        row = {}
-        for m, c in p.terms.items():
-            row[columns.setdefault(m, len(columns))] = c
-        return row
-    sys_basis = LinearSystem()
-    for p in basis:
-        sys_basis.add_row(row_of(p))
-    sys_expected = LinearSystem()
-    for p in expected:
-        sys_expected.add_row(row_of(p))
-    if sys_basis.rank() != sys_expected.rank():
-        return False
-    return all(sys_basis.contains(row_of(p)) for p in expected)
+
+    def pivots(polys):
+        return LinearSystem.from_rows(
+            {columns.setdefault(m, len(columns)): c for m, c in p.terms.items()}
+            for p in polys).pivots
+    return pivots(basis) == pivots(expected)

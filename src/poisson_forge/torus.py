@@ -64,7 +64,9 @@ class TorusStructure:
         return VarContext.make(self.names, invertible=self.names)
 
     @cached_property
-    def _structure(self) -> PoissonStructure:
+    def structure(self) -> PoissonStructure:
+        """The log-canonical bracket {t_i, t_j} = lam_ij t_i t_j, built once
+        per torus."""
         ctx = self.context
         table = {}
         for i in range(self.rank):
@@ -72,11 +74,6 @@ class TorusStructure:
                 table[(i, j)] = ctx.monomial(
                     {self.names[i]: 1, self.names[j]: 1}, self.lam[i][j])
         return PoissonStructure(ctx, table)
-
-    def structure(self) -> PoissonStructure:
-        """The log-canonical bracket {t_i, t_j} = lam_ij t_i t_j, built once
-        per torus."""
-        return self._structure
 
     def pairings(self, g: Sequence[int]) -> tuple[Fraction, ...]:
         """(lam(g, e_1), ..., lam(g, e_n)) for the biadditive extension
@@ -146,7 +143,7 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposit
 def apply_decomposition(dec: Decomposition, torus: TorusStructure) -> dict[str, LaurentPoly]:
     """Generator images of ham_gamma + D_theta."""
     ctx = torus.context
-    ham = hamiltonian_derivation(dec.gamma, torus.structure()).images
+    ham = hamiltonian_derivation(dec.gamma, torus.structure).images
     return {name: ham[name] + dec.theta_images[name] * ctx.var(name)
             for name in torus.names}
 

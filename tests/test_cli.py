@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, report schema round trips."""
 
+import contextlib
 import io
 import json
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_forge.cli import main
 from poisson_forge.report import REPORT_SCHEMA, Report, ReportItem
@@ -21,6 +24,55 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+# Single digits, so every integer is at most 9, and at most one "^", on an
+# atom in the expressions built from the grammar.  The token soup has at
+# most 7 tokens besides the "^": its costliest string is then about
+# (x4*x4)^9, whose normal form has 1.5 MB of text and takes about 2 s.
+DIGITS = list("0123456789")
+ATOMS = DIGITS + [*(f"x{i}" for i in range(1, 7)), *(f"X{i}" for i in range(1, 7)),
+                  "alpha", "y", "x7"]
+TOKENS = ATOMS + list("+-*/()") + [" "]
+GRAMMAR = st.recursive(
+    st.sampled_from(ATOMS).map(lambda atom: [atom]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(
+            lambda t: [*t[0], t[1], *t[2]]),
+        inner.map(lambda t: ["(", *t, ")"]),
+        inner.map(lambda t: ["-", *t]),
+        st.tuples(st.sampled_from(DIGITS), st.sampled_from(DIGITS)).map(
+            lambda t: [t[0], "/", t[1]])),
+    max_leaves=4)
+
+
+@st.composite
+def hostile_expressions(draw):
+    """An expression of the grammar with at most one token inserted or
+    deleted, or a soup of tokens."""
+    if draw(st.booleans()):
+        tokens = draw(GRAMMAR)
+        atoms = [k for k, token in enumerate(tokens) if token in ATOMS]
+        if draw(st.booleans()):
+            k = draw(st.sampled_from(atoms)) + 1
+            tokens[k:k] = ["^", *draw(st.sampled_from([[], ["-"]])),
+                           draw(st.sampled_from(DIGITS))]
+        edit = draw(st.sampled_from(["none", "none", "insert", "delete"]))
+        k = draw(st.integers(0, len(tokens) - 1))
+        if edit == "insert":
+            tokens.insert(k, draw(st.sampled_from(TOKENS)))
+        elif edit == "delete":
+            del tokens[k]
+    else:
+        tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=7))
+        if draw(st.booleans()):
+            tokens.insert(draw(st.integers(0, len(tokens))), "^")
+    text = ""
+    for token in tokens:
+        if text[-1:].isdigit() and token[0].isdigit():
+            text += " "  # whitespace is insignificant: "9 9" is two integers
+        text += token
+    return text
 
 
 class TestCommands:
@@ -128,6 +180,19 @@ class TestExitCodes:
         code, _ = run_cli("nf", text)
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @settings(max_examples=150)
+    @given(hostile_expressions())
+    def test_any_expression_exits_cleanly(self, text):
+        # "--" ends the options, so text that starts with "-" reaches the
+        # expression parser instead of argparse
+        for argv in (["nf", "--", text], ["bracket", "--", text, "X1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, _ = run_cli(*argv)
+            assert code in (0, 2), argv
+            if code == 2:
+                assert err.getvalue().startswith("error:"), argv
 
     @pytest.mark.parametrize("argv, spec", [
         (["decompose", "--file"], {"rank": 1, "lambda": [[0]], "images": ["t1"]}),

@@ -1,5 +1,6 @@
 """Normal forms, quotient brackets, localised identities, bounded searches."""
 
+import functools
 import itertools
 import operator
 import random
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from poisson_forge import g2
 from poisson_forge.expr import ExprError, LaurentPoly
 from poisson_forge.parse import parse_expr
-from poisson_forge.poisson import WeightVector
+from poisson_forge.poisson import DerivationSpec, WeightVector
 from poisson_forge.quotient import (QuotientRing, bounded_centre,
                                     bounded_inner_search, chain_elements,
                                     check_casimirs, check_quotient_derivation,
@@ -189,29 +190,70 @@ class TestNormalForm:
             for m in rule.terms:
                 assert 2 * (m[i3] - d3) + 3 * (m[i4] - d4) <= -1
 
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS[:4], ids=REFERENCE_IDS[:4])
+    def test_critical_overlap_joins(self, ring):
+        # local confluence: x3^2*x4^2 is the one overlap of the two rules,
+        # and its two one-step rewrites have one normal form.  The leading
+        # monomials x3^2 and x4^2 are coprime, so the overlap joins for any
+        # pair of rules the reducer itself applies (Buchberger's first
+        # criterion); what it certifies is that normal_form rewrites with
+        # exactly the stated rules, and an x4 rule with one coefficient
+        # bumped is rejected.
+        ctx = ring.context
+        x3sq, x4sq = ctx.monomial({"x3": 2}), ctx.monomial({"x4": 2})
+        joined = ring.normal_form(ring.rewrite_x3 * x4sq)
+        assert joined == ring.normal_form(x3sq * ring.rewrite_x4)
+        for m, c in ring.rewrite_x4.terms.items():
+            bumped = LaurentPoly(ctx, {**ring.rewrite_x4.terms, m: c + 1})
+            assert joined != ring.normal_form(x3sq * bumped), m
+
     @pytest.mark.parametrize("ring", REFERENCE_RINGS[2:4], ids=REFERENCE_IDS[2:4])
     def test_ideal_membership_against_groebner_basis(self, ring):
         # outside oracle: sympy's grevlex Groebner basis of
         # (Omega1 - alpha, Omega2 - beta) certifies p - nf(p) in the ideal
-        from sympy import QQ
-        from sympy.polys.groebnertools import groebner
-        from sympy.polys.orderings import grevlex
-        from sympy.polys.rings import ring as polynomial_ring
-
-        R, *_ = polynomial_ring("x1:7", QQ, grevlex)
-
-        def to_sympy(poly: LaurentPoly):
-            return R.from_dict({m[:6]: QQ(c.numerator, c.denominator)
-                                for m, c in poly.terms.items()})
-
-        basis = groebner([to_sympy(ring.casimir1 - ring.alpha),
-                          to_sympy(ring.casimir2 - ring.beta)], R)
+        to_sympy, basis = groebner_oracle(ring)
         i3, i4 = ring.context.index("x3"), ring.context.index("x4")
         for text in ("x3^8", "x4^6", "x1*(x3 + 1/2*x4)^5"):
             p = parse_expr(text, ring.context)
             reduced = ring.normal_form(p)
             assert all(m[i3] <= 1 and m[i4] <= 1 for m in reduced.terms)
             assert to_sympy(p - reduced).rem(basis) == 0, text
+
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS[2:4], ids=REFERENCE_IDS[2:4])
+    @given(data=st.data())
+    def test_normal_forms_outside_the_ideal(self, ring, data):
+        # uniqueness, the converse of the test above: a nonzero combination
+        # of quotient basis monomials is its own normal form and has a
+        # nonzero remainder modulo the Groebner basis, so it is not in the
+        # ideal and no two normal forms are congruent
+        monomials = list(ring.basis_monomials(4))
+        coeffs = st.fractions(min_value=-5, max_value=5,
+                              max_denominator=7).filter(bool)
+        chosen = data.draw(st.dictionaries(st.sampled_from(range(len(monomials))),
+                                           coeffs, min_size=1, max_size=5))
+        p = sum((c * monomials[k] for k, c in chosen.items()), ring.context.zero())
+        to_sympy, basis = groebner_oracle(ring)
+        assert ring.normal_form(p) == p
+        assert to_sympy(p).rem(basis) != 0
+
+
+@functools.cache
+def groebner_oracle(ring):
+    """(to_sympy, basis): sympy's grevlex Groebner basis of
+    (Omega1 - alpha, Omega2 - beta) for a numeric ring, built once per ring."""
+    from sympy import QQ
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring as polynomial_ring
+
+    R, *_ = polynomial_ring("x1:7", QQ, grevlex)
+
+    def to_sympy(poly: LaurentPoly):
+        return R.from_dict({m[:6]: QQ(c.numerator, c.denominator)
+                            for m, c in poly.terms.items()})
+
+    return to_sympy, groebner([to_sympy(ring.casimir1 - ring.alpha),
+                               to_sympy(ring.casimir2 - ring.beta)], R)
 
 
 SPECIALISED = [QuotientRing(alpha=1, beta=0), QuotientRing(alpha=0, beta=1),
@@ -343,6 +385,18 @@ class TestQuotientDerivations:
         for label, ok, residue in check_quotient_derivation(images, NUM11):
             assert ok, f"{label}: {residue}"
 
+    @pytest.mark.parametrize("change", [{"x6": None}, {"x7": "x1"}],
+                             ids=["missing-generator", "not-a-generator"])
+    def test_parse_derivation_needs_exactly_the_generators(self, change):
+        images = dict(g2.builtin_scalar_derivation("beta_zero")["images"])
+        for name, text in change.items():
+            if text is None:
+                del images[name]
+            else:
+                images[name] = text
+        with pytest.raises(ExprError, match="generator"):
+            parse_derivation(images, SYM)
+
     @pytest.mark.parametrize("value", ["1/0", "many", [1], "1e300000"],
                              ids=["zero-denominator", "word", "list", "exponent"])
     def test_derivation_file_rejects_non_rational_parameter(self, value):
@@ -358,13 +412,11 @@ class TestBoundedSearches:
         assert found == NUM11.context.var("x3")
 
     def test_zero_derivation(self):
-        zero = {name: NUM11.context.zero() for name in
-                ("x1", "x2", "x3", "x4", "x5", "x6")}
+        zero = DerivationSpec.zero(NUM11.context)
         assert bounded_inner_search(zero, NUM11, degree=2).is_zero()
 
     def test_empty_degree_range(self):
-        zero = {name: NUM11.context.zero() for name in
-                ("x1", "x2", "x3", "x4", "x5", "x6")}
+        zero = DerivationSpec.zero(NUM11.context)
         assert bounded_inner_search(zero, NUM11, degree=-1).is_zero()
         assert bounded_centre(NUM11, -1) == []
 
@@ -451,3 +503,11 @@ class TestBoundedSearches:
     def test_span_comparison_detects_difference(self):
         ctx = SYM.context
         assert not spans_same_space([ctx.one()], [ctx.var("x1")])
+
+    def test_span_comparison_ignores_the_generating_set(self):
+        ctx = SYM.context
+        x1, x2, x3 = ctx.var("x1"), ctx.var("x2"), ctx.var("x3")
+        assert spans_same_space([x1 + x2, x1 + x2, x3], [x1 + x2, x3])
+        assert spans_same_space([x1 + x2, x1 - x2, x3 + x1],
+                                [x3 + 3 * x1, x2, Fraction(1, 2) * x1])
+        assert not spans_same_space([x1 + x2, x3], [x1, x2, x3])

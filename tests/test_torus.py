@@ -78,7 +78,7 @@ class TestCentralLattice:
     def test_lattice_generators_are_casimir_monomials(self):
         # The two basis vectors correspond to T1*T3*T5 and T2*T4*T6, and
         # those monomials bracket to zero with every generator.
-        struct = M6.structure()
+        struct = M6.structure
         ctx = M6.context
         for vec in central_lattice(M6):
             mono = M6.monomial(vec)
@@ -91,7 +91,7 @@ class TestCentralLattice:
 
     def test_hamiltonian_of_t3_is_log_canonical(self):
         # ham_{t3}(t_i) = lam(e3, e_i) t3 t_i with the built-in matrix row.
-        struct = M6.structure()
+        struct = M6.structure
         D = hamiltonian_derivation(M6.context.var("t3"), struct)
         for i, name in enumerate(M6.names):
             expected = M6.lam[2][i] * M6.context.monomial({"t3": 1, name: 1})
@@ -115,7 +115,7 @@ class TestCentralLattice:
         gamma = ctx.zero()
         for g in support:
             gamma = gamma + torus.monomial(g, data.draw(entries))
-        struct = torus.structure()
+        struct = torus.structure
         images = hamiltonian_derivation(gamma, struct).images
         for i, name in enumerate(torus.names):
             expected = ctx.zero()
@@ -132,7 +132,7 @@ class TestCentralLattice:
     def test_derived_data_built_once(self):
         torus = TorusStructure.make([[0, 1], [-1, 0]])
         assert torus.context is torus.context
-        assert torus.structure() is torus.structure()
+        assert torus.structure is torus.structure
 
 
 class TestDecomposition:
@@ -278,7 +278,7 @@ class TestDecomposition:
         gamma, theta = _random_pair(M6, rng)
         D = DerivationSpec(M6.context,
                            apply_decomposition(Decomposition(gamma, theta), M6))
-        assert check_poisson_derivation(D, M6.structure()) is None
+        assert check_poisson_derivation(D, M6.structure) is None
 
 
 def _image_coefficients(D, torus):
