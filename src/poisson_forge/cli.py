@@ -35,6 +35,20 @@ class UsageError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, like every other error of
+    the command line, print ``error: ...`` first."""
+
+    def error(self, message):
+        if ("arguments are required" in message
+                and self.get_default("func") in (_cmd_nf, _cmd_bracket)):
+            # argparse reads an expression such as -x1 as an option, and
+            # then misses the expression
+            message += ("; put '--' before an expression that starts with"
+                        " '-', as in: nf -- -x1")
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _parameter_value(raw: str, which: str) -> str | Fraction:
     aliases = {"symbolic", "sym", which, which[0]}
     if raw.lower() in aliases:
@@ -150,7 +164,7 @@ def _cmd_chain(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="poisson-forge",
         description="Exact verification toolkit for the built-in Poisson"
                     " algebra, its deleting-derivations chain and its"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import add
@@ -89,6 +90,51 @@ class PoissonStructure:
         names = [ctx.names[i] for i in ctx.generators()]
         for exps in exponents_up_to(len(names), degree):
             yield ctx.monomial(dict(zip(names, exps)))
+
+    @cached_property
+    def _by_variable(self) -> tuple:
+        """Per context position v, one (generator slot g, exponent shift,
+        numerator) per term of b_vg / x_v, over ``_den``: the entry
+        b_ij / (x_i*x_j) times x_j for v = i, and times -x_i for v = j."""
+        slot = {pos: g for g, pos in enumerate(self.context.generators())}
+        table = [[] for _ in range(self.context.rank)]
+        for i, j, shifted in self._entries:
+            for shift, n in shifted:
+                times_j = shift[:j] + (shift[j] + 1,) + shift[j + 1:]
+                times_i = shift[:i] + (shift[i] + 1,) + shift[i + 1:]
+                table[i].append((slot[j], times_j, n))
+                table[j].append((slot[i], times_i, -n))
+        return tuple(map(tuple, table))
+
+    def monomial_brackets(self, m: tuple[int, ...]) -> list[dict[tuple, int]]:
+        """{x^m, x_g} = sum_v m_v * x^m * b_vg / x_v for every generator
+        slot g, as {monomial: integer numerator over ``_den``}; an entry
+        may be zero where terms cancel."""
+        images: list[dict[tuple, int]] = [{} for _ in self.context.generators()]
+        for k, terms in zip(m, self._by_variable):
+            if k:
+                for g, shift, n in terms:
+                    mm = tuple(map(add, m, shift))
+                    image = images[g]
+                    image[mm] = image.get(mm, 0) + k * n
+        return images
+
+    def bracket_rows(self, degree: int):
+        """The basis monomials of degree <= d, the matrix of
+        f -> ({f, x_1}, ..., {f, x_n}) on their span as integer rows
+        (generator slot, monomial) -> {monomial index: numerator}, and the
+        scale of a row: its entries over ``scale(key)`` are the
+        coefficients.  Here every row has the one scale ``_den``."""
+        monomials = list(self.basis_monomials(degree))
+        rows: dict[tuple[int, tuple], dict[int, int]] = {}
+        for idx, mono in enumerate(monomials):
+            m, = mono.terms
+            for g, image in enumerate(self.monomial_brackets(m)):
+                for mm, n in image.items():
+                    if n:
+                        rows.setdefault((g, mm), {})[idx] = n
+        den = self._den
+        return monomials, rows, lambda key: den
 
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.context != self.context or g.context != self.context:

@@ -20,13 +20,22 @@ otherwise; coefficients are polynomials in the parameters alpha, beta
 (or rationals once the parameters are specialised).
 
 A numeric or symbolic ``QuotientRing`` and an ambient ``PoissonStructure``
-serve one bracket protocol: ``context``, ``bracket(f, g)`` and
-``basis_monomials(degree)``.  ``bounded_centre``, ``bounded_inner_search``
-and ``poisson.hamiltonian_derivation`` are written against it, so each
-runs unchanged on the ambient algebra (no reduction) and on the quotient
-(brackets reduced to normal form).  Derivations are ``DerivationSpec``s
-over the ring's context, checked by ``poisson.derivation_residues`` with
-each residue reduced modulo the ideal.
+serve one bracket protocol: ``context``, ``bracket(f, g)``,
+``basis_monomials(degree)`` and ``bracket_rows(degree)``.
+``bounded_centre``, ``bounded_inner_search`` and
+``poisson.hamiltonian_derivation`` are written against it, so each runs
+unchanged on the ambient algebra (no reduction) and on the quotient
+(brackets reduced to normal form).  ``bracket_rows`` gives the matrix of
+f -> ({f, x_1}, ..., {f, x_n}) on the basis monomials in one integer pass
+per monomial, each row (generator, monomial) times its own nonzero scale:
+the ambient rows over the structure's common denominator, the quotient
+rows rewritten by the integer loop of ``normal_form`` at one level for
+the whole matrix.  A row times a nonzero constant has the same solutions,
+so the kernel is the same, and the inner search multiplies each rhs
+entry by its row's scale.  Both searches check their answer through
+``bracket``.  Derivations are ``DerivationSpec``s over the ring's
+context, checked by ``poisson.derivation_residues`` with each residue
+reduced modulo the ideal.
 
 Everything with a t3 or t4 denominator is handled in cleared-denominator
 form: the quotient is a domain, so ``num / t3^a t4^b`` comparisons reduce
@@ -51,7 +60,17 @@ from .poisson import (DerivationSpec, PoissonStructure, derivation_residues,
 from .report import CheckItem, check_item
 
 QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
+# The most terms a normal form may hold while it is rewritten, checked
+# once per weight bucket.  `nf x3^40` peaks at 69421 terms (52965 out),
+# the largest reduction of the benchmark at 5000; past the limit
+# `nf "(x3*x4*x3*x4*x3*x4)^9"` stops after about 2.5 s instead of
+# filling memory.
+MAX_TERMS = 100_000
 _AMBIENT_TO_QUOTIENT = {f"X{i}": f"x{i}" for i in range(1, 7)}
+
+
+class TermLimitError(ExprError):
+    """A normal form grew past ``MAX_TERMS`` terms while being rewritten."""
 
 
 def _parameter(value) -> Fraction | None:
@@ -140,6 +159,35 @@ class QuotientRing:
         """The normal form of p, rewritten with the x3 rule and (unless
         ``use_x4`` is false, as when the x4 rule itself is built) the x4 rule.
 
+        The arithmetic is on integers.  Let D be the lcm of the
+        denominators of p, R that of the rules in use (cached in __init__), and
+        ``top`` the highest weight in p.  The term dict holds, for each
+        monomial of weight w, the integer numerator n of its coefficient
+        n / (D * R^k), at the level k = top - w, and ``_rewrite`` keeps it
+        so.  One Fraction is built per output term.
+        """
+        i3, i4 = self._i3, self._i4
+        low4 = 2 if use_x4 else inf
+        if not any(m[i3] >= 2 or m[i4] >= low4 for m in p.terms):
+            return p
+        rules = (self._integer_rules if use_x4 else
+                 (*self._scaled_rules(self.rewrite_x3), None))
+        R = rules[0]
+        top = max(2 * m[i3] + 3 * m[i4] for m in p.terms)
+        D = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {m: c.numerator * (D // c.denominator)
+                    * R ** (top - 2 * m[i3] - 3 * m[i4])
+                 for m, c in p.terms.items()}
+        self._rewrite(terms, top, rules)
+        return LaurentPoly(self.context, {
+            m: Fraction(n, D * R ** (top - 2 * m[i3] - 3 * m[i4]))
+            for m, n in terms.items()})
+
+    def _rewrite(self, terms: dict[tuple, int], top: int, rules) -> None:
+        """Rewrite to normal form, in place, an integer term dict whose
+        levels count down from ``top`` (see ``_reduce``), with ``rules`` as
+        ``_scaled_rules`` gives them (no x4 rule: x4^2 is left alone).
+
         Rewriting a monomial of weight w = 2a + 3b ((a, b) its x3, x4
         exponents) only adds to monomials of lower weight.  So the
         monomials are taken in falling weight, from one bucket per weight:
@@ -148,34 +196,24 @@ class QuotientRing:
         rewritten once, with its whole coefficient.  A monomial joins its
         bucket when it enters the term dict; one that cancels to zero and
         comes back is in its bucket twice and is skipped the second time,
-        being gone from the dict.
-
-        The arithmetic is on integers.  Let D be the lcm of the
-        denominators of p, R that of the rules in use (cached in __init__), and
-        ``top`` the highest weight in p.  The term dict holds, for each
-        monomial of weight w, the integer numerator n of its coefficient
-        n / (D * R^k), at the level k = top - w.  A rule term that lowers
-        the weight by d >= 1 lands d levels down, so the rule carries it as
-        the integer c * R^d and a rewrite adds n times that to the target's
-        numerator, with no rescaling.  One Fraction is built per output term.
+        being gone from the dict.  A rule term that lowers the weight by
+        d >= 1 lands d levels down, so the rule carries it as the integer
+        c * R^d and a rewrite adds n times that to the target's numerator,
+        with no rescaling.  Past ``MAX_TERMS`` terms, checked once per
+        bucket, it raises ``TermLimitError``.
         """
         i3, i4 = self._i3, self._i4
-        low4 = 2 if use_x4 else inf
-        if not any(m[i3] >= 2 or m[i4] >= low4 for m in p.terms):
-            return p
-        R, rule3, rule4 = (self._integer_rules if use_x4 else
-                           (*self._scaled_rules(self.rewrite_x3), None))
-        top = max(2 * m[i3] + 3 * m[i4] for m in p.terms)
-        D = lcm(*(c.denominator for c in p.terms.values()))
-        terms = {m: c.numerator * (D // c.denominator)
-                    * R ** (top - 2 * m[i3] - 3 * m[i4])
-                 for m, c in p.terms.items()}
+        _, rule3, rule4 = rules
+        low4 = inf if rule4 is None else 2
         buckets: list[list] = [[] for _ in range(top + 1)]
         for m in terms:
             if m[i3] >= 2 or m[i4] >= low4:
                 buckets[2 * m[i3] + 3 * m[i4]].append(m)
         get = terms.get
         for w in range(top, 3, -1):  # x3^2 has the least reducible weight, 4
+            if len(terms) > MAX_TERMS:
+                raise TermLimitError(f"normal form needs more than {MAX_TERMS}"
+                                     " terms")
             for m in buckets[w]:
                 n = terms.pop(m, None)
                 if n is None:
@@ -193,9 +231,6 @@ class QuotientRing:
                             terms[mm] = s
                         else:
                             del terms[mm]
-        return LaurentPoly(self.context, {
-            m: Fraction(n, D * R ** (top - 2 * m[i3] - 3 * m[i4]))
-            for m, n in terms.items()})
 
     def normal_form(self, p: LaurentPoly | str) -> LaurentPoly:
         if isinstance(p, str):
@@ -222,6 +257,38 @@ class QuotientRing:
             for i, j, k, l in exponents_up_to(4, degree - e1 - e2):
                 yield self.context.monomial(
                     {"x1": i, "x2": j, "x3": e1, "x4": e2, "x5": k, "x6": l})
+
+    def bracket_rows(self, degree: int):
+        """``PoissonStructure.bracket_rows`` over the quotient basis, each
+        bracket reduced to normal form.
+
+        The structure's integer image of each basis monomial with each
+        generator goes through ``_rewrite`` at one ``top`` for the whole
+        call, the highest weight among the images.  So the row of
+        (g, m'') holds integers at the one scale den * R^(top - w(m'')),
+        den the structure's denominator and R the rules'.
+        """
+        i3, i4 = self._i3, self._i4
+        monomials = list(self.basis_monomials(degree))
+        images = [self.structure.monomial_brackets(m)
+                  for mono in monomials for m in mono.terms]
+        top = max((2 * mm[i3] + 3 * mm[i4]
+                   for by_slot in images for image in by_slot for mm in image),
+                  default=0)
+        rules = self._integer_rules
+        power = [rules[0] ** k for k in range(top + 1)]
+        rows: dict[tuple[int, tuple], dict[int, int]] = {}
+        for idx, by_slot in enumerate(images):
+            for g, image in enumerate(by_slot):
+                terms = {mm: n * power[top - 2 * mm[i3] - 3 * mm[i4]]
+                         for mm, n in image.items() if n}
+                if any(mm[i3] >= 2 or mm[i4] >= 2 for mm in terms):
+                    self._rewrite(terms, top, rules)
+                for mm, n in terms.items():
+                    rows.setdefault((g, mm), {})[idx] = n
+        den = self.structure._den
+        return (monomials, rows,
+                lambda key: den * power[top - 2 * key[1][i3] - 3 * key[1][i4]])
 
     # -- the chain denominators -------------------------------------------
     @cached_property
@@ -457,15 +524,33 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
                          degree: int = 4) -> LaurentPoly | None:
     """Exact solve for x with {x, x_i} = D(x_i) over basis monomials of
     total degree <= degree; constant term pinned to zero.  Returns the
-    canonical solution or None when the system is infeasible."""
+    canonical solution or None when the system is infeasible.
+
+    Each equation is the row of ``ring.bracket_rows`` with its rhs times
+    the row's scale, which leaves the solutions as they are.  An rhs
+    monomial that no row reaches makes the system infeasible.
+    """
     if ring.alpha is None or ring.beta is None:
         raise ExprError("the inner search needs numeric parameters")
-    monomials, rows = _bracket_rows(ring, degree)
+    monomials, rows, scale = ring.bracket_rows(degree)
+    images = {name: ring.normal_form(D.images[name]) for name in QUOTIENT_NAMES}
     rhs = {(gi, m): c for gi, name in enumerate(QUOTIENT_NAMES)
-           for m, c in ring.normal_form(D.images[name]).terms.items()}
-    solution = solve(((rows.get(key, {}), rhs.get(key, Fraction(0)))
-                      for key in rows.keys() | rhs.keys()), len(monomials))
-    return None if solution is None else _combine(ring.context, solution, monomials)
+           for m, c in images[name].terms.items()}
+    if not rhs.keys() <= rows.keys():
+        return None
+    # solve settles singleton rows last in, first out; loading the rows
+    # with an rhs first settles the x_c = 0 the homogeneous rows force
+    # before any rhs value, so an infeasible system leaves the RREF few rows
+    keys = sorted(rows, key=lambda key: key not in rhs)
+    solution = solve(((rows[key], rhs.get(key, 0) * scale(key)) for key in keys),
+                     len(monomials))
+    if solution is None:
+        return None
+    x = _combine(ring.context, solution, monomials)
+    if hamiltonian_derivation(x, ring).images != images:
+        raise RuntimeError("bracket_rows disagrees with bracket:"
+                           " ham_x differs from D")
+    return x
 
 
 def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
@@ -473,27 +558,20 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
 
     Accepts either an ambient PoissonStructure (polynomial ring, no
     reduction) or a numeric QuotientRing (brackets reduced to normal form).
+    The rows come from ``bracket_rows``, each scaled by a nonzero constant,
+    which leaves the kernel as it is; every basis element is checked to be
+    central through ``bracket``.
     """
-    monomials, rows = _bracket_rows(structure_or_ring, degree)
+    monomials, rows, _ = structure_or_ring.bracket_rows(degree)
     system = LinearSystem.from_rows(rows.values())
-    return [_combine(structure_or_ring.context, vec, monomials)
-            for vec in system.null_space(len(monomials))]
-
-
-def _bracket_rows(structure_or_ring, degree: int):
-    """The basis monomials of degree <= d and the matrix of
-    f -> ({f, x_1}, ..., {f, x_n}) on their span, as rows
-    (generator index, result monomial) -> {monomial index: coefficient}."""
-    ctx = structure_or_ring.context
-    monomials = list(structure_or_ring.basis_monomials(degree))
-    bracket = structure_or_ring.bracket
-    rows: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-    for gi, i in enumerate(ctx.generators()):
-        g = ctx.var(ctx.names[i])
-        for idx, mono in enumerate(monomials):
-            for m, c in bracket(mono, g).terms.items():
-                rows.setdefault((gi, m), {})[idx] = c
-    return monomials, rows
+    basis = [_combine(structure_or_ring.context, vec, monomials)
+             for vec in system.null_space(len(monomials))]
+    for f in basis:
+        ham = hamiltonian_derivation(f, structure_or_ring)
+        if not all(image.is_zero() for image in ham.images.values()):
+            raise RuntimeError("bracket_rows disagrees with bracket:"
+                               f" {f} is not central")
+    return basis
 
 
 def _combine(ctx: VarContext, vec: list[Fraction],

@@ -181,6 +181,27 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_runaway_normal_form_is_usage_error(self, capsys):
+        # x3^27*x4^27 passes MAX_TERMS terms after about 2.5 s; without the
+        # limit it took over 800 MB
+        from poisson_forge.quotient import MAX_TERMS
+        code, _ = run_cli("nf", "(x3*x4*x3*x4*x3*x4)^9")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: normal form needs more than {MAX_TERMS} terms")
+
+    @pytest.mark.parametrize("argv", [["nf", "-x1"], ["bracket", "-X1", "X2"]],
+                             ids=["nf", "bracket"])
+    def test_expression_with_leading_minus(self, argv, capsys):
+        # argparse reads -x1 as an option; the error says what to do
+        code, _ = run_cli(*argv)
+        first = capsys.readouterr().err.splitlines()[0]
+        assert code == 2
+        assert first.startswith("error:")
+        assert "put '--' before an expression that starts with '-'" in first
+        assert run_cli(argv[0], "--", *argv[1:]) == (0, "-x1\n" if argv[0] == "nf"
+                                                      else "-3*X1*X2\n")
+
     @settings(max_examples=150)
     @given(hostile_expressions())
     def test_any_expression_exits_cleanly(self, text):

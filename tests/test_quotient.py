@@ -14,13 +14,14 @@ from poisson_forge import g2
 from poisson_forge.expr import ExprError, LaurentPoly
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import DerivationSpec, WeightVector
-from poisson_forge.quotient import (QuotientRing, bounded_centre,
+from poisson_forge.quotient import (MAX_TERMS, QuotientRing, bounded_centre,
                                     bounded_inner_search, chain_elements,
                                     check_casimirs, check_quotient_derivation,
                                     hamiltonian_quotient_images,
                                     parse_derivation, quotient_jacobi_items,
                                     spans_same_space,
                                     verify_localized_identities)
+from tests.test_poisson import RATIONAL
 
 SYM = QuotientRing()
 LOC = QuotientRing(localized=True)
@@ -146,6 +147,12 @@ class TestNormalForm:
         # be built; the mask guards the normal-form precondition.
         with pytest.raises(ExprError, match="negative exponent"):
             LOC.normal_form(LOC.context.monomial({"x1": -1}))
+
+    def test_term_limit_lets_large_powers_through(self):
+        # the largest input the command line takes: 69421 terms at the
+        # peak of the rewrite, under MAX_TERMS
+        ring = QuotientRing(alpha=1, beta=1, localized=True)
+        assert len(ring.normal_form("x3^40").terms) == 52965 < MAX_TERMS
 
     def test_uppercase_aliases_accepted(self):
         assert nf("X3^2") == SYM.rewrite_x3
@@ -403,6 +410,75 @@ class TestQuotientDerivations:
         # a parameter as a derivation file or other outside data gives it
         with pytest.raises(ExprError, match="expected a rational"):
             QuotientRing(alpha=value, beta=0)
+
+
+def reference_rows(structure_or_ring, degree):
+    """The rows of f -> ({f, x_1}, ..., {f, x_n}) from one ``bracket``
+    (reduced to normal form on a ring) per basis monomial and generator."""
+    ctx = structure_or_ring.context
+    monomials = list(structure_or_ring.basis_monomials(degree))
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for gi, i in enumerate(ctx.generators()):
+        g = ctx.var(ctx.names[i])
+        for idx, mono in enumerate(monomials):
+            for m, c in structure_or_ring.bracket(mono, g).terms.items():
+                rows.setdefault((gi, m), {})[idx] = c
+    return monomials, rows
+
+
+ROW_CASES = ([(g2.builtin_algebra().structure, d) for d in range(5)]
+             + [(QuotientRing(alpha=a, beta=b), d)
+                for a, b in ((1, 1), (1, 0), (0, 1), ("-2/3", 5), ("9/8", 5))
+                for d in range(4)]
+             + [(RATIONAL, d) for d in range(4)])
+ROW_IDS = ([f"ambient-d{d}" for d in range(5)]
+           + [f"{a},{b}-d{d}" for a, b in ("11", "10", "01", ("-2/3", 5), ("9/8", 5))
+              for d in range(4)]
+           + [f"rational-d{d}" for d in range(4)])
+
+
+class TestBracketRows:
+    @pytest.mark.parametrize("structure_or_ring, degree", ROW_CASES, ids=ROW_IDS)
+    def test_rows_match_the_bracket(self, structure_or_ring, degree):
+        monomials, rows, scale = structure_or_ring.bracket_rows(degree)
+        expected_monomials, expected = reference_rows(structure_or_ring, degree)
+        assert monomials == expected_monomials
+        assert rows.keys() == expected.keys()
+        for key, row in rows.items():
+            assert all(type(n) is int for n in row.values()), key
+            assert {idx: Fraction(n, scale(key)) for idx, n in row.items()} \
+                == expected[key], key
+
+    @pytest.mark.parametrize("search", ["centre", "inner"])
+    def test_certificate_catches_misplaced_rows(self, search, monkeypatch):
+        # columns taken for the wrong monomials give a wrong answer, which
+        # the check through bracket refuses as an internal error
+        from poisson_forge.poisson import PoissonStructure
+        for cls in (PoissonStructure, QuotientRing):
+            def reversed_columns(self, degree, original=cls.bracket_rows):
+                monomials, rows, scale = original(self, degree)
+                return monomials[::-1], rows, scale
+            monkeypatch.setattr(cls, "bracket_rows", reversed_columns)
+        with pytest.raises(RuntimeError, match="bracket_rows disagrees"):
+            if search == "centre":
+                bounded_centre(g2.builtin_algebra().structure, 2)
+            else:
+                bounded_inner_search(hamiltonian_quotient_images("x3", NUM11),
+                                     NUM11, degree=2)
+
+    def test_centre_brackets_only_its_certificate(self, monkeypatch):
+        # the rows come from bracket_rows; bracket runs only to check
+        # each basis element on each generator
+        from poisson_forge.poisson import PoissonStructure
+        calls = []
+        original = PoissonStructure.bracket
+        def counting(self, f, g):
+            calls.append(1)
+            return original(self, f, g)
+        monkeypatch.setattr(PoissonStructure, "bracket", counting)
+        basis = bounded_centre(g2.builtin_algebra().structure, 4)
+        assert len(basis) == 3  # 1, Omega1, Omega2
+        assert len(calls) <= 6 * len(basis)  # 1260 with a bracket per row build
 
 
 class TestBoundedSearches:
