@@ -28,7 +28,7 @@ from math import factorial
 from .expr import ExprError, LaurentPoly, VarContext, divide_exact
 from .g2 import (CHAIN_FORMULAS, CHAIN_STABLE_LEVEL, OMEGA1_LADDER,
                  OMEGA2_LADDER, ChainTerm)
-from .poisson import PoissonOreData, PoissonStructure
+from .poisson import MAX_DELTA_POWERS, PoissonOreData, PoissonStructure
 from .report import CheckItem, check_item
 
 
@@ -47,8 +47,7 @@ def localize_structure(structure: PoissonStructure, names) -> PoissonStructure:
         ctx.names,
         tuple(inv or (n in wanted) for n, inv in zip(ctx.names, ctx.invertible)),
         ctx.parameters)
-    table = {key: value.substitute({}, into=new_ctx)
-             for key, value in structure.table.items()}
+    table = {key: value.into(new_ctx) for key, value in structure.table.items()}
     return PoissonStructure(new_ctx, table)
 
 
@@ -178,13 +177,12 @@ class FractionElement:
     def inverse(self) -> "FractionElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.num.is_monomial():
-            try:
-                return FractionElement(self.field, self.den_poly() * self.num.monomial_inverse(), {})
-            except ExprError:
-                pass
-        label = self.field.register(self.num)
-        return FractionElement(self.field, self.den_poly(), {label: 1})
+        try:
+            inverse = self.num.monomial_inverse()
+        except ExprError:  # not a monomial, or not invertible in the context
+            label = self.field.register(self.num)
+            return FractionElement(self.field, self.den_poly(), {label: 1})
+        return FractionElement(self.field, self.den_poly() * inverse, {})
 
     # -- the Poisson bracket, extended to the fraction field ------------------
     def bracket(self, other: "FractionElement") -> "FractionElement":
@@ -227,7 +225,7 @@ def initial_stage(structure: PoissonStructure) -> ChainStage:
     return ChainStage(len(gens) + 1, gens)
 
 
-def chain_step(stage: ChainStage, ore: PoissonOreData, bound: int = 16) -> ChainStage:
+def chain_step(stage: ChainStage, ore: PoissonOreData) -> ChainStage:
     """One deleting-derivations step: level j+1 -> level j."""
     j = stage.level - 1
     T = stage.gen(j)
@@ -244,9 +242,9 @@ def chain_step(stage: ChainStage, ore: PoissonOreData, bound: int = 16) -> Chain
         eta = ore.eta(j - 1)
         series = [a0, a1]
         while not series[-1].is_zero():
-            if len(series) > bound:
-                raise TruncationError(
-                    f"delta series for X[{i},{j}] exceeded {bound} terms")
+            if len(series) > MAX_DELTA_POWERS:
+                raise TruncationError(f"delta series for X[{i},{j}] exceeded"
+                                      f" {MAX_DELTA_POWERS} terms")
             k = len(series) - 1
             ak = series[-1]
             series.append(T.bracket(ak) - (mu - k * eta) * ak * T)
@@ -261,13 +259,13 @@ def chain_step(stage: ChainStage, ore: PoissonOreData, bound: int = 16) -> Chain
     return ChainStage(j, tuple(new_gens), depths)
 
 
-def run_chain(structure: PoissonStructure, ore: PoissonOreData,
-              bound: int = 16) -> dict[int, ChainStage]:
+def run_chain(structure: PoissonStructure,
+              ore: PoissonOreData) -> dict[int, ChainStage]:
     """All stages, keyed by level 7 down to 2."""
     stage = initial_stage(structure)
     stages = {stage.level: stage}
     while stage.level > 2:
-        stage = chain_step(stage, ore, bound)
+        stage = chain_step(stage, ore)
         stages[stage.level] = stage
     return stages
 

@@ -34,6 +34,8 @@ class LinearSystem:
         elimination): a row whose one nonzero entry a sits at a column
         c != rhs_col fixes x_c = b/a, b its ``rhs_col`` entry, and c is
         substituted out of every other row, which may make new singletons.
+        Singletons with a zero rhs are settled before those with one, so the
+        x_c = 0 they force are known before any rhs value spreads.
         The rows left over go through ``add_row``.  Each pivot row is still
         led by its least column, so the pivots are the same unique RREF
         that ``add_row`` alone gives, provided ``rhs_col`` exceeds every
@@ -42,7 +44,7 @@ class LinearSystem:
         system = cls()
         rows = list(rows)
         by_col: dict[int, list[Row]] = {}  # column -> the rows holding it
-        queue = []
+        singletons: tuple[list[Row], list[Row]] = ([], [])  # without, with an rhs
         for row in rows:
             for c in [c for c, v in row.items() if not v]:
                 del row[c]
@@ -50,9 +52,9 @@ class LinearSystem:
                 if c != rhs_col:
                     by_col.setdefault(c, []).append(row)
             if len(row) - (rhs_col in row) == 1:
-                queue.append(row)
-        while queue:
-            row = queue.pop()
+                singletons[rhs_col in row].append(row)
+        while singletons[0] or singletons[1]:
+            row = (singletons[0] or singletons[1]).pop()
             if len(row) - (rhs_col in row) != 1:
                 continue
             b = row.pop(rhs_col, 0)
@@ -71,7 +73,7 @@ class LinearSystem:
                     else:
                         del other[rhs_col]
                 if len(other) - (rhs_col in other) == 1:
-                    queue.append(other)
+                    singletons[rhs_col in other].append(other)
         for row in rows:
             if row:
                 system.add_row(row)

@@ -9,17 +9,19 @@
 Identifiers are letters followed by letters/digits; whitespace is
 insignificant.  Parsing yields a canonical LaurentPoly directly, so
 parse(format(p)) == p.  Nesting of parentheses and unary minus is bounded
-by ``MAX_DEPTH`` and exponents by ``MAX_EXPONENT``, so hostile input ends
-in a ParseError, not a RecursionError or an unbounded power.
+by ``MAX_DEPTH``, exponents by ``MAX_EXPONENT`` and the term-pair products
+of ``*`` and ``^`` (repeated ``*``) by ``expr.MAX_PRODUCTS``, so hostile
+input ends in a typed error, not a RecursionError or a runaway product.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping
 
-from .expr import ExprError, LaurentPoly, VarContext
+from .expr import ExprError, LaurentPoly, VarContext, charge_products
 
 
 class ParseError(ExprError):
@@ -82,6 +84,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.products = 0  # term-pair products so far
         self.context = context
         self.aliases = dict(aliases or {})
 
@@ -97,6 +100,10 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH}", position)
+
+    def multiply(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+        self.products = charge_products(self.products, f, g)
+        return f * g
 
     def expect_op(self, op: str):
         kind, value, position = self.next()
@@ -128,7 +135,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                result = result * self.factor()
+                result = self.multiply(result, self.factor())
             else:
                 return result
 
@@ -144,7 +151,9 @@ class _Parser:
         kind, value, position = self.peek()
         if kind == "op" and value == "^":
             self.next()
-            return base ** self.signed_int()
+            n = self.signed_int()
+            base = base.monomial_inverse() if n < 0 else base
+            return reduce(self.multiply, [base] * abs(n), self.context.one())
         return base
 
     def signed_int(self) -> int:

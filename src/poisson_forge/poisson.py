@@ -33,6 +33,9 @@ from typing import Mapping
 
 from .expr import ContextMismatch, ExprError, LaurentPoly, VarContext
 
+#: Most delta powers looked at before a delta counts as not locally nilpotent.
+MAX_DELTA_POWERS = 16
+
 
 class EtaError(ExprError):
     """The eta scalar of a Poisson-Ore index is undefined or inconsistent."""
@@ -349,9 +352,9 @@ class PoissonOreData:
         self._eta[i] = eta
         return eta
 
-    def check_locally_nilpotent(self, bound: int = 16) -> dict[int, int]:
+    def check_locally_nilpotent(self) -> dict[int, int]:
         """Nilpotency witness: index i -> least k with delta_i^k = 0 on
-        generator images; raises when the bound is exceeded."""
+        generator images; raises past ``MAX_DELTA_POWERS`` steps."""
         out = {}
         for i in range(1, self.context.rank):
             delta = self.delta_images(i)
@@ -360,10 +363,10 @@ class PoissonOreData:
                 p = delta[self.context.names[j]]
                 k = 1
                 while not p.is_zero():
-                    if k > bound:
+                    if k > MAX_DELTA_POWERS:
                         raise EtaError(
                             f"delta_{i + 1} not nilpotent on X_{j + 1}"
-                            f" within {bound} steps")
+                            f" within {MAX_DELTA_POWERS} steps")
                     p = apply_images(delta, p)
                     k += 1
                 worst = max(worst, k)

@@ -51,7 +51,7 @@ from functools import cached_property
 from math import inf, lcm
 from operator import add
 
-from .expr import ExprError, LaurentPoly, VarContext, rational
+from .expr import ExprError, LaurentPoly, VarContext, WorkLimitError, rational
 from .g2 import REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
@@ -67,10 +67,6 @@ QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 # filling memory.
 MAX_TERMS = 100_000
 _AMBIENT_TO_QUOTIENT = {f"X{i}": f"x{i}" for i in range(1, 7)}
-
-
-class TermLimitError(ExprError):
-    """A normal form grew past ``MAX_TERMS`` terms while being rewritten."""
 
 
 def _parameter(value) -> Fraction | None:
@@ -100,12 +96,11 @@ class QuotientRing:
                             for name, value in (("alpha", self.alpha),
                                                 ("beta", self.beta))
                             if value is not None)
-        rename = dict(_AMBIENT_TO_QUOTIENT)
-        table = {key: value.rename(rename, into=ctx)
+        table = {key: value.into(ctx, _AMBIENT_TO_QUOTIENT)
                  for key, value in algebra.structure.table.items()}
         self.structure = PoissonStructure(ctx, table)
-        self.casimir1 = algebra.casimirs["Omega1"].rename(rename, into=ctx)
-        self.casimir2 = algebra.casimirs["Omega2"].rename(rename, into=ctx)
+        self.casimir1 = algebra.casimirs["Omega1"].into(ctx, _AMBIENT_TO_QUOTIENT)
+        self.casimir2 = algebra.casimirs["Omega2"].into(ctx, _AMBIENT_TO_QUOTIENT)
         self._i3 = ctx.index("x3")
         self._i4 = ctx.index("x4")
         # x3^2 = 2 alpha - 2 Omega1 + x3^2  (the relation solved for x3^2)
@@ -121,7 +116,7 @@ class QuotientRing:
     def _specialise(self, p: LaurentPoly) -> LaurentPoly:
         """p with each numeric parameter replaced by its value."""
         if p.context != self.context:
-            p = p.substitute({}, into=self.context)
+            p = p.into(self.context)
         fixed = self._fixed
         if not any(m[i] for m in p.terms for i, _ in fixed):
             return p
@@ -200,7 +195,7 @@ class QuotientRing:
         d >= 1 lands d levels down, so the rule carries it as the integer
         c * R^d and a rewrite adds n times that to the target's numerator,
         with no rescaling.  Past ``MAX_TERMS`` terms, checked once per
-        bucket, it raises ``TermLimitError``.
+        bucket, it raises ``WorkLimitError``.
         """
         i3, i4 = self._i3, self._i4
         _, rule3, rule4 = rules
@@ -212,7 +207,7 @@ class QuotientRing:
         get = terms.get
         for w in range(top, 3, -1):  # x3^2 has the least reducible weight, 4
             if len(terms) > MAX_TERMS:
-                raise TermLimitError(f"normal form needs more than {MAX_TERMS}"
+                raise WorkLimitError(f"normal form needs more than {MAX_TERMS}"
                                      " terms")
             for m in buckets[w]:
                 n = terms.pop(m, None)
@@ -538,12 +533,8 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
            for m, c in images[name].terms.items()}
     if not rhs.keys() <= rows.keys():
         return None
-    # solve settles singleton rows last in, first out; loading the rows
-    # with an rhs first settles the x_c = 0 the homogeneous rows force
-    # before any rhs value, so an infeasible system leaves the RREF few rows
-    keys = sorted(rows, key=lambda key: key not in rhs)
-    solution = solve(((rows[key], rhs.get(key, 0) * scale(key)) for key in keys),
-                     len(monomials))
+    solution = solve(((row, rhs.get(key, 0) * scale(key))
+                      for key, row in rows.items()), len(monomials))
     if solution is None:
         return None
     x = _combine(ring.context, solution, monomials)

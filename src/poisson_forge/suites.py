@@ -106,7 +106,7 @@ def suite_pullback():
     alg = g2.builtin_algebra()
     local = localize_structure(alg.structure, ["X5", "X6"])
     stages = run_chain(local, alg.ore)
-    casimirs = {name: omega.substitute({}, into=local.context)
+    casimirs = {name: omega.into(local.context)
                 for name, omega in alg.casimirs.items()}
     return "pullback", verify_central_ladders(stages, casimirs)
 

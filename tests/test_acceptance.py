@@ -95,7 +95,7 @@ def test_criterion_03_pdda_suite():
 def test_criterion_04_pullback_suite():
     local = localize_structure(ALG.structure, ["X5", "X6"])
     stages = run_chain(local, ALG.ore)
-    casimirs = {name: omega.substitute({}, into=local.context)
+    casimirs = {name: omega.into(local.context)
                 for name, omega in ALG.casimirs.items()}
     checks = verify_central_ladders(stages, casimirs)
     assert sum(1 for label, _, _ in checks if label.startswith("Omega1")) == 4

@@ -17,7 +17,7 @@ ALG = g2.builtin_algebra()
 LOCAL = localize_structure(ALG.structure, ["X5", "X6"])
 LCTX = LOCAL.context
 STAGES = run_chain(LOCAL, ALG.ore)
-CASIMIRS_LOCAL = {name: omega.substitute({}, into=LCTX)
+CASIMIRS_LOCAL = {name: omega.into(LCTX)
                   for name, omega in ALG.casimirs.items()}
 
 
@@ -181,4 +181,4 @@ class TestChain:
                              {(1, 0): ctx.monomial({"y1": 3})})
         assert ore.eta(1) == -2
         with pytest.raises(TruncationError):
-            run_chain(struct, ore, bound=6)
+            run_chain(struct, ore)

@@ -173,13 +173,25 @@ class TestExitCodes:
         "x1^" + "9" * 5000,
         "9" * 5000 + "*x1",
         "1/" + "9" * 5000,
+        "(x1+x2+x5+x6)^80",
     ], ids=["zero-denominator", "nested-parentheses", "nested-minus", "huge-exponent",
             "exponent-over-digit-limit", "integer-over-digit-limit",
-            "denominator-over-digit-limit"])
+            "denominator-over-digit-limit", "products-over-budget"])
     def test_hostile_expression_is_usage_error(self, text, capsys):
         code, _ = run_cli("nf", text)
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("left, right", [
+        ("(X1+X2+X5+X6)^60", "X3"),
+        ("(X1+X2+X5+X6)^12", "(X1+X2+X5+X6)^12"),
+    ], ids=["parse-over-budget", "bracket-over-budget"])
+    def test_hostile_bracket_is_usage_error(self, left, right, capsys):
+        # the second pair parses, but its 455 x 455 term pairs are too many
+        code, _ = run_cli("bracket", left, right)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: input needs more than 150000 term-pair products")
 
     def test_runaway_normal_form_is_usage_error(self, capsys):
         # x3^27*x4^27 passes MAX_TERMS terms after about 2.5 s; without the

@@ -81,7 +81,7 @@ class TestArithmetic:
 
     def test_unit_relation(self):
         x5 = CTX.var("X5")
-        assert x5 * CTX.var("X5", -1) == CTX.one()
+        assert x5 * CTX.monomial({"X5": -1}) == CTX.one()
 
     def test_omega1_monomial(self):
         product = TCTX.var("T1") * TCTX.var("T3") * TCTX.var("T5")
@@ -127,34 +127,45 @@ class TestCalculus:
         assert lhs == rhs
 
 
-class TestSubstitute:
-    def test_chain_image(self):
-        image = parse_expr("x1 - 1/2*x5*x6^-1", QCTX)
-        big = VarContext.make(["X1", "x1", "x5", "x6"], invertible=["x5", "x6"])
-        x16 = big.var("X1").substitute(
-            {"X1": parse_expr("x1 - 1/2*x5*x6^-1", big)})
-        assert x16 == parse_expr("x1 - 1/2*x5*x6^-1", big)
-        assert image == image.substitute({})
+UPPER_TO_LOWER = {f"X{i}": f"x{i}" for i in range(1, 7)}
+# CTX in another order, with one more variable
+REORDERED = VarContext.make(["y", "X3", "X2", "X1", "X6", "X5", "X4"],
+                            invertible=["X5", "X6"])
+TRANSPORTS = [(CTX, None), (QCTX, UPPER_TO_LOWER), (REORDERED, None)]
 
-    def test_identity_substitution(self):
+
+class TestInto:
+    def test_identity(self):
         f = parse_expr("X1*X3 + 2*X5^-1", CTX)
-        assert f.substitute({}) == f
+        assert f.into(CTX) == f
 
-    def test_monomial_image_at_negative_exponent(self):
-        f = CTX.monomial({"X6": -1})
-        image = CTX.monomial({"X5": 1, "X6": 1})
-        assert f.substitute({"X6": image}) == CTX.monomial({"X5": -1, "X6": -1})
+    def test_rename_round_trip(self):
+        f = parse_expr("X1*X3 + 2*X5^-1 - 1/3*X6^-2*X4", CTX)
+        moved = f.into(QCTX, UPPER_TO_LOWER)
+        assert moved == parse_expr("x1*x3 + 2*x5^-1 - 1/3*x6^-2*x4", QCTX)
+        back = moved.into(CTX, {low: up for up, low in UPPER_TO_LOWER.items()})
+        assert back == f
 
-    def test_non_monomial_image_at_negative_exponent_fails(self):
-        f = CTX.monomial({"X6": -1})
+    @given(small_polys(CTX), small_polys(CTX), st.sampled_from(TRANSPORTS))
+    def test_into_is_a_homomorphism(self, f, g, transport):
+        ctx, rename = transport
+        assert (f + g).into(ctx, rename) == f.into(ctx, rename) + g.into(ctx, rename)
+        assert (f * g).into(ctx, rename) == f.into(ctx, rename) * g.into(ctx, rename)
+
+    def test_negative_exponent_into_non_invertible_target_fails(self):
+        plain = VarContext.make(CTX.names)
+        assert parse_expr("X5^2", CTX).into(plain) == plain.monomial({"X5": 2})
         with pytest.raises(InvertibilityError):
-            f.substitute({"X6": CTX.var("X1") + CTX.var("X2")})
+            CTX.monomial({"X5": -1}).into(plain)
 
-    @given(small_polys(CTX), small_polys(CTX))
-    def test_substitute_is_a_homomorphism(self, f, g):
-        images = {"X1": parse_expr("X2 + 1", CTX), "X2": parse_expr("3*X3", CTX)}
-        assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
-        assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
+    def test_unknown_target_name_fails(self):
+        # only the variables that occur need a place in the target
+        small = VarContext.make(["X1"])
+        assert parse_expr("X1 + 2", CTX).into(small) == parse_expr("X1 + 2", small)
+        with pytest.raises(ExprError):
+            parse_expr("X1 + X2", CTX).into(small)
+        with pytest.raises(ExprError):
+            parse_expr("X1", CTX).into(QCTX, {"X1": "z"})
 
 
 class TestDivision:

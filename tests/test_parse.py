@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given
 
-from poisson_forge.expr import InvertibilityError, format_poly
+from poisson_forge import expr
+from poisson_forge.expr import InvertibilityError, WorkLimitError, format_poly
 from poisson_forge.parse import MAX_EXPONENT, ParseError, parse_expr
 from tests.test_expr import CTX, QCTX, small_polys
 
@@ -58,6 +59,13 @@ class TestParse:
         for text in (f"X1^{MAX_EXPONENT + 1}", f"X5^-{MAX_EXPONENT + 1}"):
             with pytest.raises(ParseError, match=f"exponent larger than {MAX_EXPONENT}"):
                 parse_expr(text, CTX)
+
+    def test_product_budget(self, monkeypatch):
+        # (X1+X2)^3 is one, then 2, then 3 terms times 2 terms: 12 products
+        monkeypatch.setattr(expr, "MAX_PRODUCTS", 12)
+        assert parse_expr("(X1+X2)^3", CTX) == (CTX.var("X1") + CTX.var("X2")) ** 3
+        with pytest.raises(WorkLimitError):
+            parse_expr("(X1+X2)^3*X1", CTX)
 
     def test_aliases(self):
         assert parse_expr("X3^2", QCTX, aliases={f"X{i}": f"x{i}" for i in range(1, 7)}) \

@@ -230,7 +230,7 @@ class TestOreData:
                 assert S.entry(i, j) == expected
 
     def test_local_nilpotency_witness(self):
-        depths = ALG.ore.check_locally_nilpotent(bound=16)
+        depths = ALG.ore.check_locally_nilpotent()
         assert max(depths.values()) <= 4
         assert depths[2] == 2  # delta_3 kills X2 and sends X1 to -X2
 
