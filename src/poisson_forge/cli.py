@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import g2
 from .chain import localize_structure, run_chain
-from .expr import ExprError, charge_products, rational
+from .expr import ExprError, ProductBudget, rational
 from .parse import parse_expr
 from .poisson import DerivationSpec, EtaError
 from .quotient import QuotientRing
@@ -92,7 +92,7 @@ def _cmd_bracket(args, out) -> int:
         alg = g2.builtin_algebra()
     f = parse_expr(args.left, alg.context)
     g = parse_expr(args.right, alg.context)
-    charge_products(0, f, g)
+    ProductBudget().charge(f, g)
     value = alg.structure.bracket(f, g)
     return _emit_value({"result": str(value)}, str(value), args.format, out)
 

@@ -17,6 +17,7 @@ is equality of their term dicts over equal contexts.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,9 +49,10 @@ def rational(value) -> Fraction:
         raise ExprError(f"expected a rational, got {value!r}") from None
 
 
-#: Most term-pair products one parse, or one command-line bracket, may
-#: make: about 2 s at 7 us (parse) or 13 us (bracket) a pair, as measured
-#: with Python 3.11 on a 2-core Xeon.
+#: Most term-pair products one parse, one algebra file (all its entries
+#: together) or one command-line bracket may make: about 2 s at 7 us
+#: (parse) or 13 us (bracket) a pair, as measured with Python 3.11 on a
+#: 2-core Xeon.
 MAX_PRODUCTS = 150_000
 
 
@@ -58,13 +60,21 @@ class WorkLimitError(ExprError):
     """An input needs more work than a fixed limit allows."""
 
 
-def charge_products(spent: int, f: "LaurentPoly", g: "LaurentPoly") -> int:
-    """``spent`` plus the |f|*|g| term pairs of f*g or {f, g}, checked."""
-    spent += len(f.terms) * len(g.terms)
-    if spent > MAX_PRODUCTS:
-        raise WorkLimitError(
-            f"input needs more than {MAX_PRODUCTS} term-pair products")
-    return spent
+class ProductBudget:
+    """Term-pair products spent so far against ``MAX_PRODUCTS``; several
+    parses that share one budget are charged together."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, f: "LaurentPoly", g: "LaurentPoly") -> None:
+        """Add the |f|*|g| term pairs of f*g or {f, g}, checked."""
+        self.spent += len(f.terms) * len(g.terms)
+        if self.spent > MAX_PRODUCTS:
+            raise WorkLimitError(
+                f"input needs more than {MAX_PRODUCTS} term-pair products")
 
 
 class ContextMismatch(ExprError):
@@ -378,15 +388,19 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     fterms = {tuple(e - s for e, s in zip(m, fshift)): c for m, c in f.terms.items()}
     gterms = {tuple(e - s for e, s in zip(m, gshift)): c for m, c in g.terms.items()}
 
-    def leading(terms):
-        return max(terms, key=_term_key)
-
-    glead = leading(gterms)
+    glead = max(gterms, key=_term_key)
     gc = gterms[glead]
     quot: dict[Monomial, Fraction] = {}
     rem = dict(fterms)
-    while rem:
-        flead = leading(rem)
+    # The leading term of rem comes off a min-heap of (-positive degree,
+    # m): the same order as _term_key on these non-negative exponents.  An
+    # entry whose monomial has left rem is skipped when it surfaces.
+    heap = [(-sum(m), m) for m in rem]
+    heapq.heapify(heap)
+    while heap:
+        flead = heapq.heappop(heap)[1]
+        if flead not in rem:
+            continue
         qm = tuple(a - b for a, b in zip(flead, glead))
         if any(e < 0 for e in qm):
             return None
@@ -394,11 +408,14 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
         quot[qm] = qc
         for m, c in gterms.items():
             mm = tuple(a + b for a, b in zip(m, qm))
-            s = rem.get(mm, Fraction(0)) - qc * c
+            old = rem.get(mm)
+            s = (old or 0) - qc * c
             if s:
                 rem[mm] = s
-            else:
-                rem.pop(mm, None)
+                if old is None:
+                    heapq.heappush(heap, (-sum(mm), mm))
+            elif old is not None:
+                del rem[mm]
     shift = tuple(fs - gs for fs, gs in zip(fshift, gshift))
     out = {}
     for m, c in quot.items():

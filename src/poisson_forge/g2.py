@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .expr import ExprError, LaurentPoly, VarContext, rational
+from .expr import ExprError, LaurentPoly, ProductBudget, VarContext, rational
 from .parse import parse_expr
 from .poisson import PoissonOreData, PoissonStructure, WeightVector
 
@@ -54,7 +54,8 @@ def load_algebra(source) -> AlgebraData:
     "brackets": {"i,j": "expr"}, "sigma": {"i,j": rational},
     "delta": {"i,j": "expr"}, "weights": [[a, b], ...],
     "casimirs": {"name": "expr"}} -- the last two optional, expressions in
-    the package grammar, indices 1-based.
+    the package grammar, indices 1-based.  The expressions of one
+    definition share one ``MAX_PRODUCTS`` budget.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as handle:
@@ -77,10 +78,11 @@ def load_algebra(source) -> AlgebraData:
     ctx = VarContext.make(data["variables"],
                           invertible=data.get("invertible", ()),
                           parameters=data.get("parameters", ()))
+    budget = ProductBudget()
     table = {}
     for key, text in data["brackets"].items():
         i, j = _pair_key(key, ctx.rank)
-        value = parse_expr(text, ctx)
+        value = parse_expr(text, ctx, budget=budget)
         if j < i:
             i, j, value = j, i, -value
         if (i, j) in table:
@@ -99,7 +101,7 @@ def load_algebra(source) -> AlgebraData:
         i, j = _pair_key(key, ctx.rank)
         if not j < i:
             raise ExprError(f"delta key {key!r} must have i > j")
-        delta[(i, j)] = parse_expr(text, ctx)
+        delta[(i, j)] = parse_expr(text, ctx, budget=budget)
     ore = PoissonOreData(ctx, sigma, delta)
 
     weights = None
@@ -112,7 +114,7 @@ def load_algebra(source) -> AlgebraData:
         if len(pairs) != len(gens):
             raise ExprError("weights must list one pair per generator")
         weights = WeightVector(ctx, dict(zip(gens, pairs)))
-    casimirs = {name: parse_expr(text, ctx)
+    casimirs = {name: parse_expr(text, ctx, budget=budget)
                 for name, text in data.get("casimirs", {}).items()}
     return AlgebraData(ctx, structure, ore, weights, casimirs)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping
 
-from .expr import ExprError, LaurentPoly, VarContext, charge_products
+from .expr import ExprError, LaurentPoly, ProductBudget, VarContext
 
 
 class ParseError(ExprError):
@@ -80,11 +80,11 @@ def _integer(digits: str, position: int) -> int:
 
 class _Parser:
     def __init__(self, text: str, context: VarContext,
-                 aliases: Mapping[str, str] | None = None):
+                 aliases: Mapping[str, str] | None, budget: ProductBudget):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.products = 0  # term-pair products so far
+        self.budget = budget
         self.context = context
         self.aliases = dict(aliases or {})
 
@@ -102,7 +102,7 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_DEPTH}", position)
 
     def multiply(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-        self.products = charge_products(self.products, f, g)
+        self.budget.charge(f, g)
         return f * g
 
     def expect_op(self, op: str):
@@ -201,12 +201,15 @@ class _Parser:
 
 
 def parse_expr(text: str, context: VarContext,
-               aliases: Mapping[str, str] | None = None) -> LaurentPoly:
+               aliases: Mapping[str, str] | None = None,
+               budget: ProductBudget | None = None) -> LaurentPoly:
     """Parse ``text`` over ``context`` into a canonical LaurentPoly.
 
     ``aliases`` maps alternative spellings onto context names (the CLI uses
-    this to accept X1..X6 for the quotient generators x1..x6).
+    this to accept X1..X6 for the quotient generators x1..x6).  The parse
+    charges its products to ``budget``, a fresh one when none is given.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {text!r}", 0)
-    return _Parser(text, context, aliases).parse()
+    return _Parser(text, context, aliases,
+                   ProductBudget() if budget is None else budget).parse()

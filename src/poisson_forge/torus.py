@@ -16,6 +16,15 @@ on every x.  Because lam(g, e_y) != 0, that check is equivalent to the
 compatibility relation a_g(e_x) lam(g, e_y) = a_g(e_y) lam(g, e_x) on all
 generator pairs, so any other witness gives the same c_g; its failure
 certifies that the input was not a Poisson derivation.
+
+The lattice arithmetic runs on integers: lam = L / den with den the lcm
+of the entries' denominators, so the pairings P = g . L are integers.
+The check is cross-multiplied, a_x P_y = a_y P_x on the numerators and
+denominators of the a's, and c_g = a_y den / P_y; an error message
+divides back by den and reads in lam units.  apply_decomposition stays
+on the generic bracket of ``structure``, which does not read the
+pairings: a roundtrip through both halves then checks them against each
+other, where a wrong pairing on both sides would cancel out.
 """
 
 from __future__ import annotations
@@ -23,15 +32,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .expr import ExprError, LaurentPoly, VarContext, rational
+from .expr import ContextMismatch, ExprError, LaurentPoly, VarContext, rational
 from .linalg import integer_kernel
 from .poisson import DerivationSpec, PoissonStructure, hamiltonian_derivation
 
 
 class DecompositionError(ExprError):
     """The generator images are not those of a Poisson derivation."""
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -75,12 +89,22 @@ class TorusStructure:
                     {self.names[i]: 1, self.names[j]: 1}, self.lam[i][j])
         return PoissonStructure(ctx, table)
 
-    def pairings(self, g: Sequence[int]) -> tuple[Fraction, ...]:
-        """(lam(g, e_1), ..., lam(g, e_n)) for the biadditive extension
-        lam(g, h) = g . lam . h."""
-        return tuple(sum((gi * self.lam[i][j] for i, gi in enumerate(g) if gi),
-                         Fraction(0))
+    @cached_property
+    def den(self) -> int:
+        """The lcm of the denominators of lam; lam * den is an integer matrix."""
+        return lcm(*(c.denominator for row in self.lam for c in row))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        # column j of lam * den
+        return tuple(tuple(row[j].numerator * (self.den // row[j].denominator)
+                           for row in self.lam)
                      for j in range(self.rank))
+
+    def pairings(self, g: Sequence[int]) -> tuple[int, ...]:
+        """(lam(g, e_1), ..., lam(g, e_n)) * den, integers, for the
+        biadditive extension lam(g, h) = g . lam . h."""
+        return tuple(sum(map(mul, g, col)) for col in self._columns)
 
     def is_central(self, g: Sequence[int]) -> bool:
         return not any(self.pairings(g))
@@ -107,12 +131,14 @@ class Decomposition:
 def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposition:
     """Split D into ham_gamma + D_theta from its generator images."""
     ctx = torus.context
+    if D.context != ctx:
+        raise ContextMismatch("derivation over a context other than the torus's")
+    # a_g(e_i): the coefficients of D(t_i), exponents shifted by -e_i
     coeffs: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i, name in enumerate(torus.names):
-        image = D.images[name]
-        shifted = image * ctx.monomial({name: -1})
-        for m, c in shifted.terms.items():
-            coeffs.setdefault(m, {})[i] = c
+        for m, c in D.images[name].terms.items():
+            g = m[:i] + (m[i] - 1,) + m[i + 1:]
+            coeffs.setdefault(g, {})[i] = c
 
     gamma_terms: dict[tuple[int, ...], Fraction] = {}
     theta_terms: dict[str, dict[tuple[int, ...], Fraction]] = {
@@ -124,16 +150,19 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposit
             for i, c in a.items():
                 theta_terms[torus.names[i]][g] = c
             continue
-        c_g = a.get(y, 0) / pairings[y]
+        a_y = a.get(y, _ZERO)
+        # a_x P_y = a_y P_x with the denominators of a_x and a_y cleared
+        scale_y = a_y.denominator * pairings[y]
         for x, p in enumerate(pairings):
-            if a.get(x, 0) != c_g * p:
-                lhs = a.get(x, 0) * pairings[y]
-                rhs = a.get(y, 0) * p
+            a_x = a.get(x, _ZERO)
+            if a_x.numerator * scale_y != a_y.numerator * a_x.denominator * p:
+                lhs = a_x * Fraction(pairings[y], torus.den)
+                rhs = a_y * Fraction(p, torus.den)
                 raise DecompositionError(
                     f"compatibility fails at support {g}, pair"
                     f" ({torus.names[x]}, {torus.names[y]}):"
                     f" {lhs} != {rhs}; not a Poisson derivation")
-        gamma_terms[g] = c_g
+        gamma_terms[g] = Fraction(a_y.numerator * torus.den, scale_y)
     gamma = LaurentPoly(ctx, gamma_terms)
     theta = {name: LaurentPoly(ctx, terms)
              for name, terms in theta_terms.items()}

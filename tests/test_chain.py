@@ -182,3 +182,75 @@ class TestChain:
         assert ore.eta(1) == -2
         with pytest.raises(TruncationError):
             run_chain(struct, ore)
+
+
+class TestTorusOracle:
+    """{T_i, T_j} = M_ij T_i T_j checked outside the package: the level-2
+    generators as sympy rational functions num / den_poly(), the bracket
+    from the ambient table through sympy.diff, both sides evaluated exactly
+    at seeded rational points."""
+
+    POINTS = 3
+
+    @pytest.fixture(scope="class")
+    def residues(self):
+        """residues(shift) -> [(pair, {T_i, T_j} - (M_ij + shift) T_i T_j at
+        each point)] over the 15 pairs."""
+        import random
+
+        import sympy
+
+        names = ALG.context.names
+        symbols = dict(zip(names, sympy.symbols(names)))
+
+        def to_sympy(p):
+            return sympy.Add(*[
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[symbols[name] ** e
+                              for name, e in zip(p.context.names, m) if e])
+                for m, c in p.terms.items()])
+
+        table = {(names[i], names[j]): to_sympy(value)
+                 for (i, j), value in ALG.structure.table.items()}
+        gens = [to_sympy(t.num) / to_sympy(t.den_poly()) for t in STAGES[2].gens]
+        grads = [{name: sympy.diff(t, s) for name, s in symbols.items()}
+                 for t in gens]
+        rng = random.Random(20251018)
+        values = []
+        for _ in range(self.POINTS):
+            point = {s: sympy.Rational(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                       rng.randint(1, 9))
+                     for s in symbols.values()}
+            dens = [to_sympy(t.den_poly()).xreplace(point) for t in STAGES[2].gens]
+            assert all(dens), "a seeded point is a pole of some T_i"
+            values.append(([t.xreplace(point) for t in gens],
+                           [{x: d.xreplace(point) for x, d in g.items()}
+                            for g in grads],
+                           {k: b.xreplace(point) for k, b in table.items()}))
+
+        def at_shift(shift):
+            out = []
+            n = len(gens)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    m_ab = g2.TORUS_MATRIX[a][b] + shift
+                    per_point = []
+                    for t, grad, brackets in values:
+                        lhs = sum(value * (grad[a][x] * grad[b][y]
+                                           - grad[a][y] * grad[b][x])
+                                  for (x, y), value in brackets.items())
+                        per_point.append(lhs - m_ab * t[a] * t[b])
+                    out.append(((a + 1, b + 1), per_point))
+            return out
+        return at_shift
+
+    def test_torus_matrix_holds_at_seeded_points(self, residues):
+        pairs = residues(0)
+        assert len(pairs) == 15
+        for pair, per_point in pairs:
+            assert per_point == [0] * self.POINTS, pair
+
+    def test_shifted_matrix_fails_on_every_pair(self, residues):
+        # negative control: M_ij + 1 leaves -T_i T_j, nonzero at the points
+        for pair, per_point in residues(1):
+            assert any(per_point), pair

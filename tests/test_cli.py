@@ -193,6 +193,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "error: input needs more than 150000 term-pair products")
 
+    def test_algebra_file_is_charged_one_budget(self, tmp_path, capsys):
+        # each entry parses in 109620 products, under the budget on its
+        # own; the file as a whole is over it at the second entry
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({
+            "variables": ["X1", "X2", "X3", "X4"],
+            "brackets": {f"1,{j}": "(X1+X2+X3+X4)^27" for j in (2, 3, 4)},
+            "sigma": {}}))
+        code, _ = run_cli("bracket", "X1", "X2", "--algebra", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: input needs more than 150000 term-pair products")
+
     def test_runaway_normal_form_is_usage_error(self, capsys):
         # x3^27*x4^27 passes MAX_TERMS terms after about 2.5 s; without the
         # limit it took over 800 MB

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import g2
 from poisson_forge.linalg import hnf_rows, integer_kernel
+from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, check_poisson_derivation,
                                    hamiltonian_derivation)
 from poisson_forge.torus import (Decomposition, DecompositionError,
@@ -19,6 +20,22 @@ from poisson_forge.torus import (Decomposition, DecompositionError,
 
 M6 = TorusStructure.make(g2.TORUS_MATRIX)
 RANK2 = TorusStructure.make([[0, 1], [-1, 0]])
+
+
+@st.composite
+def _lam_and_supports(draw):
+    """A random antisymmetric lam with entries in {0, +-1, +-1/2, +-2/3,
+    +-3/2} (so den is 1, 2, 3 or 6), as JSON-style values, and supports."""
+    n = draw(st.integers(1, 4))
+    values = st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "2/3", "-2/3",
+                              "3/2", "-3/2"])
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = draw(values)
+            matrix[j][i] = str(-Fraction(matrix[i][j]))
+    exponents = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return matrix, draw(st.lists(exponents, min_size=1, max_size=6))
 
 
 class TestLinalg:
@@ -129,6 +146,25 @@ class TestCentralLattice:
                 for name in torus.names)
             assert torus.is_central(g) == brackets_to_zero
 
+    @given(_lam_and_supports())
+    @example(([[0, "1/2", "2/3"], ["-1/2", 0, 1], ["-2/3", -1, 0]],
+              [[1, 1, 1], [3, 0, 0], [2, -2, 3]]))
+    def test_integer_pairings_are_the_matrix_product(self, case):
+        # pairings(g) / den is g . lam, computed here column by column with
+        # Fractions, not by the torus
+        matrix, supports = case
+        torus = TorusStructure.make(matrix)
+        lam = [[Fraction(v) for v in row] for row in matrix]
+        n = len(lam)
+        assert all(v * torus.den == int(v * torus.den) for row in lam for v in row)
+        for g in supports:
+            column_products = [sum((g[k] * lam[k][j] for k in range(n)), Fraction(0))
+                               for j in range(n)]
+            pairings = torus.pairings(g)
+            assert all(type(p) is int for p in pairings)
+            assert [Fraction(p, torus.den) for p in pairings] == column_products
+            assert torus.is_central(g) == (not any(column_products))
+
     def test_derived_data_built_once(self):
         torus = TorusStructure.make([[0, 1], [-1, 0]])
         assert torus.context is torus.context
@@ -163,6 +199,27 @@ class TestDecomposition:
                                  "t2": ctx.monomial({"t2": 2}, 5)})
         with pytest.raises(DecompositionError, match="compatibility"):
             decompose_derivation(D, RANK2)
+
+    @pytest.mark.parametrize("matrix, images, message", [
+        ([[0, "1/2"], ["-1/2", 0]],
+         {"t1": "3*t1^2*t2", "t2": "5*t1*t2^2"},
+         "compatibility fails at support (1, 1), pair (t2, t1): -5/2 != 3/2;"
+         " not a Poisson derivation"),
+        ([[0, "1/2", "-2/3"], ["-1/2", 0, "3/2"], ["2/3", "-3/2", 0]],
+         {"t1": "t1*t2*t3", "t2": "t2^2*t3", "t3": "0"},
+         "compatibility fails at support (0, 1, 1), pair (t2, t1): 1/6 != -3/2;"
+         " not a Poisson derivation"),
+    ], ids=["den-2", "den-6"])
+    def test_compatibility_message_in_lambda_units(self, matrix, images, message):
+        # both sides of the failed relation read in lam units, whatever
+        # scale the torus computes in
+        torus = TorusStructure.make(matrix)
+        ctx = torus.context
+        D = DerivationSpec(ctx, {name: parse_expr(text, ctx)
+                                 for name, text in images.items()})
+        with pytest.raises(DecompositionError) as err:
+            decompose_derivation(D, torus)
+        assert str(err.value) == message
 
     def test_witness_independence(self):
         # every y with lam(g, e_y) != 0 reads the same c_g off the images
