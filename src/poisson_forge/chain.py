@@ -27,7 +27,7 @@ from math import factorial
 
 from .expr import ExprError, LaurentPoly, VarContext, divide_exact
 from .g2 import (CHAIN_FORMULAS, CHAIN_STABLE_LEVEL, OMEGA1_LADDER,
-                 OMEGA2_LADDER, ChainTerm)
+                 OMEGA2_LADDER, ChainTerm, builtin_algebra)
 from .poisson import MAX_DELTA_POWERS, PoissonOreData, PoissonStructure
 from .report import CheckItem, check_item
 
@@ -270,6 +270,12 @@ def run_chain(structure: PoissonStructure,
     return stages
 
 
+def builtin_chain() -> dict[int, ChainStage]:
+    """The built-in algebra's chain; X5, X6 (its first two denominators) inverted."""
+    alg = builtin_algebra()
+    return run_chain(localize_structure(alg.structure, ["X5", "X6"]), alg.ore)
+
+
 # -- verification ------------------------------------------------------------
 
 def verify_stage_contract(stage: ChainStage, ore: PoissonOreData) -> list[CheckItem]:
@@ -342,7 +348,7 @@ def verify_central_ladders(stages: dict[int, ChainStage],
                                     values[lo] - values[hi]))
         top = levels[-1]
         items.append(check_item(f"{name} ladder: level {top} = polynomial form",
-                                values[top] - fld.element(casimirs[name])))
+                                values[top] - fld.element(casimirs[name].into(fld.context))))
     return items
 
 

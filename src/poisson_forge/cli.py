@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import g2
-from .chain import localize_structure, run_chain
+from .chain import builtin_chain
 from .expr import ExprError, ProductBudget, rational
 from .parse import parse_expr
 from .poisson import DerivationSpec, EtaError
@@ -86,13 +86,14 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_bracket(args, out) -> int:
-    if args.algebra:
-        alg = g2.load_algebra(args.algebra)
-    else:
-        alg = g2.builtin_algebra()
+    builtin = g2.builtin_algebra()
+    alg = g2.load_algebra(args.algebra) if args.algebra else builtin
     f = parse_expr(args.left, alg.context)
     g = parse_expr(args.right, alg.context)
-    ProductBudget().charge(f, g)
+    # each term pair walks every term of the table: price a pair at the
+    # table's terms (at least one) over the built-in table's
+    terms = [sum(len(v.terms) for v in a.structure.table.values()) for a in (alg, builtin)]
+    ProductBudget().charge(f, g, walks=Fraction(max(1, terms[0]), terms[1]))
     value = alg.structure.bracket(f, g)
     return _emit_value({"result": str(value)}, str(value), args.format, out)
 
@@ -151,9 +152,7 @@ def _cmd_eta(args, out) -> int:
 
 
 def _cmd_chain(args, out) -> int:
-    alg = g2.builtin_algebra()
-    local = localize_structure(alg.structure, ["X5", "X6"])
-    stages = run_chain(local, alg.ore)
+    stages = builtin_chain()
     lines = []
     for level in range(6, 1, -1):
         for i in range(1, 7):

@@ -69,9 +69,9 @@ class ProductBudget:
     def __init__(self):
         self.spent = 0
 
-    def charge(self, f: "LaurentPoly", g: "LaurentPoly") -> None:
-        """Add the |f|*|g| term pairs of f*g or {f, g}, checked."""
-        self.spent += len(f.terms) * len(g.terms)
+    def charge(self, f: "LaurentPoly", g: "LaurentPoly", walks=1) -> None:
+        """Add the |f|*|g| term pairs of f*g or {f, g}, ``walks`` each, checked."""
+        self.spent += len(f.terms) * len(g.terms) * walks
         if self.spent > MAX_PRODUCTS:
             raise WorkLimitError(
                 f"input needs more than {MAX_PRODUCTS} term-pair products")

@@ -7,7 +7,8 @@ weights and the two Casimirs Omega1, Omega2.  This module loads that file
 constants the verification suites compare against: the skew-symmetric
 matrix of the target torus, the explicit change-of-variables formulas of
 the deleting-derivations chain, the Omega pullback ladders, and the four
-quotient rewrite identities.
+quotient rewrite identities.  The scalar derivations of the degenerate
+quotients are derived from the weights, signed so that X5 -> X5.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from importlib import resources
 from pathlib import Path
 
 from .expr import ExprError, LaurentPoly, ProductBudget, VarContext, rational
+from .linalg import integer_kernel
 from .parse import parse_expr
-from .poisson import PoissonOreData, PoissonStructure, WeightVector
+from .poisson import PoissonOreData, PoissonStructure, WeightVector, euler_derivation
 
 
 @dataclass(frozen=True)
@@ -129,13 +131,17 @@ def builtin_algebra() -> AlgebraData:
 
 
 def builtin_scalar_derivation(which: str) -> dict:
-    """Raw JSON of the two distinguished scalar derivations on the
-    degenerate quotients ('beta_zero' or 'alpha_zero')."""
-    name = {"beta_zero": "derivation_beta_zero.json",
-            "alpha_zero": "derivation_alpha_zero.json"}[which]
-    with resources.files("poisson_forge.data").joinpath(name).open(
-            encoding="utf-8") as handle:
-        return json.load(handle)
+    """{"images": {name: text}} of the scalar derivation on the quotient
+    'beta_zero' or 'alpha_zero': the Euler derivation whose lam spans the
+    integer vectors killing the weight of the Casimir that stays live
+    (Omega1, Omega2 respectively).  Sign rule: <lam, w(X5)> > 0."""
+    alg = builtin_algebra()
+    live = {"beta_zero": "Omega1", "alpha_zero": "Omega2"}[which]
+    lam, = integer_kernel([[c] for c in alg.weights.weight_of(alg.casimirs[live])])
+    a, b = alg.weights.weights[alg.context.index("X5")]
+    sign = 1 if lam[0] * a + lam[1] * b > 0 else -1
+    D = euler_derivation(alg.weights, [sign * c for c in lam])
+    return {"images": {name: str(image) for name, image in D.images.items()}}
 
 
 # The skew-symmetric matrix of the target Poisson affine space, as printed;

@@ -416,6 +416,16 @@ class WeightVector:
         return weight
 
 
+def euler_derivation(weights: WeightVector, lam) -> DerivationSpec:
+    """E: x_i -> <lam, w_i> x_i over ``weights.context``.  Where the weights
+    grade a structure (``check_grading``), E({x_i, x_j}) = <lam, w_i + w_j>
+    {x_i, x_j} = {E x_i, x_j} + {x_i, E x_j}: a Poisson derivation."""
+    ctx = weights.context
+    return DerivationSpec(ctx, {
+        ctx.names[i]: (lam[0] * a + lam[1] * b) * ctx.var(ctx.names[i])
+        for i, (a, b) in weights.weights.items()})
+
+
 def check_grading(structure: PoissonStructure, w: WeightVector):
     """None on pass; else (pair, term, got, expected) for the first entry
     that is not homogeneous of weight w_i + w_j."""

@@ -488,9 +488,11 @@ def verify_localized_identities(ring: QuotientRing) -> list[CheckItem]:
 # -- derivations --------------------------------------------------------------
 
 def parse_derivation(images: dict[str, str], ring: QuotientRing) -> DerivationSpec:
-    """The derivation with the given image texts, one per generator."""
+    """The derivation with the given image texts, one per generator;
+    ambient names X1..X6 stand for x1..x6, in the keys as in the texts."""
     return DerivationSpec(ring.context, {
-        name: parse_expr(text, ring.context, aliases=_AMBIENT_TO_QUOTIENT)
+        _AMBIENT_TO_QUOTIENT.get(name, name):
+            parse_expr(text, ring.context, aliases=_AMBIENT_TO_QUOTIENT)
         for name, text in images.items()})
 
 

@@ -12,9 +12,9 @@ import time
 from fractions import Fraction
 
 from . import g2
-from .chain import (localize_structure, run_chain, verify_central_ladders,
-                    verify_chain_formulas, verify_centrality,
-                    verify_stage_contract, verify_torus_relations)
+from .chain import (builtin_chain, verify_central_ladders, verify_chain_formulas,
+                    verify_centrality, verify_stage_contract,
+                    verify_torus_relations)
 from .expr import LaurentPoly
 from .parse import parse_expr
 from .poisson import (DerivationSpec, EtaError, PoissonStructure, WeightVector,
@@ -84,8 +84,7 @@ def suite_casimir():
 @_timed
 def suite_pdda():
     alg = g2.builtin_algebra()
-    local = localize_structure(alg.structure, ["X5", "X6"])
-    stages = run_chain(local, alg.ore)
+    stages = builtin_chain()
     items = []
     try:
         etas = tuple(alg.ore.eta(i) for i in (2, 3, 4, 5))
@@ -103,12 +102,8 @@ def suite_pdda():
 
 @_timed
 def suite_pullback():
-    alg = g2.builtin_algebra()
-    local = localize_structure(alg.structure, ["X5", "X6"])
-    stages = run_chain(local, alg.ore)
-    casimirs = {name: omega.into(local.context)
-                for name, omega in alg.casimirs.items()}
-    return "pullback", verify_central_ladders(stages, casimirs)
+    casimirs = g2.builtin_algebra().casimirs
+    return "pullback", verify_central_ladders(builtin_chain(), casimirs)
 
 
 @_timed
@@ -256,9 +251,7 @@ def suite_grading():
         items.append((f"{name} is homogeneous of weight {expected}",
                       got == expected, str(got)))
     torus = TorusStructure.make(g2.TORUS_MATRIX).structure
-    w = WeightVector(torus.context,
-                     dict(zip(torus.context.generators(),
-                              [(1, 0), (3, 1), (2, 1), (3, 2), (1, 1), (0, 1)])))
+    w = WeightVector(torus.context, alg.weights.weights)
     items.append(("the same weights grade the target torus table",
                   check_grading(torus, w) is None, "inhomogeneous entry"))
     return "grading", items

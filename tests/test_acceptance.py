@@ -10,9 +10,9 @@ import random
 from fractions import Fraction
 
 from poisson_forge import g2
-from poisson_forge.chain import (localize_structure, run_chain,
-                                 verify_central_ladders, verify_chain_formulas,
-                                 verify_centrality, verify_torus_relations)
+from poisson_forge.chain import (builtin_chain, verify_central_ladders,
+                                 verify_chain_formulas, verify_centrality,
+                                 verify_torus_relations)
 from poisson_forge.expr import LaurentPoly
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, PoissonStructure,
@@ -79,8 +79,7 @@ def test_criterion_03_pdda_suite():
     etas = tuple(ALG.ore.eta(i) for i in (2, 3, 4, 5))
     if etas != (2, 6, 2, 6):
         failures.append(f"eta values {etas}")
-    local = localize_structure(ALG.structure, ["X5", "X6"])
-    stages = run_chain(local, ALG.ore)
+    stages = builtin_chain()
     formulas = verify_chain_formulas(stages)
     assert len(formulas) == 16  # ten corrective formulas + six T collapses
     failures += _collect(formulas)
@@ -93,11 +92,7 @@ def test_criterion_03_pdda_suite():
 
 
 def test_criterion_04_pullback_suite():
-    local = localize_structure(ALG.structure, ["X5", "X6"])
-    stages = run_chain(local, ALG.ore)
-    casimirs = {name: omega.into(local.context)
-                for name, omega in ALG.casimirs.items()}
-    checks = verify_central_ladders(stages, casimirs)
+    checks = verify_central_ladders(builtin_chain(), ALG.casimirs)
     assert sum(1 for label, _, _ in checks if label.startswith("Omega1")) == 4
     assert sum(1 for label, _, _ in checks if label.startswith("Omega2")) == 3
     _verdict(4, "both Casimir pullback ladders verify line by line",

@@ -6,8 +6,9 @@ import pytest
 
 from poisson_forge import g2
 from poisson_forge.chain import (ChainStage, FractionField, TruncationError,
-                                 chain_step, localize_structure, run_chain,
-                                 verify_central_ladders, verify_chain_formulas,
+                                 builtin_chain, chain_step, localize_structure,
+                                 run_chain, verify_central_ladders,
+                                 verify_chain_formulas,
                                  verify_stage_contract, verify_torus_relations)
 from poisson_forge.expr import VarContext
 from poisson_forge.parse import parse_expr
@@ -16,7 +17,7 @@ from poisson_forge.poisson import PoissonOreData, PoissonStructure
 ALG = g2.builtin_algebra()
 LOCAL = localize_structure(ALG.structure, ["X5", "X6"])
 LCTX = LOCAL.context
-STAGES = run_chain(LOCAL, ALG.ore)
+STAGES = builtin_chain()
 CASIMIRS_LOCAL = {name: omega.into(LCTX)
                   for name, omega in ALG.casimirs.items()}
 
@@ -254,3 +255,116 @@ class TestTorusOracle:
         # negative control: M_ij + 1 leaves -T_i T_j, nonzero at the points
         for pair, per_point in residues(1):
             assert any(per_point), pair
+
+
+class TestChainFormulaOracle:
+    """g2.CHAIN_FORMULAS and the Omega ladders checked outside the
+    package: every X[i,j] built in sympy from the formulas alone, from
+    X[i,7] = X_i down, with X[i,j] = X[i,j+1] where no formula is given;
+    the bracket from the ambient table through sympy.diff; both sides
+    evaluated exactly at seeded rational points.  No run_chain and no
+    FractionElement."""
+
+    POINTS = 3
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        """oracle(formulas, ladders) -> (stage contract residues, ladder
+        residues), each [(label, [value at each point])]."""
+        import random
+
+        import sympy
+
+        names = ALG.context.names
+        symbols = dict(zip(names, sympy.symbols(names)))
+
+        def to_sympy(p):
+            return sympy.Add(*[
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[symbols[name] ** e
+                              for name, e in zip(p.context.names, m) if e])
+                for m, c in p.terms.items()])
+
+        table = {(names[i], names[j]): to_sympy(value)
+                 for (i, j), value in ALG.structure.table.items()}
+        omegas = {name: to_sympy(omega) for name, omega in ALG.casimirs.items()}
+        rng = random.Random(20261018)
+        points = [{s: sympy.Rational(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                     rng.randint(1, 9))
+                   for s in symbols.values()} for _ in range(self.POINTS)]
+
+        def evaluate(terms, gens):
+            return sympy.Add(*[sympy.Rational(coeff) * sympy.Mul(
+                *[gens[(i, j)] ** e for i, j, e in powers])
+                for coeff, powers in terms])
+
+        def run(formulas, ladders):
+            gens = {(i, 7): symbols[names[i - 1]] for i in range(1, 7)}
+            for j in range(6, 1, -1):
+                for i in range(1, 7):
+                    terms = formulas.get((i, j))
+                    gens[(i, j)] = (gens[(i, j + 1)] if terms is None
+                                    else evaluate(terms, gens))
+            grads = {key: {x: sympy.diff(g, s) for x, s in symbols.items()}
+                     for key, g in gens.items()}
+            at = [({key: g.xreplace(pt) for key, g in gens.items()},
+                   {key: {x: d.xreplace(pt) for x, d in grad.items()}
+                    for key, grad in grads.items()},
+                   {k: b.xreplace(pt) for k, b in table.items()})
+                  for pt in points]
+            contract = []
+            for j in range(6, 1, -1):
+                for l in range(j, 7):
+                    for i in range(1, l):
+                        mu = g2.TORUS_MATRIX[l - 1][i - 1]
+                        per_point = []
+                        for value, grad, brackets in at:
+                            gl, gi = grad[(l, j)], grad[(i, j)]
+                            lhs = sum(b * (gl[x] * gi[y] - gl[y] * gi[x])
+                                      for (x, y), b in brackets.items())
+                            per_point.append(
+                                lhs - mu * value[(l, j)] * value[(i, j)])
+                        contract.append((f"level {j}: X[{l},{j}], X[{i},{j}]",
+                                         per_point))
+            ladder = []
+            for name, levels in ladders.items():
+                for level, terms in sorted(levels.items()):
+                    sym = evaluate(terms, {(i, j): gens[(i, j)]
+                                           for (i, j) in gens if j == level})
+                    ladder.append((f"{name} level {level}",
+                                   [(sym - omegas[name]).xreplace(pt)
+                                    for pt in points]))
+            return contract, ladder
+        return run
+
+    LADDERS = {"Omega1": g2.OMEGA1_LADDER, "Omega2": g2.OMEGA2_LADDER}
+
+    @pytest.fixture(scope="class")
+    def shipped(self, oracle):
+        return oracle(g2.CHAIN_FORMULAS, self.LADDERS)
+
+    def test_formulas_satisfy_the_stage_contract(self, shipped):
+        contract, _ = shipped
+        assert len(contract) == 55
+        for label, per_point in contract:
+            assert per_point == [0] * self.POINTS, label
+
+    def test_each_ladder_level_is_its_omega(self, shipped):
+        _, ladder = shipped
+        assert len(ladder) == 7
+        for label, per_point in ladder:
+            assert per_point == [0] * self.POINTS, label
+
+    def test_bumped_formula_coefficient_fails(self, oracle):
+        # negative controls: X[1,6] = X1 - 1/3*X5*X6^-1 instead of -1/2,
+        # and the Omega2 level-5 ladder with -1/3 instead of -2/3
+        formulas = dict(g2.CHAIN_FORMULAS)
+        formulas[(1, 6)] = [("1", ((1, 7, 1),)), ("-1/3", ((5, 7, 1), (6, 7, -1)))]
+        ladders = dict(self.LADDERS)
+        ladders["Omega2"] = dict(g2.OMEGA2_LADDER)
+        ladders["Omega2"][5] = [("1", ((2, 5, 1), (4, 5, 1), (6, 5, 1))),
+                                ("-1/3", ((3, 5, 3), (6, 5, 1)))]
+        contract, ladder = oracle(formulas, ladders)
+        assert any(any(per_point) for _, per_point in contract)
+        failed = [label for label, per_point in ladder if any(per_point)]
+        assert "Omega2 level 5" in failed

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -205,6 +206,27 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: input needs more than 150000 term-pair products")
+
+    def test_bracket_is_charged_for_the_table_it_walks(self, tmp_path, capsys):
+        # 1395 x 100 term pairs are under the budget at the built-in
+        # table's size, but each pair walks 4950 entries here; charged by
+        # pairs alone this bracket ran for about a minute
+        rank = 100
+        path = tmp_path / "rank100.json"
+        path.write_text(json.dumps({
+            "variables": [f"X{i}" for i in range(1, rank + 1)],
+            "brackets": {f"{i},{j}": f"X{i}*X{j}" for i in range(1, rank + 1)
+                         for j in range(i + 1, rank + 1)},
+            "sigma": {}}))
+        every = "+".join(f"X{i}" for i in range(1, rank + 1))
+        first = "+".join(f"X{i}" for i in range(1, 16))
+        start = time.perf_counter()
+        code, _ = run_cli("bracket", f"({every})*({first})", every,
+                          "--algebra", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: input needs more than 150000 term-pair products")
+        assert time.perf_counter() - start < 3
 
     def test_runaway_normal_form_is_usage_error(self, capsys):
         # x3^27*x4^27 passes MAX_TERMS terms after about 2.5 s; without the

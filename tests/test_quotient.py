@@ -401,7 +401,7 @@ class TestQuotientDerivations:
         for label, ok, residue in check_quotient_derivation(images, NUM11):
             assert ok, f"{label}: {residue}"
 
-    @pytest.mark.parametrize("change", [{"x6": None}, {"x7": "x1"}],
+    @pytest.mark.parametrize("change", [{"X6": None}, {"x7": "x1"}],
                              ids=["missing-generator", "not-a-generator"])
     def test_parse_derivation_needs_exactly_the_generators(self, change):
         images = dict(g2.builtin_scalar_derivation("beta_zero")["images"])
@@ -416,7 +416,7 @@ class TestQuotientDerivations:
     @pytest.mark.parametrize("value", ["1/0", "many", [1], "1e300000"],
                              ids=["zero-denominator", "word", "list", "exponent"])
     def test_derivation_file_rejects_non_rational_parameter(self, value):
-        # a parameter as a derivation file or other outside data gives it
+        # a parameter as outside data (a JSON value, a CLI string) gives it
         with pytest.raises(ExprError, match="expected a rational"):
             QuotientRing(alpha=value, beta=0)
 
