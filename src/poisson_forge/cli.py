@@ -86,14 +86,16 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_bracket(args, out) -> int:
+    # the file, both operands and the bracket share one budget
+    budget = ProductBudget()
     builtin = g2.builtin_algebra()
-    alg = g2.load_algebra(args.algebra) if args.algebra else builtin
-    f = parse_expr(args.left, alg.context)
-    g = parse_expr(args.right, alg.context)
+    alg = g2.load_algebra(args.algebra, budget) if args.algebra else builtin
+    f = parse_expr(args.left, alg.context, budget=budget)
+    g = parse_expr(args.right, alg.context, budget=budget)
     # each term pair walks every term of the table: price a pair at the
     # table's terms (at least one) over the built-in table's
     terms = [sum(len(v.terms) for v in a.structure.table.values()) for a in (alg, builtin)]
-    ProductBudget().charge(f, g, walks=Fraction(max(1, terms[0]), terms[1]))
+    budget.charge(f, g, walks=Fraction(max(1, terms[0]), terms[1]))
     value = alg.structure.bracket(f, g)
     return _emit_value({"result": str(value)}, str(value), args.format, out)
 

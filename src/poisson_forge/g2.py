@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .expr import ExprError, LaurentPoly, ProductBudget, VarContext, rational
+from .expr import (ExprError, LaurentPoly, ProductBudget, VarContext,
+                   WorkLimitError, rational)
 from .linalg import integer_kernel
 from .parse import parse_expr
 from .poisson import PoissonOreData, PoissonStructure, WeightVector, euler_derivation
@@ -44,12 +45,18 @@ def _pair_key(key: str, rank: int) -> tuple[int, int]:
     return i - 1, j - 1
 
 
+#: Most exponent entries (terms times rank) the expressions of one
+#: definition may store.  Their memory grows as rank^3 for a full table:
+#: the rank-100 files of the tests store 495000, and a rank-200 table of
+#: 19900 one-term entries would store 3980000 (94 MB).
+MAX_STORED_EXPONENTS = 1_000_000
+
 _FIELD_KINDS = {"variables": list, "invertible": list, "parameters": list,
                 "brackets": dict, "sigma": dict, "delta": dict,
                 "weights": list, "casimirs": dict}
 
 
-def load_algebra(source) -> AlgebraData:
+def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
     """Build an AlgebraData from a JSON definition file or parsed dict.
 
     Schema: {"variables": [...], "invertible": [...], "parameters": [...],
@@ -57,7 +64,9 @@ def load_algebra(source) -> AlgebraData:
     "delta": {"i,j": "expr"}, "weights": [[a, b], ...],
     "casimirs": {"name": "expr"}} -- the last two optional, expressions in
     the package grammar, indices 1-based.  The expressions of one
-    definition share one ``MAX_PRODUCTS`` budget.
+    definition share one ``MAX_PRODUCTS`` budget (``budget``, a fresh one
+    when none is given), and together store at most
+    ``MAX_STORED_EXPONENTS`` exponent entries.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as handle:
@@ -80,11 +89,22 @@ def load_algebra(source) -> AlgebraData:
     ctx = VarContext.make(data["variables"],
                           invertible=data.get("invertible", ()),
                           parameters=data.get("parameters", ()))
-    budget = ProductBudget()
+    budget = ProductBudget() if budget is None else budget
+    stored = 0
+
+    def parsed(text):
+        nonlocal stored
+        value = parse_expr(text, ctx, budget=budget)
+        stored += len(value.terms) * ctx.rank
+        if stored > MAX_STORED_EXPONENTS:
+            raise WorkLimitError("algebra definition stores more than"
+                                 f" {MAX_STORED_EXPONENTS} exponent entries")
+        return value
+
     table = {}
     for key, text in data["brackets"].items():
         i, j = _pair_key(key, ctx.rank)
-        value = parse_expr(text, ctx, budget=budget)
+        value = parsed(text)
         if j < i:
             i, j, value = j, i, -value
         if (i, j) in table:
@@ -103,7 +123,7 @@ def load_algebra(source) -> AlgebraData:
         i, j = _pair_key(key, ctx.rank)
         if not j < i:
             raise ExprError(f"delta key {key!r} must have i > j")
-        delta[(i, j)] = parse_expr(text, ctx, budget=budget)
+        delta[(i, j)] = parsed(text)
     ore = PoissonOreData(ctx, sigma, delta)
 
     weights = None
@@ -116,7 +136,7 @@ def load_algebra(source) -> AlgebraData:
         if len(pairs) != len(gens):
             raise ExprError("weights must list one pair per generator")
         weights = WeightVector(ctx, dict(zip(gens, pairs)))
-    casimirs = {name: parse_expr(text, ctx, budget=budget)
+    casimirs = {name: parsed(text)
                 for name, text in data.get("casimirs", {}).items()}
     return AlgebraData(ctx, structure, ore, weights, casimirs)
 

@@ -95,49 +95,65 @@ class PoissonStructure:
             yield ctx.monomial(dict(zip(names, exps)))
 
     @cached_property
-    def _by_variable(self) -> tuple:
-        """Per context position v, one (generator slot g, exponent shift,
-        numerator) per term of b_vg / x_v, over ``_den``: the entry
-        b_ij / (x_i*x_j) times x_j for v = i, and times -x_i for v = j."""
+    def _shift_reach(self) -> int:
+        """A bound on the |components| of the exponent shifts of
+        ``_by_variable``: those of the entries' shifts, plus one."""
+        return max((abs(e) for _, _, shifted in self._entries
+                    for shift, _ in shifted for e in shift), default=0) + 1
+
+    def _by_variable(self, packing: ExponentPacking) -> tuple:
+        """Per context position v, one (packed shift, numerator) per term of
+        b_vg / x_v over ``_den``, the shift carrying the generator slot g:
+        the entry b_ij / (x_i*x_j) times x_j for v = i, and times -x_i for
+        v = j."""
         slot = {pos: g for g, pos in enumerate(self.context.generators())}
+        unit = [1 << offset for offset in packing.offsets]
         table = [[] for _ in range(self.context.rank)]
         for i, j, shifted in self._entries:
             for shift, n in shifted:
-                times_j = shift[:j] + (shift[j] + 1,) + shift[j + 1:]
-                times_i = shift[:i] + (shift[i] + 1,) + shift[i + 1:]
-                table[i].append((slot[j], times_j, n))
-                table[j].append((slot[i], times_i, -n))
+                packed = packing.shift(shift)
+                table[i].append((packed + unit[j] + slot[j], n))
+                table[j].append((packed + unit[i] + slot[i], -n))
         return tuple(map(tuple, table))
 
-    def monomial_brackets(self, m: tuple[int, ...]) -> list[dict[tuple, int]]:
-        """{x^m, x_g} = sum_v m_v * x^m * b_vg / x_v for every generator
-        slot g, as {monomial: integer numerator over ``_den``}; an entry
-        may be zero where terms cancel."""
-        images: list[dict[tuple, int]] = [{} for _ in self.context.generators()]
-        for k, terms in zip(m, self._by_variable):
-            if k:
-                for g, shift, n in terms:
-                    mm = tuple(map(add, m, shift))
-                    image = images[g]
-                    image[mm] = image.get(mm, 0) + k * n
-        return images
+    def monomial_brackets(self, monomials,
+                          packing: ExponentPacking) -> list[dict[int, int]]:
+        """For each exponent vector m, {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v
+        for every generator slot g at once, as {row key: integer numerator
+        over ``_den``}, the row key ``packing.key(g, m'')`` of each image
+        monomial m''; an entry may be zero where terms cancel.  Each image
+        term is one integer add to the packed key of m."""
+        table = self._by_variable(packing)
+        out = []
+        for m in monomials:
+            key = packing.key(0, m)
+            image: dict[int, int] = {}
+            for k, terms in zip(m, table):
+                if k:
+                    for shift, n in terms:
+                        mm = key + shift
+                        image[mm] = image.get(mm, 0) + k * n
+            out.append(image)
+        return out
 
     def bracket_rows(self, degree: int):
         """The basis monomials of degree <= d, the matrix of
         f -> ({f, x_1}, ..., {f, x_n}) on their span as integer rows
-        (generator slot, monomial) -> {monomial index: numerator}, and the
-        scale of a row: its entries over ``scale(key)`` are the
-        coefficients.  Here every row has the one scale ``_den``."""
+        row key -> {monomial index: numerator}, the scale of a row (its
+        entries over ``scale(key)`` are the coefficients) and ``key(g, m)``,
+        the row key of generator slot g and exponent vector m.  Here every
+        row has the one scale ``_den``."""
         monomials = list(self.basis_monomials(degree))
-        rows: dict[tuple[int, tuple], dict[int, int]] = {}
-        for idx, mono in enumerate(monomials):
-            m, = mono.terms
-            for g, image in enumerate(self.monomial_brackets(m)):
-                for mm, n in image.items():
-                    if n:
-                        rows.setdefault((g, mm), {})[idx] = n
+        packing = ExponentPacking(self.context, max(degree, 0) + self._shift_reach)
+        rows: dict[int, dict[int, int]] = {}
+        images = self.monomial_brackets(
+            (m for mono in monomials for m in mono.terms), packing)
+        for idx, image in enumerate(images):
+            for mm, n in image.items():
+                if n:
+                    rows.setdefault(mm, {})[idx] = n
         den = self._den
-        return monomials, rows, lambda key: den
+        return monomials, rows, lambda key: den, packing.key
 
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.context != self.context or g.context != self.context:
@@ -162,6 +178,45 @@ class PoissonStructure:
         den = fden * gden * self._den
         return LaurentPoly(self.context,
                            {m: Fraction(n, den) for m, n in acc.items() if n})
+
+
+class ExponentPacking:
+    """A generator slot and an exponent vector over one context as one
+    integer, the row keys of ``bracket_rows`` (Monagan-Pearce, *Polynomial
+    division using dynamic arrays, heaps, and packed exponent vectors*,
+    CASC 2007).
+
+    The slot takes the low bits; above it each context position v takes a
+    field of ``width`` bits holding e_v + bias, bias = 2^(width - 1).  The
+    width is chosen from ``reach``, the largest |exponent| the caller can
+    meet, so that every exponent in [-bias, bias) fits, with negative ones
+    below the bias.  Packing is then linear: the key of m plus the
+    ``shift`` of s is the key of m + s, one integer add, as long as
+    m + s stays in range, which ``reach`` promises.
+    """
+
+    def __init__(self, context: VarContext, reach: int):
+        self.width = width = max(reach, 1).bit_length() + 1
+        self.bias = bias = 1 << (width - 1)
+        low = (len(context.generators()) - 1).bit_length()
+        self.offsets = tuple(low + v * width for v in range(context.rank))
+        self._base = sum(bias << offset for offset in self.offsets)
+
+    def shift(self, s) -> int:
+        """The packed form of an exponent shift s (no bias, no slot)."""
+        return sum(e << offset for e, offset in zip(s, self.offsets) if e)
+
+    def key(self, g: int, m: tuple[int, ...]) -> int | None:
+        """The key of generator slot g and exponent vector m; None when m
+        is out of range, as no key of the packing holds it."""
+        bias = self.bias
+        if not all(-bias <= e < bias for e in m):
+            return None
+        return self._base + self.shift(m) + g
+
+    def exponent(self, key: int, v: int) -> int:
+        """The exponent of context position v in a packed key."""
+        return ((key >> self.offsets[v]) & ((1 << self.width) - 1)) - self.bias
 
 
 def exponents_up_to(n: int, degree: int):

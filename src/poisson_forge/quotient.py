@@ -25,17 +25,28 @@ serve one bracket protocol: ``context``, ``bracket(f, g)``,
 ``bounded_centre``, ``bounded_inner_search`` and
 ``poisson.hamiltonian_derivation`` are written against it, so each runs
 unchanged on the ambient algebra (no reduction) and on the quotient
-(brackets reduced to normal form).  ``bracket_rows`` gives the matrix of
-f -> ({f, x_1}, ..., {f, x_n}) on the basis monomials in one integer pass
-per monomial, each row (generator, monomial) times its own nonzero scale:
-the ambient rows over the structure's common denominator, the quotient
-rows rewritten by the integer loop of ``normal_form`` at one level for
-the whole matrix.  A row times a nonzero constant has the same solutions,
-so the kernel is the same, and the inner search multiplies each rhs
-entry by its row's scale.  Both searches check their answer through
-``bracket``.  Derivations are ``DerivationSpec``s over the ring's
-context, checked by ``poisson.derivation_residues`` with each residue
-reduced modulo the ideal.
+(brackets reduced to normal form).  ``bracket_rows(degree)`` returns
+``(monomials, rows, scale, key)``: the matrix of
+f -> ({f, x_1}, ..., {f, x_n}) on the basis monomials, built in one
+integer pass per monomial, as rows keyed by opaque packed keys.  A key
+is one integer that holds a generator slot and an exponent vector
+(``poisson.ExponentPacking``, its field width chosen per call from the
+largest exponent the call can reach), so multiplying by a monomial is
+one integer add; ``key(g, m)`` gives the key of slot g and exponent
+tuple m.  Each row is its coefficients times its own nonzero
+``scale(key)``: the structure's common denominator on the ambient rows,
+times a power of the rules' denominator set by the weight on the
+quotient rows.  On the quotient, rewriting commutes with multiplying by
+a monomial u free of x3 and x4, so NF(u * x3^a x4^b) = u * NF(x3^a x4^b):
+each call reduces every x3^a x4^b that its images hold once, with the
+integer loop of ``normal_form``, into a table that lives for the call,
+and adds each image term into its rows through it.  A row times a
+nonzero constant has the same solutions, so the kernel is the same, and
+the inner search multiplies each rhs entry by its row's scale.  Both
+searches check their answer through ``bracket``.  Derivations are
+``DerivationSpec``s over the ring's context, checked by
+``poisson.derivation_residues`` with each residue reduced modulo the
+ideal.
 
 Everything with a t3 or t4 denominator is handled in cleared-denominator
 form: the quotient is a domain, so ``num / t3^a t4^b`` comparisons reduce
@@ -49,14 +60,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from operator import add
+from operator import add, sub
 
 from .expr import ExprError, LaurentPoly, VarContext, WorkLimitError, rational
 from .g2 import REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
-from .poisson import (DerivationSpec, PoissonStructure, derivation_residues,
-                      exponents_up_to, hamiltonian_derivation, jacobi_residues)
+from .poisson import (DerivationSpec, ExponentPacking, PoissonStructure,
+                      derivation_residues, exponents_up_to,
+                      hamiltonian_derivation, jacobi_residues)
 from .report import CheckItem, check_item
 
 QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -257,33 +269,71 @@ class QuotientRing:
         """``PoissonStructure.bracket_rows`` over the quotient basis, each
         bracket reduced to normal form.
 
-        The structure's integer image of each basis monomial with each
-        generator goes through ``_rewrite`` at one ``top`` for the whole
-        call, the highest weight among the images.  So the row of
-        (g, m'') holds integers at the one scale den * R^(top - w(m'')),
-        den the structure's denominator and R the rules'.
+        The images are reduced at one ``top`` for the whole call, the
+        highest weight among them, so the row of (g, m'') holds integers at
+        the one scale den * R^(top - w(m'')), den the structure's
+        denominator and R the rules'.  Rewriting commutes with multiplying
+        by a monomial u free of x3 and x4, so NF(u * x3^a x4^b) =
+        u * NF(x3^a x4^b), and the levels compose: an image term at level
+        top - w times a term t of NF(x3^a x4^b) at level w - w(t) lands at
+        level top - w(t).  So each (a, b) met among the image terms is
+        reduced once per call by ``_rewrite``, as in the symbolic
+        preprocessing of F4 (Faugère 1999), and every image term is added
+        into its row through that table, on packed keys.  The table lives
+        for the call only.
+
+        The packing holds every exponent the call reaches: image exponents
+        are at most r = degree + the table's shift reach, so image weights,
+        and ``top``, are at most 5r, and at most ``top`` rewrites move an
+        exponent by at most the rules' largest shift component each.
         """
         i3, i4 = self._i3, self._i4
-        monomials = list(self.basis_monomials(degree))
-        images = [self.structure.monomial_brackets(m)
-                  for mono in monomials for m in mono.terms]
-        top = max((2 * mm[i3] + 3 * mm[i4]
-                   for by_slot in images for image in by_slot for mm in image),
-                  default=0)
+        structure = self.structure
         rules = self._integer_rules
+        monomials = list(self.basis_monomials(degree))
+        reach = max(degree, 0) + structure._shift_reach
+        growth = max(abs(e) for rule in rules[1:] for shift, _ in rule for e in shift)
+        packing = ExponentPacking(self.context, reach + 5 * reach * growth)
+        images = structure.monomial_brackets(
+            (m for mono in monomials for m in mono.terms), packing)
+        # x4 follows x3 in the context, so one mask reads both exponents
+        low, mask = packing.offsets[i3], (1 << 2 * packing.width) - 1
+        pairs = {code: (packing.exponent(code << low, i3),
+                        packing.exponent(code << low, i4))
+                 for code in {(mm >> low) & mask for image in images for mm in image}}
+        top = max((2 * a + 3 * b for a, b in pairs.values()), default=0)
         power = [rules[0] ** k for k in range(top + 1)]
-        rows: dict[tuple[int, tuple], dict[int, int]] = {}
-        for idx, by_slot in enumerate(images):
-            for g, image in enumerate(by_slot):
-                terms = {mm: n * power[top - 2 * mm[i3] - 3 * mm[i4]]
-                         for mm, n in image.items() if n}
-                if any(mm[i3] >= 2 or mm[i4] >= 2 for mm in terms):
-                    self._rewrite(terms, top, rules)
-                for mm, n in terms.items():
-                    rows.setdefault((g, mm), {})[idx] = n
-        den = self.structure._den
-        return (monomials, rows,
-                lambda key: den * power[top - 2 * key[1][i3] - 3 * key[1][i4]])
+        # per (a, b): the level factor of an image term and NF(x3^a x4^b)
+        # as (packed shift from x3^a x4^b, numerator)
+        reduced = {}
+        for code, (a, b) in pairs.items():
+            w = 2 * a + 3 * b
+            nf = ((0, 1),)
+            if a >= 2 or b >= 2:
+                e, = self.context.monomial({"x3": a, "x4": b}).terms
+                terms = {e: 1}
+                self._rewrite(terms, w, rules)
+                nf = tuple((packing.shift(map(sub, t, e)), n) for t, n in terms.items())
+            reduced[code] = power[top - w], nf
+        rows: dict[int, dict[int, int]] = {}
+        for idx, image in enumerate(images):
+            acc: dict[int, int] = {}
+            for mm, n in image.items():
+                if n:
+                    factor, nf = reduced[(mm >> low) & mask]
+                    n *= factor
+                    for shift, c in nf:
+                        k = mm + shift
+                        acc[k] = acc.get(k, 0) + n * c
+            for k, n in acc.items():
+                if n:
+                    rows.setdefault(k, {})[idx] = n
+        den = structure._den
+
+        def scale(key):
+            a, b = packing.exponent(key, i3), packing.exponent(key, i4)
+            return den * power[top - 2 * a - 3 * b]
+        return monomials, rows, scale, packing.key
 
     # -- the chain denominators -------------------------------------------
     @cached_property
@@ -529,9 +579,9 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
     """
     if ring.alpha is None or ring.beta is None:
         raise ExprError("the inner search needs numeric parameters")
-    monomials, rows, scale = ring.bracket_rows(degree)
+    monomials, rows, scale, key = ring.bracket_rows(degree)
     images = {name: ring.normal_form(D.images[name]) for name in QUOTIENT_NAMES}
-    rhs = {(gi, m): c for gi, name in enumerate(QUOTIENT_NAMES)
+    rhs = {key(gi, m): c for gi, name in enumerate(QUOTIENT_NAMES)
            for m, c in images[name].terms.items()}
     if not rhs.keys() <= rows.keys():
         return None
@@ -555,7 +605,7 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
     which leaves the kernel as it is; every basis element is checked to be
     central through ``bracket``.
     """
-    monomials, rows, _ = structure_or_ring.bracket_rows(degree)
+    monomials, rows, *_ = structure_or_ring.bracket_rows(degree)
     system = LinearSystem.from_rows(rows.values())
     basis = [_combine(structure_or_ring.context, vec, monomials)
              for vec in system.null_space(len(monomials))]

@@ -2,9 +2,11 @@
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisson_forge import g2
 from poisson_forge.cli import main
+from poisson_forge.expr import MAX_PRODUCTS, ProductBudget
+from poisson_forge.parse import parse_expr
 from poisson_forge.report import REPORT_SCHEMA, Report, ReportItem
 from poisson_forge.suites import run_suites
 
@@ -206,6 +211,48 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: input needs more than 150000 term-pair products")
+
+    def test_bracket_command_is_charged_one_budget(self, tmp_path, capsys):
+        # the file, the operands and the bracket each stay under the
+        # budget, and so does any two of them; all three are over it
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({
+            "variables": ["X1", "X2", "X3", "X4"],
+            "brackets": {f"1,{j}": "(X1+X2+X3+X4)^18" for j in (2, 3)},
+            "sigma": {}}))
+        left = ("(X1+X2+X3+X4)^12 + (X1+X2+X3+X4)^18"
+                " - (X1+X2+X3+X4)^18")
+        file_part, left_part, bracket_part = (ProductBudget() for _ in range(3))
+        alg = g2.load_algebra(path, file_part)
+        f = parse_expr(left, alg.context, budget=left_part)
+        walks = Fraction(sum(len(v.terms) for v in alg.structure.table.values()),
+                         sum(len(v.terms) for v in
+                             g2.builtin_algebra().structure.table.values()))
+        bracket_part.charge(f, alg.context.var("X3"), walks=walks)
+        parts = [file_part.spent, left_part.spent, bracket_part.spent]
+        assert max(a + b for a, b in itertools.combinations(parts, 2)) \
+            <= MAX_PRODUCTS < sum(parts)
+        code, _ = run_cli("bracket", left, "X3", "--algebra", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: input needs more than 150000 term-pair products")
+
+    def test_algebra_file_size_is_bounded(self, tmp_path, capsys):
+        # no products, but 19900 entries of 200 exponents each would
+        # store 3980000 of them (94 MB)
+        rank = 200
+        path = tmp_path / "rank200.json"
+        path.write_text(json.dumps({
+            "variables": [f"X{i}" for i in range(1, rank + 1)],
+            "brackets": {f"{i},{j}": "X1" for i in range(1, rank + 1)
+                         for j in range(i + 1, rank + 1)},
+            "sigma": {}}))
+        start = time.perf_counter()
+        code, _ = run_cli("bracket", "X1", "X2", "--algebra", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: algebra definition stores more than 1000000 exponent entries")
+        assert time.perf_counter() - start < 1
 
     def test_bracket_is_charged_for_the_table_it_walks(self, tmp_path, capsys):
         # 1395 x 100 term pairs are under the budget at the built-in

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import g2, quotient
-from poisson_forge.expr import ExprError, LaurentPoly
+from poisson_forge.expr import ExprError, LaurentPoly, VarContext
 from poisson_forge.parse import parse_expr
-from poisson_forge.poisson import DerivationSpec, WeightVector
+from poisson_forge.poisson import DerivationSpec, PoissonStructure, WeightVector
 from poisson_forge.quotient import (MAX_TERMS, QuotientRing, bounded_centre,
                                     bounded_inner_search, chain_elements,
                                     check_casimirs, check_quotient_derivation,
@@ -363,6 +363,80 @@ class TestLocalizedTower:
         assert len(calls) <= 7
 
 
+# The defining texts of quotient.chain_elements, restated for the oracle.
+TOWER_TEXTS = {"x16": "x1 - 1/2*x5*x6^-1",
+               "x26": "x2 + 3/2*x4*x6^-1 - 3*x3*x5*x6^-1 + x5^3*x6^-2",
+               "x36": "x3 - x5^2*x6^-1",
+               "t3": "x3 - 3/2*x4*x5^-1",
+               "t4": "x4 - 2/3*x5^3*x6^-1"}
+
+
+def tower_oracle(alpha, beta, texts=TOWER_TEXTS):
+    """(t, reduce): the chain elements t1..t4 as sympy rational functions
+    built from ``texts`` alone, and the remainder of the numerator of a
+    rational function modulo sympy's grevlex Groebner basis of
+    (Omega1 - alpha, Omega2 - beta), the Casimirs read from the
+    definition file.  The localised quotient is a domain, so a fraction
+    is zero there exactly when its numerator, cleared of every x5, x6,
+    t3 and t4 power, reduces to 0."""
+    import json
+    from importlib import resources
+
+    import sympy
+    x = sympy.symbols("x1:7")
+    names = {f"x{i}": s for i, s in enumerate(x, 1)}
+    names.update({f"X{i}": s for i, s in enumerate(x, 1)})
+
+    def sym(text):
+        return sympy.sympify(text.replace("^", "**"), locals=names)
+
+    data = json.loads(resources.files("poisson_forge.data")
+                      .joinpath("g2_algebra.json").read_text(encoding="utf-8"))
+    omega = {name: sym(text) for name, text in data["casimirs"].items()}
+    basis = sympy.groebner([omega["Omega1"] - alpha, omega["Omega2"] - beta],
+                           *x, order="grevlex")
+    e = {name: sym(text) for name, text in texts.items()}
+    q = sympy.Rational
+    x5 = names["x5"]
+    t3, t4 = e["t3"], e["t4"]
+    z1 = e["x16"] - e["x36"] / x5 + q(3, 4) * t4 / x5 ** 2
+    z2 = (e["x26"] - 3 * e["x36"] ** 2 / x5 + q(9, 2) * e["x36"] * t4 / x5 ** 2
+          - q(9, 4) * t4 ** 2 / x5 ** 3)
+    t2 = z2 - q(2, 3) * t3 ** 3 / t4
+    t1 = z1 - t3 ** 2 / (3 * t4) - t2 / (2 * t3)
+
+    def reduce(expr):
+        numerator, _ = sympy.fraction(sympy.together(expr))
+        return basis.reduce(sympy.expand(numerator))[1]
+    return {"t1": t1, "t2": t2, "t3": t3, "t4": t4, "x5": x5,
+            "x6": names["x6"], "sym": sym}, reduce
+
+
+TOWER_RINGS = [QuotientRing(alpha=1, beta=1, localized=True),
+               QuotientRing(alpha="-2/3", beta=5, localized=True)]
+
+
+class TestLocalizedTowerOracle:
+    @pytest.mark.parametrize("ring", TOWER_RINGS, ids=["1,1", "-2/3,5"])
+    def test_casimir_relations_against_groebner_basis(self, ring):
+        t, reduce = tower_oracle(ring.alpha, ring.beta)
+        assert reduce(t["t1"] * t["t3"] * t["x5"] - ring.alpha) == 0
+        assert reduce(t["t2"] * t["t4"] * t["x6"] - ring.beta) == 0
+        # the oracle's t1..t4 are the package's chain elements
+        elements = chain_elements(ring)
+        for name in ("t1", "t2", "t3", "t4"):
+            f = elements[name]
+            value = t["sym"](str(f.num)) / (t["t3"] ** f.a * t["t4"] ** f.b)
+            assert reduce(value - t[name]) == 0, name
+
+    def test_bumped_t3_breaks_the_relations(self):
+        # negative control: a t3 with one coefficient changed
+        bumped = dict(TOWER_TEXTS, t3="x3 - 1/2*x4*x5^-1")
+        t, reduce = tower_oracle(1, 1, bumped)
+        assert reduce(t["t1"] * t["t3"] * t["x5"] - 1) != 0
+        assert reduce(t["t2"] * t["t4"] * t["x6"] - 1) != 0
+
+
 class TestQuotientDerivations:
     def test_scalar_derivation_on_beta_zero_quotient(self):
         images = parse_derivation(
@@ -446,27 +520,64 @@ ROW_IDS = ([f"ambient-d{d}" for d in range(5)]
            + [f"rational-d{d}" for d in range(4)])
 
 
+def assert_rows_match(structure_or_ring, degree):
+    """``bracket_rows`` equals ``reference_rows`` row for row, each
+    reference row (g, m) looked up under ``key(g, m)``."""
+    monomials, rows, scale, key = structure_or_ring.bracket_rows(degree)
+    expected_monomials, expected = reference_rows(structure_or_ring, degree)
+    assert monomials == expected_monomials
+    packed = {key(g, m): row for (g, m), row in expected.items()}
+    assert None not in packed and len(packed) == len(expected)
+    assert rows.keys() == packed.keys()
+    for k, row in rows.items():
+        assert all(type(n) is int for n in row.values()), k
+        assert {idx: Fraction(n, scale(k)) for idx, n in row.items()} \
+            == packed[k], k
+
+
+# exponents far past a 16-bit field, both signs on the invertible variables
+WIDE = VarContext.make(["w0", "w1", "w2", "p"], invertible=["w1", "w2"],
+                       parameters=["p"])
+WIDE_EXPONENTS = [0, 1, 2, 3, 2 ** 16, 2 ** 16 + 1, 2 ** 20 + 7]
+
+
+@st.composite
+def laurent_structures(draw):
+    """A random table over WIDE, Jacobi or not: the rows need only the
+    bi-derivation formula."""
+    def exponent(inv):
+        values = st.sampled_from(WIDE_EXPONENTS)
+        return st.one_of(values, values.map(operator.neg)) if inv else values
+
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    term = st.tuples(coeffs, st.tuples(*[exponent(inv) for inv in WIDE.invertible]))
+    table = {}
+    for pair in itertools.combinations(range(3), 2):
+        entry = WIDE.zero()
+        for c, exps in draw(st.lists(term, max_size=2)):
+            entry = entry + WIDE.monomial(dict(zip(WIDE.names, exps)), c)
+        table[pair] = entry
+    return PoissonStructure(WIDE, table)
+
+
 class TestBracketRows:
     @pytest.mark.parametrize("structure_or_ring, degree", ROW_CASES, ids=ROW_IDS)
     def test_rows_match_the_bracket(self, structure_or_ring, degree):
-        monomials, rows, scale = structure_or_ring.bracket_rows(degree)
-        expected_monomials, expected = reference_rows(structure_or_ring, degree)
-        assert monomials == expected_monomials
-        assert rows.keys() == expected.keys()
-        for key, row in rows.items():
-            assert all(type(n) is int for n in row.values()), key
-            assert {idx: Fraction(n, scale(key)) for idx, n in row.items()} \
-                == expected[key], key
+        assert_rows_match(structure_or_ring, degree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_structures(), st.integers(0, 2))
+    def test_rows_match_on_wide_laurent_tables(self, structure, degree):
+        assert_rows_match(structure, degree)
 
     @pytest.mark.parametrize("search", ["centre", "inner"])
     def test_certificate_catches_misplaced_rows(self, search, monkeypatch):
         # columns taken for the wrong monomials give a wrong answer, which
         # the check through bracket refuses as an internal error
-        from poisson_forge.poisson import PoissonStructure
         for cls in (PoissonStructure, QuotientRing):
             def reversed_columns(self, degree, original=cls.bracket_rows):
-                monomials, rows, scale = original(self, degree)
-                return monomials[::-1], rows, scale
+                monomials, *rest = original(self, degree)
+                return monomials[::-1], *rest
             monkeypatch.setattr(cls, "bracket_rows", reversed_columns)
         with pytest.raises(RuntimeError, match="bracket_rows disagrees"):
             if search == "centre":
@@ -478,7 +589,6 @@ class TestBracketRows:
     def test_centre_brackets_only_its_certificate(self, monkeypatch):
         # the rows come from bracket_rows; bracket runs only to check
         # each basis element on each generator
-        from poisson_forge.poisson import PoissonStructure
         calls = []
         original = PoissonStructure.bracket
         def counting(self, f, g):
