@@ -21,6 +21,8 @@ import heapq
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -239,19 +241,23 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product on integers: each operand's terms as numerators over
+        its common denominator (``integer_terms``), one ``Fraction`` per
+        output term."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return LaurentPoly(self.context, terms)
+        fterms, fden = integer_terms(self)
+        gterms, gden = integer_terms(other)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for m1, a1 in fterms:
+            for m2, a2 in gterms:
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + a1 * a2
+        den = fden * gden
+        return LaurentPoly(self.context,
+                           {m: Fraction(n, den) for m, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -326,6 +332,12 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({format_poly(self)})"
+
+
+def integer_terms(p: LaurentPoly) -> tuple[list[tuple[Monomial, int]], int]:
+    """The terms of p as integer numerators over their common denominator."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
 
 
 def _coefficient_text(c: Fraction) -> str:

@@ -23,15 +23,17 @@ with everything by construction (they never enter the table).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import add
+from operator import add, mul, sub
 from typing import Mapping
 
-from .expr import ContextMismatch, ExprError, LaurentPoly, VarContext
+from .expr import (ContextMismatch, ExprError, LaurentPoly, Monomial,
+                   VarContext, integer_terms)
 
 #: Most delta powers looked at before a delta counts as not locally nilpotent.
 MAX_DELTA_POWERS = 16
@@ -88,11 +90,18 @@ class PoissonStructure:
         return self.context.var(self.context.names[i])
 
     def basis_monomials(self, degree: int):
-        """Monomials in the generators of total degree <= degree."""
+        """Exponent vectors over the context of the monomials in the
+        generators of total degree <= degree."""
         ctx = self.context
-        names = [ctx.names[i] for i in ctx.generators()]
-        for exps in exponents_up_to(len(names), degree):
-            yield ctx.monomial(dict(zip(names, exps)))
+        gens = ctx.generators()
+        for exps in exponents_up_to(len(gens), degree):
+            if len(gens) == ctx.rank:
+                yield exps
+            else:
+                m = [0] * ctx.rank
+                for i, e in zip(gens, exps):
+                    m[i] = e
+                yield tuple(m)
 
     @cached_property
     def _shift_reach(self) -> int:
@@ -107,7 +116,7 @@ class PoissonStructure:
         the entry b_ij / (x_i*x_j) times x_j for v = i, and times -x_i for
         v = j."""
         slot = {pos: g for g, pos in enumerate(self.context.generators())}
-        unit = [1 << offset for offset in packing.offsets]
+        unit = packing.units
         table = [[] for _ in range(self.context.rank)]
         for i, j, shifted in self._entries:
             for shift, n in shifted:
@@ -146,8 +155,7 @@ class PoissonStructure:
         monomials = list(self.basis_monomials(degree))
         packing = ExponentPacking(self.context, max(degree, 0) + self._shift_reach)
         rows: dict[int, dict[int, int]] = {}
-        images = self.monomial_brackets(
-            (m for mono in monomials for m in mono.terms), packing)
+        images = self.monomial_brackets(monomials, packing)
         for idx, image in enumerate(images):
             for mm, n in image.items():
                 if n:
@@ -158,8 +166,8 @@ class PoissonStructure:
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.context != self.context or g.context != self.context:
             raise ContextMismatch("bracket operands over wrong context")
-        fterms, fden = _integer_terms(f)
-        gterms, gden = _integer_terms(g)
+        fterms, fden = integer_terms(f)
+        gterms, gden = integer_terms(g)
         acc: dict[tuple[int, ...], int] = {}
         for m1, a1 in fterms:
             for m2, a2 in gterms:
@@ -182,41 +190,75 @@ class PoissonStructure:
 
 class ExponentPacking:
     """A generator slot and an exponent vector over one context as one
-    integer, the row keys of ``bracket_rows`` (Monagan-Pearce, *Polynomial
-    division using dynamic arrays, heaps, and packed exponent vectors*,
-    CASC 2007).
+    integer: the row keys of ``bracket_rows`` and the monomials of
+    ``QuotientRing._rewrite`` (Monagan-Pearce, *Polynomial division using
+    dynamic arrays, heaps, and packed exponent vectors*, CASC 2007).
 
     The slot takes the low bits; above it each context position v takes a
     field of ``width`` bits holding e_v + bias, bias = 2^(width - 1).  The
     width is chosen from ``reach``, the largest |exponent| the caller can
-    meet, so that every exponent in [-bias, bias) fits, with negative ones
-    below the bias.  Packing is then linear: the key of m plus the
-    ``shift`` of s is the key of m + s, one integer add, as long as
-    m + s stays in range, which ``reach`` promises.
+    meet (``field_width``): the least of 8, 16, 32, 64, 128, ... bits
+    whose range [-bias, bias) holds every such exponent, negative ones
+    below the bias.  Packing is then linear: the key of m is ``base`` plus
+    the dot product of m with ``units``, and the key of m plus the
+    ``shift`` of s is the key of m + s, one integer add, as long as m + s
+    stays in range, which ``reach`` promises.  Whole bytes per field let
+    ``exponents`` read every field of a key at once from its bytes.
     """
 
     def __init__(self, context: VarContext, reach: int):
-        self.width = width = max(reach, 1).bit_length() + 1
+        self.width = width = field_width(reach)
         self.bias = bias = 1 << (width - 1)
-        low = (len(context.generators()) - 1).bit_length()
+        self.low = low = (len(context.generators()) - 1).bit_length()
         self.offsets = tuple(low + v * width for v in range(context.rank))
-        self._base = sum(bias << offset for offset in self.offsets)
+        self.units = tuple(1 << offset for offset in self.offsets)
+        self.base = bias * sum(self.units)
+        self._size = width // 8 * context.rank
+        self._format = {16: "H", 32: "I", 64: "Q"}.get(width)
+        self._biases = (bias,) * context.rank
 
     def shift(self, s) -> int:
         """The packed form of an exponent shift s (no bias, no slot)."""
-        return sum(e << offset for e, offset in zip(s, self.offsets) if e)
+        return sum(map(mul, s, self.units))
 
-    def key(self, g: int, m: tuple[int, ...]) -> int | None:
+    def key(self, g: int, m: Monomial) -> int | None:
         """The key of generator slot g and exponent vector m; None when m
         is out of range, as no key of the packing holds it."""
         bias = self.bias
         if not all(-bias <= e < bias for e in m):
             return None
-        return self._base + self.shift(m) + g
+        return self.base + self.shift(m) + g
 
     def exponent(self, key: int, v: int) -> int:
         """The exponent of context position v in a packed key."""
         return ((key >> self.offsets[v]) & ((1 << self.width) - 1)) - self.bias
+
+    def exponents(self, key: int) -> Monomial:
+        """The exponent vector of a packed key, its slot dropped: the bytes
+        of the fields read as unsigned integers of ``width`` bits at once,
+        less the bias."""
+        fields = (key >> self.low).to_bytes(self._size, sys.byteorder)
+        if self.width > 8:
+            fields = self._read(fields)
+        return tuple(map(sub, fields, self._biases))
+
+    def _read(self, data: bytes):
+        """The fields of ``data``, each wider than a byte, as integers."""
+        if self._format:
+            return memoryview(data).cast(self._format)
+        step = self.width // 8  # no machine type holds a field
+        return [int.from_bytes(data[i:i + step], sys.byteorder)
+                for i in range(0, self._size, step)]
+
+
+def field_width(reach: int) -> int:
+    """The field width of an ``ExponentPacking`` for exponents of absolute
+    value at most ``reach``: 8 bits times the least power of two whose
+    range holds them."""
+    width = 8
+    while reach >= 1 << (width - 1):
+        width *= 2
+    return width
 
 
 def exponents_up_to(n: int, degree: int):
@@ -228,12 +270,6 @@ def exponents_up_to(n: int, degree: int):
         else:
             for rest in exponents_up_to(n - 1, degree - e):
                 yield (e,) + rest
-
-
-def _integer_terms(p: LaurentPoly) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """The terms of p as integer numerators over their common denominator."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,16 @@ lexicographically, and the weight 2a + 3b = 2(a + b) + b drops by at
 least one.  With termination, local confluence gives, by Newman's lemma
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*), a result that
 does not depend on the order of the rewrites, so ``QuotientRing._reduce``
-may rewrite in falling weight, each monomial once.  The normal forms are
-the unique representatives over the monomial basis
+may rewrite in falling weight, each monomial once.  It does so on packed
+keys (``poisson.ExponentPacking``): each monomial a rule applies to is
+packed into one integer, a rewrite adds the rule term's packed shift to
+it and an integer multiple of the rule term's scaled coefficient to its
+numerator, and each key left is unpacked once, from its bytes.  The
+field width comes from the largest exponent the reduction can reach (the
+largest |exponent| of the terms it rewrites plus their highest weight
+times the rules' largest shift component), and the rules on packed keys
+are kept on the ring per width.  The normal forms are the unique
+representatives over the monomial basis
 
     x1^i x2^j x3^e1 x4^e2 x5^k x6^l,  e1, e2 in {0, 1},
 
@@ -27,8 +35,9 @@ serve one bracket protocol: ``context``, ``bracket(f, g)``,
 unchanged on the ambient algebra (no reduction) and on the quotient
 (brackets reduced to normal form).  ``bracket_rows(degree)`` returns
 ``(monomials, rows, scale, key)``: the matrix of
-f -> ({f, x_1}, ..., {f, x_n}) on the basis monomials, built in one
-integer pass per monomial, as rows keyed by opaque packed keys.  A key
+f -> ({f, x_1}, ..., {f, x_n}) on the basis monomials (exponent tuples;
+polynomials are built only for the results), built in one integer pass
+per monomial, as rows keyed by opaque packed keys.  A key
 is one integer that holds a generator slot and an exponent vector
 (``poisson.ExponentPacking``, its field width chosen per call from the
 largest exponent the call can reach), so multiplying by a monomial is
@@ -39,8 +48,9 @@ times a power of the rules' denominator set by the weight on the
 quotient rows.  On the quotient, rewriting commutes with multiplying by
 a monomial u free of x3 and x4, so NF(u * x3^a x4^b) = u * NF(x3^a x4^b):
 each call reduces every x3^a x4^b that its images hold once, with the
-integer loop of ``normal_form``, into a table that lives for the call,
-and adds each image term into its rows through it.  A row times a
+packed rewrite loop of ``normal_form`` on the call's own keys, into a
+table that lives for the call, and adds each image term into its rows
+through it.  A row times a
 nonzero constant has the same solutions, so the kernel is the same, and
 the inner search multiplies each rhs entry by its row's scale.  Both
 searches check their answer through ``bracket``.  Derivations are
@@ -60,14 +70,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from operator import add, sub
+from operator import mul
 
 from .expr import ExprError, LaurentPoly, VarContext, WorkLimitError, rational
 from .g2 import REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
 from .poisson import (DerivationSpec, ExponentPacking, PoissonStructure,
-                      derivation_residues, exponents_up_to,
+                      derivation_residues, exponents_up_to, field_width,
                       hamiltonian_derivation, jacobi_residues)
 from .report import CheckItem, check_item
 
@@ -75,8 +85,8 @@ QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 # The most terms a normal form may hold while it is rewritten, checked
 # once per weight bucket.  `nf x3^40` peaks at 69421 terms (52965 out),
 # the largest reduction of the benchmark at 5000; past the limit
-# `nf "(x3*x4*x3*x4*x3*x4)^9"` stops after about 2.5 s instead of
-# filling memory.
+# `nf "(x3*x4*x3*x4*x3*x4)^9"` stops after about 1.8 s (Python 3.11 on
+# a 2-core Xeon) instead of filling memory.
 MAX_TERMS = 100_000
 _AMBIENT_TO_QUOTIENT = {f"X{i}": f"x{i}" for i in range(1, 7)}
 
@@ -121,8 +131,10 @@ class QuotientRing:
         self.rewrite_x3 = 2 * self.alpha_poly - 2 * self.casimir1 + x3sq
         raw_x4 = (Fraction(2, 3) * self.beta_poly
                   - Fraction(2, 3) * self.casimir2 + x4sq)
-        self.rewrite_x4 = self._reduce(raw_x4, use_x4=False)
-        self._integer_rules = self._scaled_rules(self.rewrite_x3, self.rewrite_x4)
+        # the x4 rule is reduced by the x3 rule alone, x4^2 left as it is
+        self._use_rules(self.rewrite_x3)
+        self.rewrite_x4 = self._reduce(raw_x4)
+        self._use_rules(self.rewrite_x3, self.rewrite_x4)
 
     # -- normal form ---------------------------------------------------------
     def _specialise(self, p: LaurentPoly) -> LaurentPoly:
@@ -141,14 +153,15 @@ class QuotientRing:
             terms[m] = terms.get(m, 0) + c
         return LaurentPoly(self.context, terms)
 
-    def _scaled_rules(self, *rules: LaurentPoly):
-        """(R, the x3 rule[, the x4 rule]) in the integer form ``_reduce`` uses.
+    def _use_rules(self, *rules: LaurentPoly) -> None:
+        """Rewrite with the x3 rule and, if given, the x4 rule from now on.
 
-        R is the lcm of every denominator of the given rules.  Each rule is
-        a list of (exponent shift, integer) pairs, one per term c*m of the
-        rule for x3^2 (x4^2): the shift is m / x3^2 (m / x4^2), and the
-        integer is c * R^d, where d >= 1 is how far the term lowers the
-        weight 2a + 3b.
+        They are kept as R, the lcm of every denominator of the rules, and
+        per rule a list of (exponent shift, integer) pairs, one per term
+        c*m of the rule for x3^2 (x4^2): the shift is m / x3^2 (m / x4^2),
+        and the integer is c * R^d, where d >= 1 is how far the term lowers
+        the weight 2a + 3b.  ``_growth`` is the largest |component| of a
+        shift, and ``_packed`` caches the rules on packed keys per width.
         """
         i3, i4 = self._i3, self._i4
         R = lcm(*(c.denominator for rule in rules for c in rule.terms.values()))
@@ -160,40 +173,86 @@ class QuotientRing:
                 drop = -2 * shift[i3] - 3 * shift[i4]
                 pairs.append((shift, int(c * R ** drop)))
             scaled.append(pairs)
-        return (R, *scaled)
+        self._rules = (R, scaled[0], scaled[1] if len(scaled) > 1 else None)
+        self._growth = max(abs(e) for pairs in scaled for shift, _ in pairs
+                           for e in shift)
+        self._packings: dict[int, tuple] = {}
 
-    def _reduce(self, p: LaurentPoly, use_x4: bool = True) -> LaurentPoly:
-        """The normal form of p, rewritten with the x3 rule and (unless
-        ``use_x4`` is false, as when the x4 rule itself is built) the x4 rule.
+    def _packed(self, reach: int):
+        """(packing, rules) for exponents up to ``reach``: an
+        ``ExponentPacking`` and the rules on its keys, as R and per rule a
+        tuple of (packed shift, integer, x3 shift, x4 shift), or None for
+        an x4 rule not in use.  Built once per field width."""
+        width = field_width(reach)
+        entry = self._packings.get(width)
+        if entry is None:
+            packing = ExponentPacking(self.context, reach)
+            R, *scaled = self._rules
+            rules = (R, *(None if pairs is None else
+                          tuple((packing.shift(shift), n, shift[self._i3],
+                                 shift[self._i4]) for shift, n in pairs)
+                          for pairs in scaled))
+            entry = self._packings[width] = packing, rules
+        return entry
 
-        The arithmetic is on integers.  Let D be the lcm of the
-        denominators of p, R that of the rules in use (cached in __init__), and
-        ``top`` the highest weight in p.  The term dict holds, for each
-        monomial of weight w, the integer numerator n of its coefficient
-        n / (D * R^k), at the level k = top - w, and ``_rewrite`` keeps it
-        so.  One Fraction is built per output term.
+    def _reduce(self, p: LaurentPoly) -> LaurentPoly:
+        """The normal form of p under the rules in use.
+
+        Terms that no rule applies to are copied as they are.  The others
+        are rewritten on integers and packed keys.  Let D be the lcm of
+        their denominators, R that of the rules, and ``top`` their highest
+        weight.  Each enters the term dict once, under its packed key: base
+        plus the dot product of its exponents with the packing's units.
+        The dict holds, for each monomial of weight w, the integer
+        numerator n of its coefficient n / (D * R^k), at the level
+        k = top - w, and ``_rewrite`` keeps it so.  Each key left is
+        unpacked once, from its bytes, into the output dict, with one
+        Fraction per term.
+
+        The packing holds every exponent the reduction meets: at most
+        ``top`` rewrites lead to any monomial, as each lowers the weight,
+        and each moves an exponent by at most ``_growth``.  So the width
+        comes from the largest |exponent| of the rewritten terms plus
+        ``top`` times ``_growth``, the bound ``bracket_rows`` uses too.
         """
         i3, i4 = self._i3, self._i4
-        low4 = 2 if use_x4 else inf
-        if not any(m[i3] >= 2 or m[i4] >= low4 for m in p.terms):
+        R, _, rule4 = self._rules
+        low4 = inf if rule4 is None else 2
+        out = {}
+        source = {}
+        for m, c in p.terms.items():
+            if m[i3] >= 2 or m[i4] >= low4:
+                source[m] = c
+            else:
+                out[m] = c
+        if not source:
             return p
-        rules = (self._integer_rules if use_x4 else
-                 (*self._scaled_rules(self.rewrite_x3), None))
-        R = rules[0]
-        top = max(2 * m[i3] + 3 * m[i4] for m in p.terms)
-        D = lcm(*(c.denominator for c in p.terms.values()))
-        terms = {m: c.numerator * (D // c.denominator)
-                    * R ** (top - 2 * m[i3] - 3 * m[i4])
-                 for m, c in p.terms.items()}
-        self._rewrite(terms, top, rules)
-        return LaurentPoly(self.context, {
-            m: Fraction(n, D * R ** (top - 2 * m[i3] - 3 * m[i4]))
-            for m, n in terms.items()})
+        top = max(2 * m[i3] + 3 * m[i4] for m in source)
+        reach = max(max(map(max, source)), -min(map(min, source)))
+        packing, rules = self._packed(reach + top * self._growth)
+        D = lcm(*(c.denominator for c in source.values()))
+        base, units = packing.base, packing.units
+        terms = {base + sum(map(mul, m, units)):
+                 c.numerator * (D // c.denominator)
+                 * R ** (top - 2 * m[i3] - 3 * m[i4])
+                 for m, c in source.items()}
+        self._rewrite(terms, top, rules, packing)
+        scale = [D]
+        for _ in range(top):
+            scale.append(scale[-1] * R)
+        exponents = packing.exponents
+        for k, n in terms.items():
+            m = exponents(k)
+            c = Fraction(n, scale[top - 2 * m[i3] - 3 * m[i4]])
+            out[m] = out[m] + c if m in out else c  # the constructor drops a 0
+        return LaurentPoly(self.context, out)
 
-    def _rewrite(self, terms: dict[tuple, int], top: int, rules) -> None:
-        """Rewrite to normal form, in place, an integer term dict whose
-        levels count down from ``top`` (see ``_reduce``), with ``rules`` as
-        ``_scaled_rules`` gives them (no x4 rule: x4^2 is left alone).
+    def _rewrite(self, terms: dict[int, int], top: int, rules,
+                 packing: ExponentPacking) -> None:
+        """Rewrite to normal form, in place, a term dict on the keys of
+        ``packing`` whose levels count down from ``top`` (see ``_reduce``),
+        with ``rules`` as ``_packed`` gives them for that packing.  This is
+        the one rewrite loop: ``_reduce`` and ``bracket_rows`` both call it.
 
         Rewriting a monomial of weight w = 2a + 3b ((a, b) its x3, x4
         exponents) only adds to monomials of lower weight.  So the
@@ -201,43 +260,51 @@ class QuotientRing:
         when a bucket comes up, every monomial of higher weight has been
         rewritten, so nothing more can add to its monomials, and each is
         rewritten once, with its whole coefficient.  A monomial joins its
-        bucket when it enters the term dict; one that cancels to zero and
-        comes back is in its bucket twice and is skipped the second time,
-        being gone from the dict.  A rule term that lowers the weight by
-        d >= 1 lands d levels down, so the rule carries it as the integer
-        c * R^d and a rewrite adds n times that to the target's numerator,
-        with no rescaling.  Past ``MAX_TERMS`` terms, checked once per
-        bucket, it raises ``WorkLimitError``.
+        bucket when it enters the term dict, with its (a, b): read from its
+        key by shift and mask for the input, and for a rewrite target, its
+        source's (a, b) plus the rule term's x3, x4 shift.  One that
+        cancels to zero and comes back is in its bucket twice and is
+        skipped the second time, being gone from the dict.  A rewrite adds
+        the rule term's packed shift to the key: one integer add.  A rule
+        term that lowers the weight by d >= 1 lands d levels down, so the
+        rule carries it as the integer c * R^d and a rewrite adds n times
+        that to the target's numerator, with no rescaling.  Past
+        ``MAX_TERMS`` terms, checked once per bucket, it raises
+        ``WorkLimitError``.
         """
-        i3, i4 = self._i3, self._i4
         _, rule3, rule4 = rules
         low4 = inf if rule4 is None else 2
+        bias, mask = packing.bias, (1 << packing.width) - 1
+        off3, off4 = packing.offsets[self._i3], packing.offsets[self._i4]
         buckets: list[list] = [[] for _ in range(top + 1)]
-        for m in terms:
-            if m[i3] >= 2 or m[i4] >= low4:
-                buckets[2 * m[i3] + 3 * m[i4]].append(m)
+        for k in terms:
+            a = ((k >> off3) & mask) - bias
+            b = ((k >> off4) & mask) - bias
+            if a >= 2 or b >= low4:
+                buckets[2 * a + 3 * b].append((k, a, b))
         get = terms.get
         for w in range(top, 3, -1):  # x3^2 has the least reducible weight, 4
             if len(terms) > MAX_TERMS:
                 raise WorkLimitError(f"normal form needs more than {MAX_TERMS}"
                                      " terms")
-            for m in buckets[w]:
-                n = terms.pop(m, None)
+            for k, a, b in buckets[w]:
+                n = terms.pop(k, None)
                 if n is None:
                     continue
-                for shift, rc in (rule3 if m[i3] >= 2 else rule4):
-                    mm = tuple(map(add, m, shift))
-                    s = get(mm)
+                for shift, rc, da, db in (rule3 if a >= 2 else rule4):
+                    kk = k + shift
+                    s = get(kk)
                     if s is None:
-                        terms[mm] = n * rc
-                        if mm[i3] >= 2 or mm[i4] >= low4:
-                            buckets[2 * mm[i3] + 3 * mm[i4]].append(mm)
+                        terms[kk] = n * rc
+                        aa, bb = a + da, b + db
+                        if aa >= 2 or bb >= low4:
+                            buckets[2 * aa + 3 * bb].append((kk, aa, bb))
                     else:
                         s += n * rc
                         if s:
-                            terms[mm] = s
+                            terms[kk] = s
                         else:
-                            del terms[mm]
+                            del terms[kk]
 
     def normal_form(self, p: LaurentPoly | str) -> LaurentPoly:
         if isinstance(p, str):
@@ -259,11 +326,11 @@ class QuotientRing:
 
     # -- basis enumeration ----------------------------------------------------
     def basis_monomials(self, degree: int):
-        """Monomials of the quotient basis with total x-degree <= degree."""
+        """Exponent vectors over the context of the quotient basis
+        monomials with total x-degree <= degree."""
         for e1, e2 in itertools.product((0, 1), repeat=2):
             for i, j, k, l in exponents_up_to(4, degree - e1 - e2):
-                yield self.context.monomial(
-                    {"x1": i, "x2": j, "x3": e1, "x4": e2, "x5": k, "x6": l})
+                yield (i, j, e1, e2, k, l, 0, 0)
 
     def bracket_rows(self, degree: int):
         """``PoissonStructure.bracket_rows`` over the quotient basis, each
@@ -277,27 +344,29 @@ class QuotientRing:
         u * NF(x3^a x4^b), and the levels compose: an image term at level
         top - w times a term t of NF(x3^a x4^b) at level w - w(t) lands at
         level top - w(t).  So each (a, b) met among the image terms is
-        reduced once per call by ``_rewrite``, as in the symbolic
-        preprocessing of F4 (Faugère 1999), and every image term is added
-        into its row through that table, on packed keys.  The table lives
-        for the call only.
+        reduced once per call by ``_rewrite``, on the call's own packed
+        keys, as in the symbolic preprocessing of F4 (Faugère 1999), and
+        every image term is added into its row through that table.  The
+        table lives for the call only.
 
-        The packing holds every exponent the call reaches: image exponents
-        are at most r = degree + the table's shift reach, so image weights,
-        and ``top``, are at most 5r, and at most ``top`` rewrites move an
-        exponent by at most the rules' largest shift component each.
+        The packing holds every exponent the call reaches, by the bound of
+        ``_reduce``: image exponents are at most degree + s, s the table's
+        shift reach; a basis monomial holds x3 and x4 at most once, so
+        image weights, and ``top``, are at most 5 (1 + s); and at most
+        ``top`` rewrites move an exponent by at most ``_growth`` each.
         """
         i3, i4 = self._i3, self._i4
         structure = self.structure
-        rules = self._integer_rules
         monomials = list(self.basis_monomials(degree))
-        reach = max(degree, 0) + structure._shift_reach
-        growth = max(abs(e) for rule in rules[1:] for shift, _ in rule for e in shift)
-        packing = ExponentPacking(self.context, reach + 5 * reach * growth)
-        images = structure.monomial_brackets(
-            (m for mono in monomials for m in mono.terms), packing)
+        s = structure._shift_reach
+        packing, rules = self._packed(max(degree, 0) + s
+                                      + 5 * (1 + s) * self._growth)
+        images = structure.monomial_brackets(monomials, packing)
         # x4 follows x3 in the context, so one mask reads both exponents
         low, mask = packing.offsets[i3], (1 << 2 * packing.width) - 1
+        # the key of x3^a x4^b less its (a, b) code
+        rest = (packing.base - (packing.bias << packing.offsets[i3])
+                - (packing.bias << packing.offsets[i4]))
         pairs = {code: (packing.exponent(code << low, i3),
                         packing.exponent(code << low, i4))
                  for code in {(mm >> low) & mask for image in images for mm in image}}
@@ -310,10 +379,10 @@ class QuotientRing:
             w = 2 * a + 3 * b
             nf = ((0, 1),)
             if a >= 2 or b >= 2:
-                e, = self.context.monomial({"x3": a, "x4": b}).terms
-                terms = {e: 1}
-                self._rewrite(terms, w, rules)
-                nf = tuple((packing.shift(map(sub, t, e)), n) for t, n in terms.items())
+                start = rest + (code << low)
+                terms = {start: 1}
+                self._rewrite(terms, w, rules, packing)
+                nf = tuple((k - start, n) for k, n in terms.items())
             reduced[code] = power[top - w], nf
         rows: dict[int, dict[int, int]] = {}
         for idx, image in enumerate(images):
@@ -618,14 +687,9 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
 
 
 def _combine(ctx: VarContext, vec: list[Fraction],
-             monomials: list[LaurentPoly]) -> LaurentPoly:
-    """sum_idx vec[idx] * monomials[idx], accumulated in one term dict."""
-    terms: dict[tuple, Fraction] = {}
-    for c, mono in zip(vec, monomials):
-        if c:
-            for m, mc in mono.terms.items():
-                terms[m] = terms.get(m, 0) + c * mc
-    return LaurentPoly(ctx, terms)
+             monomials: list[tuple]) -> LaurentPoly:
+    """sum_idx vec[idx] * x^monomials[idx], the monomials distinct."""
+    return LaurentPoly(ctx, {m: c for c, m in zip(vec, monomials) if c})
 
 
 def spans_same_space(basis: list[LaurentPoly], expected: list[LaurentPoly]) -> bool:

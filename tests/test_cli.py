@@ -276,7 +276,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 3
 
     def test_runaway_normal_form_is_usage_error(self, capsys):
-        # x3^27*x4^27 passes MAX_TERMS terms after about 2.5 s; without the
+        # x3^27*x4^27 passes MAX_TERMS terms after about 1.8 s; without the
         # limit it took over 800 MB
         from poisson_forge.quotient import MAX_TERMS
         code, _ = run_cli("nf", "(x3*x4*x3*x4*x3*x4)^9")

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from poisson_forge.expr import (ContextMismatch, ExprError, InvertibilityError,
-                                VarContext, divide_exact, rational)
+                                LaurentPoly, VarContext, divide_exact, rational)
 from poisson_forge.parse import parse_expr
 
 CTX = VarContext.make(["X1", "X2", "X3", "X4", "X5", "X6"],
@@ -31,6 +31,37 @@ def small_polys(ctx, names=None, max_terms=4):
 
     term = st.tuples(coeffs, st.tuples(*[exponents] * len(names)))
     return st.lists(term, max_size=max_terms).map(build)
+
+
+def schoolbook_product(f, g):
+    """f * g one Fraction product per term pair, zero sums dropped."""
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in terms.items() if c}
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(f, g) over CTX: denominators up to 12, X5 and X6 exponents of both
+    signs; half the time g is f with the sign of its odd-X1 terms flipped,
+    so that f * g = A^2 - B^2 and the cross terms cancel."""
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 1),
+                         st.integers(-3, 3), st.integers(-3, 3))
+
+    def poly():
+        terms = draw(st.dictionaries(monomial, coeffs, max_size=4))
+        return LaurentPoly(CTX, {(a, b, 0, 0, e5, e6): c
+                                 for (a, b, e5, e6), c in terms.items()})
+
+    f = poly()
+    if draw(st.booleans()):
+        return f, LaurentPoly(CTX, {m: -c if m[0] % 2 else c
+                                    for m, c in f.terms.items()})
+    return f, poly()
 
 
 class TestRational:
@@ -102,6 +133,16 @@ class TestArithmetic:
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
         assert (f * g) * h == f * (g * h)
+
+    @given(laurent_pairs())
+    @example((CTX.monomial({"X5": 1}) + CTX.monomial({"X6": -1}, Fraction(5, 12)),
+              CTX.monomial({"X5": 1}) - CTX.monomial({"X6": -1}, Fraction(5, 12))))
+    @example((CTX.monomial({"X1": 1, "X6": -2}, Fraction(7, 12)), CTX.zero()))
+    def test_product_matches_schoolbook(self, pair):
+        f, g = pair
+        product = f * g
+        assert product.terms == schoolbook_product(f, g)
+        assert all(type(c) is Fraction for c in product.terms.values())
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):

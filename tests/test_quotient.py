@@ -1,10 +1,12 @@
 """Normal forms, quotient brackets, localised identities, bounded searches."""
 
 import functools
+import hashlib
 import itertools
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from poisson_forge import g2, quotient
 from poisson_forge.expr import ExprError, LaurentPoly, VarContext
 from poisson_forge.parse import parse_expr
-from poisson_forge.poisson import DerivationSpec, PoissonStructure, WeightVector
+from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
+                                   PoissonStructure, WeightVector, field_width)
 from poisson_forge.quotient import (MAX_TERMS, QuotientRing, bounded_centre,
                                     bounded_inner_search, chain_elements,
                                     check_casimirs, check_quotient_derivation,
@@ -238,10 +241,81 @@ class TestNormalForm:
                               max_denominator=7).filter(bool)
         chosen = data.draw(st.dictionaries(st.sampled_from(range(len(monomials))),
                                            coeffs, min_size=1, max_size=5))
-        p = sum((c * monomials[k] for k, c in chosen.items()), ring.context.zero())
+        p = LaurentPoly(ring.context, {monomials[k]: c for k, c in chosen.items()})
         to_sympy, basis = groebner_oracle(ring)
         assert ring.normal_form(p) == p
         assert to_sympy(p).rem(basis) != 0
+
+
+def reduction_reach(ring, p):
+    """The reach ``_reduce`` packs p's reducible terms for: their largest
+    |exponent| plus their highest weight 2a + 3b times the rules' largest
+    shift component."""
+    i3, i4 = ring.context.index("x3"), ring.context.index("x4")
+    reducible = [m for m in p.terms if m[i3] >= 2 or m[i4] >= 2]
+    top = max(2 * m[i3] + 3 * m[i4] for m in reducible)
+    return max(abs(e) for m in reducible for e in m) + top * ring._growth
+
+
+# (ring, input, field width the reduction packs it with); the growth is 3
+# on both rings, so with x4^2 (weight 6) the highest weight, x5^-109 gives
+# the reach 109 + 6*3 = 127, the most that 8-bit fields hold, and x5^-110
+# gives 128
+WIDTH_CASES = [
+    (LOC, "x5^-40*x6^-33*x3^6", 8),
+    (LOC, "x1^300*x4^5", 16),
+    (SYM, "alpha^50*x3^7", 8),
+    (LOC, "x5^-109*x4^2 + 1/3*x1^90*x3^2 + x6^-7", 8),
+    (LOC, "x5^-110*x4^2 + 1/3*x1^90*x3^2 + x6^-7", 16),
+    (LOC, LOC.context.monomial({"x1": 2 ** 70, "x5": -5, "x3": 3}, "2/7")
+     + LOC.context.monomial({"x4": 3}), 128),
+]
+
+
+class TestPackingWidth:
+    @pytest.mark.parametrize("ring, p, width", WIDTH_CASES,
+                             ids=[str(p) if isinstance(p, str) else "x1^(2^70)"
+                                  for _, p, _ in WIDTH_CASES])
+    def test_matches_reference_across_width_changes(self, ring, p, width):
+        if isinstance(p, str):
+            p = parse_expr(p, ring.context)
+        assert field_width(reduction_reach(ring, p)) == width
+        reduced = ring.normal_form(p)
+        assert reduced.terms == reference_normal_form(ring, p, random.Random(7))
+        assert all(type(c) is Fraction for c in reduced.terms.values())
+
+    @pytest.mark.parametrize("reach, width", [
+        (0, 8), (127, 8), (128, 16), (2 ** 15 - 1, 16), (2 ** 15, 32),
+        (2 ** 63 - 1, 64), (2 ** 63, 128)])
+    def test_keys_round_trip_at_the_field_edges(self, reach, width):
+        # every exponent in [-reach, reach] fits, the field's two ends too
+        packing = ExponentPacking(LOC.context, reach)
+        assert packing.width == width
+        bias = packing.bias
+        for m in [(bias - 1, 0, 1, reach, -bias, -reach, 0, 2),
+                  (0, reach, 0, 0, bias - 1, -1, reach, 0)]:
+            key = packing.key(5, m)
+            assert packing.exponents(key) == m
+            assert [packing.exponent(key, v) for v in range(len(m))] == list(m)
+        assert packing.key(0, (bias,) + (0,) * 7) is None
+
+
+NORMAL_FORMS = Path(__file__).parent / "data" / "normal_forms.txt"
+PINNED_RINGS = {"sym": SYM, "loc": LOC, "1,1": NUM11}
+
+
+def pinned_normal_forms():
+    lines = NORMAL_FORMS.read_text().splitlines()
+    return [line.split("\t") for line in lines if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("key, text, digest", pinned_normal_forms(),
+                         ids=[f"{key}:{text}" for key, text, _ in pinned_normal_forms()])
+def test_large_normal_forms_are_pinned(key, text, digest):
+    # sha256 of the printed normal form, recorded before normal forms ran
+    # on packed keys and products on integer numerators
+    out = str(PINNED_RINGS[key].normal_form(text))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @functools.cache
@@ -504,7 +578,8 @@ def reference_rows(structure_or_ring, degree):
     for gi, i in enumerate(ctx.generators()):
         g = ctx.var(ctx.names[i])
         for idx, mono in enumerate(monomials):
-            for m, c in structure_or_ring.bracket(mono, g).terms.items():
+            f = LaurentPoly(ctx, {mono: 1})
+            for m, c in structure_or_ring.bracket(f, g).terms.items():
                 rows.setdefault((gi, m), {})[idx] = c
     return monomials, rows
 
