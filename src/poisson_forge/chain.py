@@ -207,13 +207,13 @@ class FractionElement:
 
 @dataclass(frozen=True)
 class ChainStage:
-    """Generators X[1,level] .. X[6,level] in the ambient fraction field."""
+    """Generators X[1,level] .. X[6,level] of one level of the chain."""
 
     level: int
-    gens: tuple[FractionElement, ...]
+    gens: tuple
     depths: dict[int, int] = dc_field(default_factory=dict, compare=False)
 
-    def gen(self, i: int) -> FractionElement:
+    def gen(self, i: int):
         """1-based generator access."""
         return self.gens[i - 1]
 
@@ -311,15 +311,27 @@ def verify_torus_relations(stage2: ChainStage, matrix,
     return items
 
 
-def _eval_terms(terms: list[ChainTerm], stages: dict[int, ChainStage]) -> FractionElement:
-    fld = next(iter(stages.values())).gens[0].field
-    total = fld.element(fld.context.zero())
+def _eval_terms(terms: list[ChainTerm], stages: dict[int, ChainStage]):
+    """sum of coeff * prod X[i,j]^power over the generators of ``stages``."""
+    total = None
     for coeff, powers in terms:
-        piece = fld.element(fld.context.scalar(Fraction(coeff)))
+        piece = Fraction(coeff)
         for i, j, e in powers:
             piece = piece * stages[j].gen(i) ** e
-        total = total + piece
+        total = piece if total is None else total + piece
     return total
+
+
+def formula_stages(gens) -> dict[int, ChainStage]:
+    """Levels 7 down to 3 from ``gens`` = X1..X6, any elements with ``+``,
+    ``*`` and ``**``: X[i,j] by ``CHAIN_FORMULAS``, else X[i,j+1]."""
+    top = len(gens) + 1
+    stages = {top: ChainStage(top, tuple(gens))}
+    for j in range(top - 1, 2, -1):
+        stages[j] = ChainStage(j, tuple(
+            _eval_terms(CHAIN_FORMULAS[i, j], stages) if (i, j) in CHAIN_FORMULAS
+            else stages[j + 1].gen(i) for i in range(1, top)))
+    return stages
 
 
 def verify_chain_formulas(stages: dict[int, ChainStage]) -> list[CheckItem]:

@@ -110,8 +110,7 @@ def _cmd_nf(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        spec = json.load(handle)
+    spec = g2.read_json(args.file)
     if not isinstance(spec, dict):
         raise UsageError("decomposition spec must be a JSON object")
     for field in ("rank", "lambda", "images"):

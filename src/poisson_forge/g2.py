@@ -51,6 +51,25 @@ def _pair_key(key: str, rank: int) -> tuple[int, int]:
 #: 19900 one-term entries would store 3980000 (94 MB).
 MAX_STORED_EXPONENTS = 1_000_000
 
+#: Most bytes ``read_json`` takes from a file: about three times the
+#: 318 KB rank-200 algebra file of the tests.
+MAX_FILE_BYTES = 1_000_000
+
+
+def read_json(path) -> object:
+    """The JSON value in the file at ``path``, UTF-8.  At most
+    ``MAX_FILE_BYTES`` are read (a longer file raises ``WorkLimitError``),
+    and nesting too deep for the decoder raises ``ExprError``."""
+    with open(path, "rb") as handle:
+        raw = handle.read(MAX_FILE_BYTES + 1)
+    if len(raw) > MAX_FILE_BYTES:
+        raise WorkLimitError(f"{path} is larger than {MAX_FILE_BYTES} bytes")
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ExprError(f"{path} nests JSON values too deeply") from None
+
+
 _FIELD_KINDS = {"variables": list, "invertible": list, "parameters": list,
                 "brackets": dict, "sigma": dict, "delta": dict,
                 "weights": list, "casimirs": dict}
@@ -68,11 +87,7 @@ def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
     when none is given), and together store at most
     ``MAX_STORED_EXPONENTS`` exponent entries.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = source
+    data = read_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise ExprError("algebra definition must be a JSON object")
     for field in ("variables", "brackets", "sigma"):

@@ -58,9 +58,9 @@ searches check their answer through ``bracket``.  Derivations are
 ``poisson.derivation_residues`` with each residue reduced modulo the
 ideal.
 
-Everything with a t3 or t4 denominator is handled in cleared-denominator
-form: the quotient is a domain, so ``num / t3^a t4^b`` comparisons reduce
-to exact normal-form identities of cross-multiplied numerators.
+A ``QuotientElement`` is poly / (t3^a * t4^b), poly in normal form and
+t3, t4 the chain denominators: the quotient is a domain, so sums bring
+both numerators to the larger exponents and products add them.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from math import inf, lcm
 from operator import mul
 
 from .expr import ExprError, LaurentPoly, VarContext, WorkLimitError, rational
-from .g2 import REWRITE_IDENTITIES, builtin_algebra
+from .g2 import CHAIN_STABLE_LEVEL, REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
 from .poisson import (DerivationSpec, ExponentPacking, PoissonStructure,
@@ -309,11 +309,6 @@ class QuotientRing:
     def normal_form(self, p: LaurentPoly | str) -> LaurentPoly:
         if isinstance(p, str):
             p = parse_expr(p, self.context, aliases=_AMBIENT_TO_QUOTIENT)
-        for m in p.terms:
-            for i in (0, 1, 2, 3):
-                if m[i] < 0:
-                    raise ExprError("negative exponent on x1..x4 has no"
-                                    " normal form")
         return self._reduce(self._specialise(p))
 
     def element(self, p) -> "QuotientElement":
@@ -416,37 +411,88 @@ class QuotientRing:
 
 @dataclass(frozen=True)
 class QuotientElement:
-    """A quotient element held in normal form."""
+    """poly / (t3^a * t4^b) over a QuotientRing, poly in normal form.  The
+    quotient's own elements have a = b = 0; ``bracket`` takes only those."""
 
     ring: QuotientRing
     poly: LaurentPoly
+    a: int = 0
+    b: int = 0
+
+    def _lift(self, other) -> "QuotientElement":
+        if isinstance(other, QuotientElement):
+            return other
+        if isinstance(other, LaurentPoly):
+            return self.ring.element(other)
+        return QuotientElement(self.ring, self.ring.context.scalar(other))
+
+    def _scale(self, a: int, b: int) -> LaurentPoly:
+        """The numerator over t3^a * t4^b; not reduced."""
+        poly = self.poly
+        for _ in range(a - self.a):
+            poly = poly * self.ring.t3
+        for _ in range(b - self.b):
+            poly = poly * self.ring.t4
+        return poly
 
     def __add__(self, other):
-        return QuotientElement(self.ring, self.poly + self._lift(other))
+        other = self._lift(other)
+        a, b = max(self.a, other.a), max(self.b, other.b)
+        poly = self._scale(a, b) + other._scale(a, b)
+        if (self.a, self.b) != (other.a, other.b):
+            # a numerator was rescaled; a sum of normal forms is one
+            poly = self.ring.normal_form(poly)
+        return QuotientElement(self.ring, poly, a, b)
+
+    def __neg__(self):
+        return QuotientElement(self.ring, -self.poly, self.a, self.b)
 
     def __sub__(self, other):
-        return QuotientElement(self.ring, self.poly - self._lift(other))
+        return self + -self._lift(other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a scalar multiple of a normal form is one
+            return QuotientElement(self.ring, self.poly * other, self.a, self.b)
+        other = self._lift(other)
         return QuotientElement(self.ring,
-                               self.ring.normal_form(self.poly * self._lift(other)))
+                               self.ring.normal_form(self.poly * other.poly),
+                               self.a + other.a, self.b + other.b)
 
-    def _lift(self, other) -> LaurentPoly:
-        if isinstance(other, QuotientElement):
-            return other.poly
-        if isinstance(other, LaurentPoly):
-            return self.ring.normal_form(other)
-        return self.ring.context.scalar(other)
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        base = self if n >= 0 else self.inverse()
+        return QuotientElement(self.ring, self.ring.normal_form(base.poly ** abs(n)),
+                               base.a * abs(n), base.b * abs(n))
+
+    def inverse(self) -> "QuotientElement":
+        """1 / self for a monomial, ``ring.t3`` or ``ring.t4``."""
+        ring, poly = self.ring, self.poly
+        if not (self.a or self.b):
+            if len(poly.terms) == 1:
+                return QuotientElement(ring, poly.monomial_inverse())
+            if ring.localized and poly == ring.t3:
+                return QuotientElement(ring, ring.context.one(), 1, 0)
+            if ring.localized and poly == ring.t4:
+                return QuotientElement(ring, ring.context.one(), 0, 1)
+        raise ExprError(f"{self} has no inverse here: only monomials, t3"
+                        " and t4 are inverted")
 
     def bracket(self, other) -> "QuotientElement":
-        return QuotientElement(self.ring,
-                               self.ring.bracket(self.poly, self._lift(other)))
+        other = self._lift(other)
+        if self.a or self.b or other.a or other.b:
+            raise ExprError("the bracket needs elements without t3, t4"
+                            " denominators")
+        return QuotientElement(self.ring, self.ring.bracket(self.poly, other.poly))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
     def __str__(self):
-        return str(self.poly)
+        if self.a == 0 and self.b == 0:
+            return str(self.poly)
+        return f"({self.poly}) / (t3^{self.a} * t4^{self.b})"
 
 
 def check_casimirs(ring: QuotientRing) -> list[CheckItem]:
@@ -475,132 +521,68 @@ def quotient_jacobi_items(ring: QuotientRing) -> list[CheckItem]:
 
 # -- the localisation tower -------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalizedFraction:
-    """num / (t3^a * t4^b) over a localised QuotientRing, num in normal form."""
-
-    ring: QuotientRing
-    num: LaurentPoly
-    a: int
-    b: int
-
-    @staticmethod
-    def of(ring: QuotientRing, poly, a: int = 0, b: int = 0) -> "LocalizedFraction":
-        return LocalizedFraction(ring, ring.normal_form(poly), a, b)
-
-    def _scale(self, a: int, b: int) -> LaurentPoly:
-        num = self.num
-        for _ in range(a - self.a):
-            num = num * self.ring.t3
-        for _ in range(b - self.b):
-            num = num * self.ring.t4
-        return self.ring.normal_form(num)
-
-    def __add__(self, other):
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        return LocalizedFraction(
-            self.ring,
-            self.ring.normal_form(self._scale(a, b) + other._scale(a, b)), a, b)
-
-    def __neg__(self):
-        return LocalizedFraction(self.ring, -self.num, self.a, self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LocalizedFraction):
-            return LocalizedFraction(
-                self.ring, self.ring.normal_form(self.num * other.num),
-                self.a + other.a, self.b + other.b)
-        return LocalizedFraction(self.ring,
-                                 self.ring.normal_form(self.num * other),
-                                 self.a, self.b)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __str__(self):
-        if self.a == 0 and self.b == 0:
-            return str(self.num)
-        return f"({self.num}) / (t3^{self.a} * t4^{self.b})"
+# The chain elements by their place X[i,j] in the chain; t_i is X[i,j] at
+# the level j where it stabilises.
+_CHAIN_NAMES = {"x16": (1, 6), "x26": (2, 6), "x36": (3, 6), "z1": (1, 5),
+                "z2": (2, 5), "f1": (1, 4),
+                **{f"t{i}": (i, j) for i, j in CHAIN_STABLE_LEVEL.items()}}
 
 
-def chain_elements(ring: QuotientRing) -> dict[str, LocalizedFraction]:
-    """The images of the chain elements in the localised quotient."""
+def chain_elements(ring: QuotientRing) -> dict[str, QuotientElement]:
+    """The images of the chain elements in the localised quotient: the
+    formulas of ``g2.CHAIN_FORMULAS`` evaluated on x1..x6."""
+    # imported here: a ring alone does not need the chain module, whose
+    # import added about 4 ms to the 28 ms set-up of the centre-search
+    # benchmark
+    from .chain import formula_stages
     if not ring.localized:
         raise ExprError("chain elements need the localisation at x5, x6")
-    ctx = ring.context
-    el = lambda text: LocalizedFraction.of(ring, parse_expr(text, ctx))
-    t3_poly, t4_poly = ring.t3, ring.t4
-    x16 = el("x1 - 1/2*x5*x6^-1")
-    x26 = el("x2 + 3/2*x4*x6^-1 - 3*x3*x5*x6^-1 + x5^3*x6^-2")
-    x36 = el("x3 - x5^2*x6^-1")
-    t4 = LocalizedFraction.of(ring, t4_poly)
-    t3 = LocalizedFraction.of(ring, t3_poly)
-    t5 = el("x5")
-    t6 = el("x6")
-    inv_x5 = ctx.monomial({"x5": -1})
-    z1 = x16 - x36 * inv_x5 + Fraction(3, 4) * t4 * ctx.monomial({"x5": -2})
-    z2 = (x26 - 3 * x36 * x36 * inv_x5
-          + Fraction(9, 2) * x36 * t4 * ctx.monomial({"x5": -2})
-          - Fraction(9, 4) * t4 * t4 * ctx.monomial({"x5": -3}))
-    f1 = LocalizedFraction(ring, ring.normal_form(z1.num * t4_poly
-                                                  - Fraction(1, 3) * t3_poly ** 2), 0, 1)
-    t2 = LocalizedFraction(ring, ring.normal_form(z2.num * t4_poly
-                                                  - Fraction(2, 3) * t3_poly ** 3), 0, 1)
-    t1 = LocalizedFraction(ring, ring.normal_form(f1.num * t3_poly
-                                                  - Fraction(1, 2) * t2.num), 1, 1)
-    return {"x16": x16, "x26": x26, "x36": x36, "t1": t1, "t2": t2, "t3": t3,
-            "t4": t4, "t5": t5, "t6": t6, "z1": z1, "z2": z2, "f1": f1}
+    stages = formula_stages([ring.element(ring.context.var(name))
+                             for name in QUOTIENT_NAMES])
+    return {name: stages[j].gen(i) for name, (i, j) in _CHAIN_NAMES.items()}
 
 
 def verify_localized_identities(ring: QuotientRing) -> list[CheckItem]:
-    """The localisation-tower identities in cleared-denominator form."""
+    """The localisation-tower identities, each as the numerator of lhs - rhs
+    over its t3, t4 denominator: the quotient is a domain."""
     e = chain_elements(ring)
-    ctx = ring.context
-    alpha = LocalizedFraction.of(ring, ring.alpha_poly)
-    beta = LocalizedFraction.of(ring, ring.beta_poly)
-    x = {name: LocalizedFraction.of(ring, ctx.var(name)) for name in QUOTIENT_NAMES}
-    inv = lambda name, power=1: ctx.monomial({name: -power})
+    alpha = ring.element(ring.alpha_poly)
+    beta = ring.element(ring.beta_poly)
+    x = {name: ring.element(ring.context.var(name)) for name in QUOTIENT_NAMES}
+    x5, x6 = x["x5"], x["x6"]
 
     items = []
 
     def check(label, lhs, rhs):
-        items.append(check_item(label, (lhs - rhs).num))
+        items.append(check_item(label, (lhs - rhs).poly))
 
-    check("t5 = x5", e["t5"], x["x5"])
+    check("t5 = x5", e["t5"], x5)
     check("relation z2*t5 = 2*(z1*t3*t5 - alpha)",
-          e["z2"] * x["x5"], 2 * (e["z1"] * e["t3"] * x["x5"] - alpha))
+          e["z2"] * x5, 2 * (e["z1"] * e["t3"] * x5 - alpha))
     check("relation t3^3*t5*t6 = 3*z1*t3*t4*t5*t6 - 3/2*beta*t5"
           " - 3*alpha*t4*t6",
-          e["t3"] * e["t3"] * e["t3"] * x["x5"] * x["x6"],
-          3 * e["z1"] * e["t3"] * e["t4"] * x["x5"] * x["x6"]
-          - Fraction(3, 2) * beta * x["x5"] - 3 * alpha * e["t4"] * x["x6"])
+          e["t3"] ** 3 * x5 * x6,
+          3 * e["z1"] * e["t3"] * e["t4"] * x5 * x6
+          - Fraction(3, 2) * beta * x5 - 3 * alpha * e["t4"] * x6)
     check("t1*t3*t5 = alpha", e["t1"] * e["t3"] * e["t5"], alpha)
     check("t2*t4*t6 = beta", e["t2"] * e["t4"] * e["t6"], beta)
     check("f1 = t1 + 1/2*t2*t3^-1",
-          e["f1"] * e["t3"], e["t1"] * e["t3"] + Fraction(1, 2) * e["t2"])
+          e["f1"], e["t1"] + Fraction(1, 2) * e["t2"] * e["t3"] ** -1)
     check("x(3,6) = t3 + 3/2*t4*t5^-1",
-          e["x36"], e["t3"] + Fraction(3, 2) * e["t4"] * inv("x5"))
+          e["x36"], e["t3"] + Fraction(3, 2) * e["t4"] * x5 ** -1)
     check("z1 = f1 + 1/3*t3^2*t4^-1",
-          e["z1"] * e["t4"], e["f1"] * e["t4"] + Fraction(1, 3) * e["t3"] * e["t3"])
+          e["z1"], e["f1"] + Fraction(1, 3) * e["t3"] ** 2 * e["t4"] ** -1)
     check("x1 = x(1,6) + 1/2*t5*t6^-1",
-          x["x1"], e["x16"] + Fraction(1, 2) * LocalizedFraction.of(
-              ring, ctx.monomial({"x5": 1, "x6": -1})))
+          x["x1"], e["x16"] + Fraction(1, 2) * x5 * x6 ** -1)
     check("z2 = t2 + 2/3*t3^3*t4^-1",
-          e["z2"] * e["t4"],
-          e["t2"] * e["t4"] + Fraction(2, 3) * e["t3"] * e["t3"] * e["t3"])
+          e["z2"], e["t2"] + Fraction(2, 3) * e["t3"] ** 3 * e["t4"] ** -1)
     check("x3 = x(3,6) + t5^2*t6^-1",
-          x["x3"], e["x36"] + LocalizedFraction.of(ring, ctx.monomial({"x5": 2, "x6": -1})))
+          x["x3"], e["x36"] + x5 ** 2 * x6 ** -1)
     check("x(1,6) = z1 + x(3,6)*t5^-1 - 3/4*t4*t5^-2",
-          e["x16"], e["z1"] + e["x36"] * inv("x5")
-          - Fraction(3, 4) * e["t4"] * inv("x5", 2))
+          e["x16"], e["z1"] + e["x36"] * x5 ** -1
+          - Fraction(3, 4) * e["t4"] * x5 ** -2)
     check("x4 = t4 + 2/3*t5^3*t6^-1",
-          x["x4"], e["t4"] + Fraction(2, 3) * LocalizedFraction.of(
-              ring, ctx.monomial({"x5": 3, "x6": -1})))
+          x["x4"], e["t4"] + Fraction(2, 3) * x5 ** 3 * x6 ** -1)
     return items
 
 

@@ -254,6 +254,36 @@ class TestExitCodes:
             "error: algebra definition stores more than 1000000 exponent entries")
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("argv", [["bracket", "X1", "X2", "--algebra"],
+                                      ["decompose", "--file"]],
+                             ids=["bracket", "decompose"])
+    @pytest.mark.parametrize("source", ["endless", "nested"])
+    def test_hostile_file_is_usage_error(self, argv, source, tmp_path, capsys):
+        # an endless file is read to MAX_FILE_BYTES + 1 bytes only, and
+        # 400 KB of "[" nest deeper than the JSON decoder recurses
+        if source == "endless":
+            path = Path("/dev/zero")
+            if not path.exists():
+                pytest.skip("this system has no /dev/zero")
+            message = f"error: {path} is larger than {g2.MAX_FILE_BYTES} bytes"
+        else:
+            path = tmp_path / "nested.json"
+            path.write_text("[" * 400_000)
+            message = f"error: {path} nests JSON values too deeply"
+        code, _ = run_cli(*argv, str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_file_limit_is_inclusive(self, tmp_path, capsys):
+        spec = json.dumps({"rank": 2, "lambda": [[0, 1], [-1, 0]],
+                           "images": {"t1": "t1*t2", "t2": "0"}})
+        path = tmp_path / "spec.json"
+        path.write_text(spec.ljust(g2.MAX_FILE_BYTES))
+        assert run_cli("decompose", "--file", str(path))[0] == 0
+        path.write_text(spec.ljust(g2.MAX_FILE_BYTES + 1))
+        assert run_cli("decompose", "--file", str(path))[0] == 2
+        assert "is larger than" in capsys.readouterr().err
+
     def test_bracket_is_charged_for_the_table_it_walks(self, tmp_path, capsys):
         # 1395 x 100 term pairs are under the budget at the built-in
         # table's size, but each pair walks 4950 entries here; charged by

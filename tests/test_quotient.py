@@ -17,9 +17,10 @@ from poisson_forge.expr import ExprError, LaurentPoly, VarContext
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
                                    PoissonStructure, WeightVector, field_width)
-from poisson_forge.quotient import (MAX_TERMS, QuotientRing, bounded_centre,
-                                    bounded_inner_search, chain_elements,
-                                    check_casimirs, check_quotient_derivation,
+from poisson_forge.quotient import (MAX_TERMS, QuotientElement, QuotientRing,
+                                    bounded_centre, bounded_inner_search,
+                                    chain_elements, check_casimirs,
+                                    check_quotient_derivation,
                                     hamiltonian_quotient_images,
                                     parse_derivation, quotient_jacobi_items,
                                     spans_same_space,
@@ -410,7 +411,7 @@ class TestLocalizedTower:
     def test_chain_elements_reduce_to_expected_forms(self):
         e = chain_elements(LOC)
         assert str(e["t3"]) == "x3 - 3/2*x4*x5^-1"
-        assert e["t5"].num == LOC.context.var("x5")
+        assert e["t5"].poly == LOC.context.var("x5")
         assert e["t1"].a == 1 and e["t1"].b == 1
 
     def test_all_identities(self):
@@ -436,8 +437,57 @@ class TestLocalizedTower:
         assert all(ok for _, ok, _ in items)
         assert len(calls) <= 7
 
+    def test_changed_chain_formula_breaks_the_relation(self, monkeypatch):
+        # negative control: the tower is built from g2.CHAIN_FORMULAS, so
+        # X[1,3] = X[1,4] - 1/3*X[2,4]*X[3,4]^-1 must break t1*t3*t5 = alpha
+        monkeypatch.setitem(g2.CHAIN_FORMULAS, (1, 3), [
+            ("1", ((1, 4, 1),)), ("-1/3", ((2, 4, 1), (3, 4, -1)))])
+        verdicts = {label: ok for label, ok, _ in verify_localized_identities(LOC)}
+        assert not verdicts["t1*t3*t5 = alpha"]
+        assert verdicts["t2*t4*t6 = beta"]
 
-# The defining texts of quotient.chain_elements, restated for the oracle.
+
+class TestQuotientElement:
+    def test_inverses(self):
+        x5 = LOC.element("x5")
+        assert (x5 ** -1).poly == LOC.context.monomial({"x5": -1})
+        assert (x5 * x5 ** -1).poly == 1
+        for t, exponents in ((LOC.t3, (1, 0)), (LOC.t4, (0, 1))):
+            inverse = LOC.element(t) ** -1
+            assert (inverse.a, inverse.b) == exponents
+            assert (LOC.element(t) * inverse - 1).is_zero()
+            assert not (inverse - 1).is_zero()
+
+    @pytest.mark.parametrize("element", [
+        LOC.element("x1 + x2"), QuotientElement(LOC, LOC.t3, 1, 0),
+        SYM.element("x1")], ids=["x1+x2", "a=1", "x1"])
+    def test_other_inverses_refused(self, element):
+        with pytest.raises(ExprError):
+            element.inverse()
+
+    def test_sum_brings_both_to_the_larger_exponents(self):
+        x3 = LOC.element("x3")
+        total = x3 * LOC.element(LOC.t3) ** -1 + x3 * LOC.element(LOC.t4) ** -1
+        assert (total.a, total.b) == (1, 1)
+        assert total.poly == LOC.normal_form(LOC.context.var("x3") * (LOC.t3 + LOC.t4))
+
+    def test_bracket_refuses_denominators(self):
+        x4 = LOC.element("x4")
+        fraction = LOC.element("x3") * LOC.element(LOC.t3) ** -1
+        for f, g in ((fraction, x4), (x4, fraction)):
+            with pytest.raises(ExprError, match="denominators"):
+                f.bracket(g)
+
+    def test_two_argument_form(self):
+        # as bench/workloads.py builds its small normal-form operands
+        x3 = QuotientElement(NUM11, NUM11.context.var("x3"))
+        assert (x3.a, x3.b) == (0, 0)
+        assert (x3 * x3).poly == NUM11.normal_form("x3^2")
+
+
+# The images in the localised quotient of X[1,6], X[2,6], X[3,6], X[3,5]
+# and X[4,6] of g2.CHAIN_FORMULAS, restated here independently of them
+# for the oracle.
 TOWER_TEXTS = {"x16": "x1 - 1/2*x5*x6^-1",
                "x26": "x2 + 3/2*x4*x6^-1 - 3*x3*x5*x6^-1 + x5^3*x6^-2",
                "x36": "x3 - x5^2*x6^-1",
@@ -500,7 +550,7 @@ class TestLocalizedTowerOracle:
         elements = chain_elements(ring)
         for name in ("t1", "t2", "t3", "t4"):
             f = elements[name]
-            value = t["sym"](str(f.num)) / (t["t3"] ** f.a * t["t4"] ** f.b)
+            value = t["sym"](str(f.poly)) / (t["t3"] ** f.a * t["t4"] ** f.b)
             assert reduce(value - t[name]) == 0, name
 
     def test_bumped_t3_breaks_the_relations(self):
