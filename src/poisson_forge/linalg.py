@@ -2,11 +2,17 @@
 
 Rows are sparse dicts column -> Fraction.  The reducer keeps a fully
 reduced (RREF) pivot set so null spaces and particular solutions read off
-directly.  A batch of rows is loaded by ``LinearSystem.from_rows``, which
-settles the single-entry rows by substitution before the RREF sees the
-rest.  The RREF of a span is unique for a given column order, so two row
-sets span the same space exactly when their pivot sets are equal, and
-the rank is ``len(pivots)``.  Integer lattice kernels go through
+directly.  A batch of homogeneous rows is loaded by
+``LinearSystem.from_rows``, which settles the single-entry rows (each
+forces its column to zero) before the RREF sees the rest: one pass over
+the rows against a growing set of settled columns with C-level set
+differences, then a queue of one-entry rows for the few rows left.  A
+pass repeated until nothing changes was rejected: it is quadratic on a
+chain of two-entry rows, where each pass settles one column.  ``solve``
+puts the rhs in as one more column, so it needs no path of its own.  The
+RREF of a span is unique for a given column order, so two row sets span
+the same space exactly when their pivot sets are equal, and the rank is
+``len(pivots)``.  Integer lattice kernels go through
 unimodular row reduction of [A^T | I], which yields a saturated basis,
 then a row-style Hermite normal form for a canonical answer.
 """
@@ -27,56 +33,73 @@ class LinearSystem:
         self.pivots: dict[int, Row] = {}  # pivot column -> reduced row
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Row], rhs_col: int | None = None) -> LinearSystem:
-        """The reduced system of ``rows``, which are consumed in place.
+    def from_rows(cls, rows: Iterable[Row]) -> LinearSystem:
+        """The reduced system of the homogeneous ``rows``, which are
+        consumed in place.
 
         Singleton elimination first (LaMacchia-Odlyzko structured Gaussian
-        elimination): a row whose one nonzero entry a sits at a column
-        c != rhs_col fixes x_c = b/a, b its ``rhs_col`` entry, and c is
-        substituted out of every other row, which may make new singletons.
-        Singletons with a zero rhs are settled before those with one, so the
-        x_c = 0 they force are known before any rhs value spreads.
-        The rows left over go through ``add_row``.  Each pivot row is still
-        led by its least column, so the pivots are the same unique RREF
-        that ``add_row`` alone gives, provided ``rhs_col`` exceeds every
-        other column.
+        elimination): a row with one nonzero entry forces its column to
+        zero, and that column drops out of every other row, which may
+        leave new one-entry rows.  The columns of the one-entry rows start
+        the set of settled columns.  One pass over the other rows takes
+        the columns each has outside that set (``row.keys() - settled``,
+        in C) and settles the column of a row left with one; the set grows
+        during the pass, which is sound because every settled column is a
+        forced zero.  The few rows left with two or more live columns lose
+        their settled columns and go through a queue of one-entry rows
+        over a column -> rows index, which follows a cascade to its end.
+        Repeating the set pass until nothing changes would be quadratic:
+        on the chain {i, i+1} (i < n-1) plus {n-1}, in that order, each
+        pass settles one column.
+
+        The rows left go through ``add_row`` on an empty system, so it
+        scans no singleton pivots, and each settled column c then joins as
+        the pivot row {c: 1}.  The RREF of a span is unique for a given
+        column order, so the pivots are those ``add_row`` alone gives.
         """
-        system = cls()
-        rows = list(rows)
+        settled: set[int] = set()
+        others = []
+        for row in rows:
+            if not all(row.values()):
+                for c in [c for c, v in row.items() if not v]:
+                    del row[c]
+            if len(row) == 1:
+                settled.update(row)
+            elif row:
+                others.append(row)
+        left = []
+        for row in others:
+            live = row.keys() - settled
+            if len(live) == 1:
+                settled |= live
+            elif live:
+                left.append(row)
         by_col: dict[int, list[Row]] = {}  # column -> the rows holding it
-        singletons: tuple[list[Row], list[Row]] = ([], [])  # without, with an rhs
-        for row in rows:
-            for c in [c for c, v in row.items() if not v]:
+        singletons = []
+        for row in left:
+            for c in row.keys() & settled:
                 del row[c]
+            if len(row) == 1:
+                singletons.append(row)
             for c in row:
-                if c != rhs_col:
-                    by_col.setdefault(c, []).append(row)
-            if len(row) - (rhs_col in row) == 1:
-                singletons[rhs_col in row].append(row)
-        while singletons[0] or singletons[1]:
-            row = (singletons[0] or singletons[1]).pop()
-            if len(row) - (rhs_col in row) != 1:
+                by_col.setdefault(c, []).append(row)
+        while singletons:
+            row = singletons.pop()
+            if len(row) != 1:
                 continue
-            b = row.pop(rhs_col, 0)
-            (c, a), = row.items()
-            row.clear()
-            x = Fraction(b) / a
-            system.pivots[c] = {c: Fraction(1), rhs_col: x} if x else {c: Fraction(1)}
+            c, = row
+            settled.add(c)
             for other in by_col.pop(c):
-                a = other.pop(c, 0)
-                if not a:
-                    continue
-                if x:
-                    s = other.get(rhs_col, 0) - a * x
-                    if s:
-                        other[rhs_col] = s
-                    else:
-                        del other[rhs_col]
-                if len(other) - (rhs_col in other) == 1:
-                    singletons[rhs_col in other].append(other)
-        for row in rows:
+                del other[c]
+                if len(other) == 1:
+                    singletons.append(other)
+        system = cls()
+        for row in left:
             if row:
                 system.add_row(row)
+        one = Fraction(1)
+        for c in settled:
+            system.pivots[c] = {c: one}
         return system
 
     def reduce_row(self, row: Row) -> Row:
@@ -135,24 +158,25 @@ class LinearSystem:
 def solve(rows: Iterable[tuple[Row, Fraction]], ncols: int) -> list[Fraction] | None:
     """One exact solution of A x = b with free coordinates pinned to zero.
 
-    ``rows`` yields (coefficient row, rhs); the rows are consumed in place,
-    as by ``LinearSystem.from_rows``.  Returns None when the system is
-    inconsistent.  The rhs is carried as an extra column, so a pivot landing
-    there certifies infeasibility.
+    ``rows`` yields (coefficient row over columns 0..ncols-1, rhs); the
+    rows are consumed in place, as by ``LinearSystem.from_rows``.  Returns
+    None when the system is inconsistent.  The rhs joins the homogeneous
+    system as column ``ncols``, an ordinary column after every unknown: a
+    pivot there certifies infeasibility, and otherwise each pivot row of
+    the unique RREF of [A | b] reads x[pc] = its entry at ``ncols``.
     """
-    rhs_col = ncols
     full_rows = []
     for row, b in rows:
         if b:
-            row[rhs_col] = Fraction(b)
+            row[ncols] = b
         full_rows.append(row)
-    system = LinearSystem.from_rows(full_rows, rhs_col)
-    if rhs_col in system.pivots:
+    system = LinearSystem.from_rows(full_rows)
+    if ncols in system.pivots:
         return None
     zero = Fraction(0)
     x = [zero] * ncols
     for pc, row in system.pivots.items():
-        x[pc] = row.get(rhs_col, zero)
+        x[pc] = row.get(ncols, zero)
     return x
 
 

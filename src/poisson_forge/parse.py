@@ -8,10 +8,12 @@
 
 Identifiers are letters followed by letters/digits; whitespace is
 insignificant.  Parsing yields a canonical LaurentPoly directly, so
-parse(format(p)) == p.  Nesting of parentheses and unary minus is bounded
-by ``MAX_DEPTH``, exponents by ``MAX_EXPONENT`` and the term-pair products
-of ``*`` and ``^`` (repeated ``*``) by ``expr.MAX_PRODUCTS``, so hostile
-input ends in a typed error, not a RecursionError or a runaway product.
+parse(format(p)) == p.  The length of the text is bounded by
+``expr.MAX_INPUT_CHARS`` before it is tokenised, nesting of parentheses and
+unary minus by ``MAX_DEPTH``, exponents by ``MAX_EXPONENT`` and the
+term-pair products of ``*`` and ``^`` (repeated ``*``) by
+``expr.MAX_PRODUCTS``, so hostile input ends in a typed error, not a
+RecursionError, a runaway product or a token list as long as the input.
 """
 
 from __future__ import annotations
@@ -207,9 +209,11 @@ def parse_expr(text: str, context: VarContext,
 
     ``aliases`` maps alternative spellings onto context names (the CLI uses
     this to accept X1..X6 for the quotient generators x1..x6).  The parse
-    charges its products to ``budget``, a fresh one when none is given.
+    charges its length and its products to ``budget``, a fresh one when
+    none is given.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {text!r}", 0)
-    return _Parser(text, context, aliases,
-                   ProductBudget() if budget is None else budget).parse()
+    budget = ProductBudget() if budget is None else budget
+    budget.read(text)
+    return _Parser(text, context, aliases, budget).parse()

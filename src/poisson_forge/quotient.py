@@ -52,8 +52,11 @@ packed rewrite loop of ``normal_form`` on the call's own keys, into a
 table that lives for the call, and adds each image term into its rows
 through it.  A row times a
 nonzero constant has the same solutions, so the kernel is the same, and
-the inner search multiplies each rhs entry by its row's scale.  Both
-searches check their answer through ``bracket``.  Derivations are
+the inner search multiplies each rhs entry by its row's scale.  The
+centre loads its rows into ``LinearSystem.from_rows`` as they are, the
+inner search (``linalg.solve``) with the scaled rhs as one more column
+after the unknowns; both searches check their answer through
+``bracket``.  Derivations are
 ``DerivationSpec``s over the ring's context, checked by
 ``poisson.derivation_residues`` with each residue reduced modulo the
 ideal.

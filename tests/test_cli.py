@@ -4,6 +4,8 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from poisson_forge import g2
 from poisson_forge.cli import main
-from poisson_forge.expr import MAX_PRODUCTS, ProductBudget
+from poisson_forge.expr import MAX_INPUT_CHARS, MAX_PRODUCTS, ProductBudget
 from poisson_forge.parse import parse_expr
 from poisson_forge.report import REPORT_SCHEMA, Report, ReportItem
 from poisson_forge.suites import run_suites
@@ -180,9 +182,10 @@ class TestExitCodes:
         "9" * 5000 + "*x1",
         "1/" + "9" * 5000,
         "(x1+x2+x5+x6)^80",
+        "x1*x2+" * 166_666 + "x1*x2",
     ], ids=["zero-denominator", "nested-parentheses", "nested-minus", "huge-exponent",
             "exponent-over-digit-limit", "integer-over-digit-limit",
-            "denominator-over-digit-limit", "products-over-budget"])
+            "denominator-over-digit-limit", "products-over-budget", "one-megabyte"])
     def test_hostile_expression_is_usage_error(self, text, capsys):
         code, _ = run_cli("nf", text)
         assert code == 2
@@ -236,6 +239,25 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: input needs more than 150000 term-pair products")
+
+    @pytest.mark.parametrize("entries", [1, 20], ids=["one-entry", "twenty-entries"])
+    def test_algebra_file_text_is_bounded(self, entries, tmp_path, capsys):
+        # a file of nearly 1 MB, as one entry or as twenty under
+        # MAX_INPUT_CHARS each: the file's entries share one budget, so
+        # neither form gets to tokenise, or to spend the product budget
+        # (about 7 s and 110 MB for the one entry)
+        pairs = list(itertools.combinations(range(1, 8), 2))[:entries]
+        text = "X1*X2+" * (980_000 // entries // 6) + "X1"
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "variables": [f"X{i}" for i in range(1, 8)],
+            "brackets": {f"{i},{j}": text for i, j in pairs},
+            "sigma": {}}))
+        assert path.stat().st_size <= g2.MAX_FILE_BYTES
+        code, _ = run_cli("bracket", "X1", "X2", "--algebra", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: input is longer than {MAX_INPUT_CHARS} characters")
 
     def test_algebra_file_size_is_bounded(self, tmp_path, capsys):
         # no products, but 19900 entries of 200 exponents each would
@@ -432,6 +454,16 @@ class TestReports:
         code, text = run_cli("verify", "all")
         assert code == 0
         assert text.encode("utf-8") == GOLDEN_VERIFY_ALL.read_bytes()
+
+    def test_module_entry_point_matches_golden_text(self, tmp_path):
+        # a checkout runs the command line as PYTHONPATH=src python -m poisson_forge
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "poisson_forge", "verify", "all"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, timeout=300)
+        assert done.returncode == 0
+        assert done.stdout == GOLDEN_VERIFY_ALL.read_bytes()
 
     def test_deterministic_text_output(self):
         _, first = run_cli("verify", "torus", "--seed", "7")

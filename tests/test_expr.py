@@ -144,6 +144,17 @@ class TestArithmetic:
         assert product.terms == schoolbook_product(f, g)
         assert all(type(c) is Fraction for c in product.terms.values())
 
+    @given(laurent_pairs(),
+           st.one_of(st.integers(-50, 50),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                     st.sampled_from([0, Fraction(0)])))
+    def test_scalar_product_matches_general_product(self, pair, s):
+        f, _ = pair
+        expected = f * CTX.scalar(s)
+        for product in (f * s, s * f):
+            assert product == expected
+            assert all(type(c) is Fraction for c in product.terms.values())
+
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             CTX.var("X1") + TCTX.var("T1")

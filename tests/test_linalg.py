@@ -52,6 +52,22 @@ def row_by_row(rows):
     return system.pivots
 
 
+def recorded_add_rows(rows):
+    """The pivots of ``from_rows`` on copies of ``rows``, and the rows it
+    hands to ``add_row``."""
+    seen = []
+    original = LinearSystem.add_row
+
+    def recording(self, row):
+        seen.append(dict(row))
+        return original(self, row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LinearSystem, "add_row", recording)
+        pivots = LinearSystem.from_rows([dict(row) for row in rows]).pivots
+    return pivots, seen
+
+
 def reference_solve(rows, rhs, ncols):
     pivots = row_by_row(with_rhs(rows, rhs, ncols))
     if ncols in pivots:
@@ -72,8 +88,9 @@ def test_same_rref_as_row_by_row(system):
     pivots = LinearSystem.from_rows([dict(row) for row in rows]).pivots
     assert pivots == expected
     assert all(type(v) is Fraction for row in pivots.values() for v in row.values())
+    # the rhs is one more ordinary column, after every unknown
     expected = row_by_row(with_rhs(rows, rhs, ncols))
-    assert LinearSystem.from_rows(with_rhs(rows, rhs, ncols), ncols).pivots == expected
+    assert LinearSystem.from_rows(with_rhs(rows, rhs, ncols)).pivots == expected
 
 
 @settings(max_examples=150)
@@ -91,19 +108,55 @@ def test_solve_matches_reference(system):
 @example(FIXED_TWICE)
 def test_no_single_unknown_row_reaches_add_row(system):
     # singleton elimination runs to completion: every row left for the
-    # RREF has at least two unknowns, or none (an infeasibility witness)
+    # RREF has at least two nonzero columns, the rhs column counted
     ncols, rows, rhs = system
-    seen = []
-    original = LinearSystem.add_row
+    rows = with_rhs(rows, rhs, ncols)
+    pivots, seen = recorded_add_rows(rows)
+    assert pivots == row_by_row(rows)
+    assert all(sum(1 for v in row.values() if v) >= 2 for row in seen)
 
-    def recording(self, row):
-        seen.append(sum(1 for c, v in row.items() if c != ncols and v))
-        return original(self, row)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LinearSystem, "add_row", recording)
-        LinearSystem.from_rows(with_rhs(rows, rhs, ncols), ncols)
-    assert 1 not in seen
+@st.composite
+def chains(draw):
+    """Rows {i: a, i+1: b} along 2-24 columns, a few with a skip
+    {i: a, i+2: b}, a single-entry row at a drawn column in most draws,
+    and a few general rows: settling cascades from the single entry
+    through the links, one row at a time."""
+    ncols = draw(st.integers(min_value=2, max_value=24))
+    value = st.sampled_from([-3, -1, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    link = st.tuples(value, value)
+    rows = [{i: a, i + 1: b} for i, (a, b) in
+            enumerate(draw(st.lists(link, min_size=ncols - 1, max_size=ncols - 1)))]
+    for i in draw(st.lists(st.integers(0, ncols - 3), max_size=3)) if ncols > 2 else ():
+        a, b = draw(link)
+        rows.insert(draw(st.integers(0, len(rows))), {i: a, i + 2: b})
+    if draw(st.integers(0, 3)):
+        anchor = {draw(st.integers(0, ncols - 1)): draw(value)}
+        rows.insert(draw(st.integers(0, len(rows))), anchor)
+    col = st.integers(min_value=0, max_value=ncols - 1)
+    rows += draw(st.lists(st.dictionaries(col, VALUES, min_size=2, max_size=4),
+                          max_size=2))
+    return rows
+
+
+@settings(max_examples=100)
+@given(chains())
+def test_chains_have_the_rref_of_row_by_row(rows):
+    expected = row_by_row(rows)
+    for order in (rows, rows[::-1]):
+        assert LinearSystem.from_rows([dict(row) for row in order]).pivots == expected
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_long_chain_never_reaches_add_row(reverse):
+    # forward, one set pass settles only the last link and the queue
+    # settles the other 4998; a pass repeated to a fixed point would
+    # make 5000 passes here
+    n = 5000
+    rows = [{i: 1, i + 1: 1} for i in range(n - 1)] + [{n - 1: 1}]
+    pivots, seen = recorded_add_rows(rows[::-1] if reverse else rows)
+    assert seen == []
+    assert pivots == {c: {c: 1} for c in range(n)}
 
 
 def test_examples_fix_a_column_twice():
