@@ -13,6 +13,20 @@ variables that are never invertible and carry no bracket.
 
 All values are immutable after construction; equality of two polynomials
 is equality of their term dicts over equal contexts.
+
+``LaurentPoly(context, terms)`` is the one checked constructor: it makes
+each coefficient a ``Fraction``, drops zeros, and checks each monomial's
+length and that it is negative only where the context allows.  Whatever
+enters from outside is built through it: the ``VarContext`` builders
+(``monomial``, ``scalar``, ``var``, and through them the parser),
+``into``, and every caller that assembles a term dict of its own.  The
+arithmetic builds its results unchecked, through the private
+``LaurentPoly._of``, because they are valid by construction: a sum or a
+negation keeps its operands' monomials and drops zero sums, a product's
+monomial is the sum of two valid ones, a partial derivative lowers only
+a nonzero exponent, and ``divide_exact`` checks each quotient monomial
+itself.  ``PoissonStructure.bracket`` and ``QuotientRing._reduce`` build
+theirs the same way, each with its reason at the call.
 """
 
 from __future__ import annotations
@@ -208,6 +222,17 @@ class LaurentPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _of(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> "LaurentPoly":
+        """A polynomial on ``terms`` as given, unchecked and not copied: the
+        caller vouches that every coefficient is a nonzero ``Fraction`` and
+        every monomial valid for ``context``, and gives up the dict."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "context", context)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
@@ -231,29 +256,26 @@ class LaurentPoly:
             return self.context.scalar(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, negate: bool):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return LaurentPoly(self.context, terms)
+        accumulate(terms, other.terms, negate)
+        # the operands' monomials; accumulate drops zero sums
+        return LaurentPoly._of(self.context, terms)
+
+    def __add__(self, other):
+        return self._plus(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.context, {m: -c for m, c in self.terms.items()})
+        # the same monomials; -c of a nonzero Fraction is one
+        return LaurentPoly._of(self.context, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -265,8 +287,10 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.context.zero()
-            return LaurentPoly(self.context,
-                               {m: c * other for m, c in self.terms.items()})
+            # the same monomials; a nonzero scalar times a nonzero Fraction
+            # is a nonzero Fraction
+            return LaurentPoly._of(self.context,
+                                   {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -279,8 +303,9 @@ class LaurentPoly:
                 m = tuple(map(add, m1, m2))
                 acc[m] = get(m, 0) + a1 * a2
         den = fden * gden
-        return LaurentPoly(self.context,
-                           {m: Fraction(n, den) for m, n in acc.items() if n})
+        # a sum of two valid exponent vectors is valid; zero sums are dropped
+        return LaurentPoly._of(self.context,
+                               {m: Fraction(n, den) for m, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -321,18 +346,11 @@ class LaurentPoly:
     def partial(self, name: str) -> "LaurentPoly":
         """Formal partial derivative (valid for negative exponents)."""
         i = self.context.index(name)
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1:]
-            s = terms.get(dm, Fraction(0)) + c * e
-            if s:
-                terms[dm] = s
-            else:
-                terms.pop(dm, None)
-        return LaurentPoly(self.context, terms)
+        # m -> m - e_i is one to one, so no two terms meet; e - 1 is negative
+        # only where e already was, and c * e != 0 for e != 0
+        return LaurentPoly._of(self.context,
+                               {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                for m, c in self.terms.items() if m[i]})
 
     def into(self, context: VarContext,
              rename: Mapping[str, str] | None = None) -> "LaurentPoly":
@@ -355,6 +373,25 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({format_poly(self)})"
+
+
+def accumulate(terms: dict[Monomial, Fraction], other: Mapping[Monomial, Fraction],
+               negate: bool = False) -> None:
+    """Add ``other`` (minus ``other`` if ``negate``) into ``terms`` in place,
+    dropping the monomials whose sum is zero: one dict update per term."""
+    get = terms.get
+    for m, c in other.items():
+        if negate:
+            c = -c
+        old = get(m)
+        if old is None:
+            terms[m] = c
+        else:
+            s = old + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
 
 
 def integer_terms(p: LaurentPoly) -> tuple[list[tuple[Monomial, int]], int]:
@@ -457,4 +494,6 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
         mm = tuple(a + b for a, b in zip(m, shift))
         ctx.check_monomial(mm)
         out[mm] = c
-    return LaurentPoly(ctx, out)
+    # each monomial checked above; each coefficient a quotient of nonzero
+    # Fractions
+    return LaurentPoly._of(ctx, out)

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping
 
-from .expr import ExprError, LaurentPoly, ProductBudget, VarContext
+from .expr import (ExprError, LaurentPoly, ProductBudget, VarContext,
+                   accumulate)
 
 
 class ParseError(ExprError):
@@ -121,15 +122,17 @@ class _Parser:
         return result
 
     def expr(self) -> LaurentPoly:
-        result = self.term()
+        """A sum of terms, accumulated in one term dict: linear in the
+        number of terms, where a new polynomial per "+" would copy the
+        growing sum every time."""
+        terms = dict(self.term().terms)
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
-                return result
+            if kind != "op" or value not in "+-":
+                # the terms' monomials; accumulate drops zero sums
+                return LaurentPoly._of(self.context, terms)
+            self.next()
+            accumulate(terms, self.term().terms, negate=value == "-")
 
     def term(self) -> LaurentPoly:
         result = self.factor()

@@ -184,8 +184,10 @@ class PoissonStructure:
                         m = tuple(map(add, base, shift))
                         acc[m] = acc.get(m, 0) + ak * b
         den = fden * gden * self._den
-        return LaurentPoly(self.context,
-                           {m: Fraction(n, den) for m, n in acc.items() if n})
+        # k != 0 forces m1 + m2 >= 1 at i and j (where the exponents are not
+        # negative), so the entry's shift by -e_i - e_j stays valid
+        return LaurentPoly._of(self.context,
+                               {m: Fraction(n, den) for m, n in acc.items() if n})
 
 
 class ExponentPacking:

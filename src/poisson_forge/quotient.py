@@ -75,7 +75,8 @@ from functools import cached_property
 from math import inf, lcm
 from operator import mul
 
-from .expr import ExprError, LaurentPoly, VarContext, WorkLimitError, rational
+from .expr import (ExprError, LaurentPoly, VarContext, WorkLimitError,
+                   accumulate, rational)
 from .g2 import CHAIN_STABLE_LEVEL, REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
@@ -209,8 +210,8 @@ class QuotientRing:
         The dict holds, for each monomial of weight w, the integer
         numerator n of its coefficient n / (D * R^k), at the level
         k = top - w, and ``_rewrite`` keeps it so.  Each key left is
-        unpacked once, from its bytes, into the output dict, with one
-        Fraction per term.
+        unpacked once, from its bytes, with one Fraction per term, and
+        added to the copied terms, a sum that cancels being dropped.
 
         The packing holds every exponent the reduction meets: at most
         ``top`` rewrites lead to any monomial, as each lowers the weight,
@@ -244,11 +245,14 @@ class QuotientRing:
         for _ in range(top):
             scale.append(scale[-1] * R)
         exponents = packing.exponents
+        rewritten = {}
         for k, n in terms.items():
             m = exponents(k)
-            c = Fraction(n, scale[top - 2 * m[i3] - 3 * m[i4]])
-            out[m] = out[m] + c if m in out else c  # the constructor drops a 0
-        return LaurentPoly(self.context, out)
+            rewritten[m] = Fraction(n, scale[top - 2 * m[i3] - 3 * m[i4]])
+        accumulate(out, rewritten)  # a rewritten term may cancel a copied one
+        # each target is m + m' - 2*e3 (or e4) with m[i3] >= 2 (m[i4] >= 2)
+        # and m' a term of the rule
+        return LaurentPoly._of(self.context, out)
 
     def _rewrite(self, terms: dict[int, int], top: int, rules,
                  packing: ExponentPacking) -> None:

@@ -64,6 +64,57 @@ def laurent_pairs(draw):
     return f, poly()
 
 
+def assert_as_checked(result, expected_terms):
+    """``result`` is what the checked constructor makes of its own terms
+    (no zero coefficient, every monomial valid), every coefficient is a
+    nonzero ``Fraction``, and it equals ``expected_terms`` run through the
+    checked constructor."""
+    ctx = result.context
+    assert LaurentPoly(ctx, result.terms).terms == result.terms
+    assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert result.terms == LaurentPoly(ctx, expected_terms).terms
+
+
+@st.composite
+def mixed_pairs(draw):
+    """(f, g) over QCTX, which has non-invertible (x1..x4), invertible (x5,
+    x6) and parameter (alpha, beta) positions, built by the checked
+    constructor.  A third of the time g holds the negatives of some terms
+    of f, so that f + g cancels them, and a third of the time g is f with
+    the sign of its odd-x1 terms flipped, so that f * g = A^2 - B^2 and
+    the cross terms cancel."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    monomial = st.tuples(*[st.integers(-1 if inv else 0, 1) for inv in QCTX.invertible])
+
+    def poly():
+        return LaurentPoly(QCTX, draw(st.dictionaries(monomial, coeffs, max_size=4)))
+
+    f, g = poly(), poly()
+    shape = draw(st.sampled_from(["free", "sum cancels", "product cancels"]))
+    if shape == "sum cancels" and f.terms:
+        flip = draw(st.sets(st.sampled_from(sorted(f.terms))))
+        g = LaurentPoly(QCTX, {**g.terms, **{m: -f.terms[m] for m in flip}})
+    elif shape == "product cancels":
+        g = LaurentPoly(QCTX, {m: -c if m[0] % 2 else c for m, c in f.terms.items()})
+    return f, g
+
+
+def checked_sum(f, g, sign=1):
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        terms[m] = terms.get(m, 0) + sign * c
+    return terms
+
+
+def checked_partial(f, name):
+    i = f.context.index(name)
+    terms = {}
+    for m, c in f.terms.items():
+        dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+        terms[dm] = terms.get(dm, 0) + c * m[i]
+    return terms
+
+
 class TestRational:
     @pytest.mark.parametrize("value, expected", [
         ("3", 3), ("-2/3", Fraction(-2, 3)), ("0.25", Fraction(1, 4)),
@@ -158,6 +209,47 @@ class TestArithmetic:
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             CTX.var("X1") + TCTX.var("T1")
+
+
+class TestResultsAsChecked:
+    """The arithmetic builds its results without the constructor's checks;
+    each must be what the checked constructor would have made."""
+
+    @given(mixed_pairs(),
+           st.one_of(st.integers(-5, 5),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                     st.sampled_from([0, Fraction(0)])),
+           st.sampled_from(QCTX.names))
+    @example((QCTX.var("x1"), -QCTX.var("x1")), 0, "x5")
+    def test_arithmetic(self, pair, s, name):
+        f, g = pair
+        assert_as_checked(f + g, checked_sum(f, g))
+        assert_as_checked(f - g, checked_sum(f, g, -1))
+        assert_as_checked(-f, {m: -c for m, c in f.terms.items()})
+        assert_as_checked(f * g, schoolbook_product(f, g))
+        for product in (f * s, s * f):
+            assert_as_checked(product, {m: c * s for m, c in f.terms.items()})
+        assert_as_checked(f.partial(name), checked_partial(f, name))
+
+    @given(mixed_pairs())
+    def test_exact_division(self, pair):
+        f, g = pair
+        if g.is_zero():
+            return
+        quotient = divide_exact(f * g, g)
+        # None where g has positive least exponents on x5 or x6: the
+        # division shifts by min(0, e) only (see ROADMAP)
+        if quotient is not None:
+            assert_as_checked(quotient, f.terms)
+
+    def test_checked_constructor_still_refuses(self):
+        plain = VarContext.make(["X5"])
+        with pytest.raises(InvertibilityError):
+            LaurentPoly(plain, {(-1,): Fraction(1)})
+        with pytest.raises(ExprError):
+            LaurentPoly(plain, {(1, 0): Fraction(1)})
+        p = LaurentPoly(plain, {(1,): 0, (2,): 3})
+        assert p.terms == {(2,): 3} and type(p.terms[(2,)]) is Fraction
 
 
 class TestCalculus:

@@ -1,12 +1,25 @@
 """Expression grammar: parsing, printing, round trips, error positions."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from poisson_forge import expr
-from poisson_forge.expr import InvertibilityError, WorkLimitError, format_poly
+from poisson_forge.expr import (InvertibilityError, LaurentPoly, WorkLimitError,
+                                format_poly)
 from poisson_forge.parse import MAX_EXPONENT, ParseError, parse_expr
 from tests.test_expr import CTX, QCTX, small_polys
+
+
+@st.composite
+def signed_summands(draw):
+    """[(sign, p), ...]: summands drawn with repeats from a small pool, so
+    that some of them cancel."""
+    pool = draw(st.lists(small_polys(CTX, max_terms=2), min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(pool)),
+                         min_size=1, max_size=8))
 
 
 class TestParse:
@@ -66,6 +79,39 @@ class TestParse:
         assert parse_expr("(X1+X2)^3", CTX) == (CTX.var("X1") + CTX.var("X2")) ** 3
         with pytest.raises(WorkLimitError):
             parse_expr("(X1+X2)^3*X1", CTX)
+
+    @given(signed_summands())
+    @example([("+", CTX.var("X1")), ("-", CTX.var("X1")), ("+", CTX.var("X2"))])
+    def test_sum_is_the_left_fold(self, summands):
+        text = " ".join(f"{sign} ({format_poly(p)})" for sign, p in summands)
+        expected = CTX.zero()
+        for sign, p in summands:
+            expected = expected + p if sign == "+" else expected - p
+        # a leading "+" is not in the grammar
+        value = parse_expr(text.removeprefix("+ "), CTX)
+        assert value == expected
+        assert all(type(c) is Fraction and c for c in value.terms.values())
+        assert LaurentPoly(CTX, value.terms).terms == value.terms
+
+    def test_sum_makes_no_polynomial_additions(self, monkeypatch):
+        # one term dict for the whole sum, not a new polynomial per "+"
+        calls = []
+
+        def counted(name):
+            original = getattr(LaurentPoly, name)
+
+            def wrapper(self, other):
+                calls.append(name)
+                return original(self, other)
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(LaurentPoly, name, counted(name))
+        text = " + ".join(f"X1^{i}*X5^-1" for i in range(300)) + " - 2*X5^-1"
+        value = parse_expr(text, CTX)
+        assert calls == []
+        expected = {(i, 0, 0, 0, -1, 0): Fraction(1) for i in range(1, 300)}
+        assert value.terms == {**expected, (0, 0, 0, 0, -1, 0): Fraction(-1)}
 
     def test_aliases(self):
         assert parse_expr("X3^2", QCTX, aliases={f"X{i}": f"x{i}" for i in range(1, 7)}) \

@@ -25,7 +25,8 @@ from poisson_forge.quotient import (MAX_TERMS, QuotientElement, QuotientRing,
                                     parse_derivation, quotient_jacobi_items,
                                     spans_same_space,
                                     verify_localized_identities)
-from tests.test_poisson import RATIONAL
+from tests.test_expr import assert_as_checked
+from tests.test_poisson import LOCAL, RATIONAL, S, laurent_polys
 
 SYM = QuotientRing()
 LOC = QuotientRing(localized=True)
@@ -57,10 +58,12 @@ def quotient_polys(names=("x1", "x3", "x4"), max_terms=3):
 
 # The x3 rule of the (9/8, 5) ring has the denominator 4 and the x4 rule
 # only 9, so integer forms of the rules need one denominator for both.
+# The last two with sym, loc and (1,1) are the benchmark's five rings.
 REFERENCE_RINGS = [SYM, LOC, NUM11, QuotientRing(alpha="-2/3", beta=5),
                    QuotientRing(alpha="1/2", beta="-1/3"),
-                   QuotientRing(alpha="9/8", beta=5)]
-REFERENCE_IDS = ["sym", "loc", "1,1", "-2/3,5", "1/2,-1/3", "9/8,5"]
+                   QuotientRing(alpha="9/8", beta=5),
+                   QuotientRing(alpha=1, beta=0), QuotientRing(alpha=0, beta=1)]
+REFERENCE_IDS = ["sym", "loc", "1,1", "-2/3,5", "1/2,-1/3", "9/8,5", "1,0", "0,1"]
 
 
 def reference_normal_form(ring, p, rng):
@@ -188,8 +191,13 @@ class TestNormalForm:
     def test_matches_reference_reducer(self, ring, data, seed):
         p = data.draw(reduction_inputs(ring))
         reduced = ring.normal_form(p)
-        assert reduced.terms == reference_normal_form(ring, p, random.Random(seed))
-        assert all(type(c) is Fraction for c in reduced.terms.values())
+        assert_as_checked(reduced, reference_normal_form(ring, p, random.Random(seed)))
+
+    @pytest.mark.parametrize("ring", [NUM11, SYM, LOC], ids=["1,1", "sym", "loc"])
+    def test_rewritten_terms_cancel_copied_ones(self, ring):
+        # rewriting the x3^2 term of Omega1 gives back, negated, every
+        # other term of Omega1 - alpha, which no rule applies to
+        assert ring.normal_form(ring.casimir1 - ring.alpha_poly).terms == {}
 
     @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=REFERENCE_IDS)
     def test_rewrites_lower_the_weight(self, ring):
@@ -683,6 +691,42 @@ def laurent_structures(draw):
             entry = entry + WIDE.monomial(dict(zip(WIDE.names, exps)), c)
         table[pair] = entry
     return PoissonStructure(WIDE, table)
+
+
+def checked_bracket(structure, f, g):
+    """The terms of {f, g} on Fractions, term pair by term pair, for the
+    checked constructor."""
+    terms = {}
+    for (i, j), b in structure.table.items():
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                k = m1[i] * m2[j] - m1[j] * m2[i]
+                if not k:
+                    continue
+                for mb, cb in b.terms.items():
+                    m = [e1 + e2 + e for e1, e2, e in zip(m1, m2, mb)]
+                    m[i] -= 1
+                    m[j] -= 1
+                    m = tuple(m)
+                    terms[m] = terms.get(m, 0) + k * c1 * c2 * cb
+    return terms
+
+
+class TestBracketAsChecked:
+    @pytest.mark.parametrize("structure, low", [(S, 0), (LOCAL, -2)],
+                             ids=["g2", "localised"])
+    @given(data=st.data())
+    def test_g2(self, structure, low, data):
+        polys = laurent_polys(structure.context, low=low)
+        f, g = data.draw(polys), data.draw(polys)
+        assert_as_checked(structure.bracket(f, g), checked_bracket(structure, f, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_structures(), st.data())
+    def test_wide_laurent_tables(self, structure, data):
+        polys = laurent_polys(WIDE, low=-2)
+        f, g = data.draw(polys), data.draw(polys)
+        assert_as_checked(structure.bracket(f, g), checked_bracket(structure, f, g))
 
 
 class TestBracketRows:
