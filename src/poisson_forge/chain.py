@@ -17,6 +17,12 @@ guards against bad input data.  Elements live in the fraction field of the
 ambient polynomial algebra: numerators are Laurent polynomials and
 denominators are tracked as powers of registered chain denominators, with
 equality decided by cross-multiplication (the ambient algebra is a domain).
+Arithmetic, brackets and zero tests work on whatever pair an element was
+built from; the registered factors are cancelled out of the numerator only
+when the element is read (its numerator, denominator or text, or its
+inverse, whose factor is registered in lowest terms).  ``chain_step``
+reduces each series term and each new generator, so the stages stay in
+lowest terms and their size stays bounded.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ class FractionField:
         self.structure = structure
         self.context = structure.context
         self.factors: dict[str, LaurentPoly] = {}
+        self._products: dict[tuple, LaurentPoly] = {}
 
     def register(self, poly: LaurentPoly) -> str:
         if poly.is_zero():
@@ -69,6 +76,18 @@ class FractionField:
         self.factors[label] = poly
         return label
 
+    def product(self, powers: dict[str, int]) -> LaurentPoly:
+        """prod(factor^power) over ``powers``, memoised: the registry only
+        grows, so a label always names the same factor."""
+        key = tuple(sorted(powers.items()))
+        p = self._products.get(key)
+        if p is None:
+            p = self.context.one()
+            for label, power in key:
+                p = p * self.factors[label] ** power
+            self._products[key] = p
+        return p
+
     def element(self, num: LaurentPoly) -> "FractionElement":
         return FractionElement(self, num, {})
 
@@ -76,43 +95,54 @@ class FractionField:
         return self.element(self.context.var(name))
 
 
-@dataclass(frozen=True, eq=False)
 class FractionElement:
-    """num / prod(factor^power) over a FractionField."""
+    """num / prod(factor^power) over a FractionField.
 
-    field: FractionField
-    num: LaurentPoly
-    den: dict[str, int]
+    Arithmetic, brackets and zero tests work on the pair the element holds,
+    which need not be in lowest terms.  The registered factors are
+    cancelled out of the numerator only when the pair is read (``num``,
+    ``den``, ``den_poly``, ``is_polynomial``, ``inverse``, ``str``) or
+    asked for (``reduce``); the reduced pair then replaces the held one."""
 
-    def __post_init__(self):
-        if self.num.is_zero():
-            object.__setattr__(self, "den", {})
-            return
-        # cancel registered factors out of the numerator where possible
-        den = {k: v for k, v in self.den.items() if v}
-        num = self.num
-        for label in sorted(den):
-            factor = self.field.factors[label]
-            while den[label] > 0:
-                quotient = divide_exact(num, factor)
-                if quotient is None:
-                    break
-                num = quotient
-                den[label] -= 1
-            if den[label] == 0:
-                del den[label]
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    __slots__ = ("field", "_num", "_den", "_reduced")
 
-    # -- helpers ------------------------------------------------------------
+    def __init__(self, field: FractionField, num: LaurentPoly, den: dict[str, int]):
+        self.field = field
+        self._num = num
+        self._den = {} if num.is_zero() else {k: v for k, v in den.items() if v}
+        self._reduced = not self._den
+
+    def reduce(self) -> "FractionElement":
+        """Cancel registered factors out of the numerator where possible;
+        the value is unchanged.  Returns the element itself."""
+        if not self._reduced:
+            num, den = self._num, self._den
+            for label in sorted(den):
+                factor = self.field.factors[label]
+                while den[label] > 0:
+                    quotient = divide_exact(num, factor)
+                    if quotient is None:
+                        break
+                    num = quotient
+                    den[label] -= 1
+                if den[label] == 0:
+                    del den[label]
+            self._num, self._reduced = num, True
+        return self
+
+    @property
+    def num(self) -> LaurentPoly:
+        return self.reduce()._num
+
+    @property
+    def den(self) -> dict[str, int]:
+        return self.reduce()._den
+
     def den_poly(self) -> LaurentPoly:
-        p = self.field.context.one()
-        for label, power in self.den.items():
-            p = p * self.field.factors[label] ** power
-        return p
+        return self.field.product(self.den)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def is_polynomial(self) -> bool:
         return not self.den
@@ -123,28 +153,22 @@ class FractionElement:
         return (self - other).is_zero()
 
     # -- arithmetic -----------------------------------------------------------
-    def _merge_den(self, other):
-        return {k: max(self.den.get(k, 0), other.den.get(k, 0))
-                for k in set(self.den) | set(other.den)}
-
     def _scaled_to(self, den: dict[str, int]) -> LaurentPoly:
-        num = self.num
-        for label, power in den.items():
-            extra = power - self.den.get(label, 0)
-            if extra:
-                num = num * self.field.factors[label] ** extra
-        return num
+        extra = {label: power - self._den.get(label, 0) for label, power in den.items()
+                 if power != self._den.get(label, 0)}
+        return self._num * self.field.product(extra) if extra else self._num
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
             other = self.field.element(self._as_poly(other))
-        den = self._merge_den(other)
+        den = {k: max(self._den.get(k, 0), other._den.get(k, 0))
+               for k in self._den.keys() | other._den.keys()}
         return FractionElement(self.field, self._scaled_to(den) + other._scaled_to(den), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FractionElement(self.field, -self.num, self.den)
+        return FractionElement(self.field, -self._num, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -158,10 +182,10 @@ class FractionElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return FractionElement(self.field, self.num * other, self.den)
-        den = {k: self.den.get(k, 0) + other.den.get(k, 0)
-               for k in set(self.den) | set(other.den)}
-        return FractionElement(self.field, self.num * other.num, den)
+            return FractionElement(self.field, self._num * other, self._den)
+        den = {k: self._den.get(k, 0) + other._den.get(k, 0)
+               for k in self._den.keys() | other._den.keys()}
+        return FractionElement(self.field, self._num * other._num, den)
 
     __rmul__ = __mul__
 
@@ -175,34 +199,49 @@ class FractionElement:
         return result
 
     def inverse(self) -> "FractionElement":
+        """1/self; a factor that is not a unit is registered in lowest terms."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        num = self.num
         try:
-            inverse = self.num.monomial_inverse()
+            inverse = num.monomial_inverse()
         except ExprError:  # not a monomial, or not invertible in the context
-            label = self.field.register(self.num)
+            label = self.field.register(num)
             return FractionElement(self.field, self.den_poly(), {label: 1})
         return FractionElement(self.field, self.den_poly() * inverse, {})
 
     # -- the Poisson bracket, extended to the fraction field ------------------
     def bracket(self, other: "FractionElement") -> "FractionElement":
-        br = self.field.structure.bracket
-        a, c = self.num, other.num
-        if not self.den and not other.den:
-            return self.field.element(br(a, c))
-        b, d = self.den_poly(), other.den_poly()
-        num = br(a, c) * b * d - br(b, c) * a * d - br(a, d) * c * b + br(b, d) * a * c
-        den = {k: 2 * self.den.get(k, 0) + 2 * other.den.get(k, 0)
-               for k in set(self.den) | set(other.den)}
-        return FractionElement(self.field, num, den)
+        """{a/b, c/d} by the quotient rule in each argument in turn:
+        {a/b, x} b^2 = {a,x} b - a {b,x}, and then
+        {a/b, c/d} b^2 d^2 = ({a/b, c} b^2) d - c ({a/b, d} b^2).
+        A side without a denominator skips its step, so one with none makes
+        two ambient brackets, not four."""
+        fld = self.field
+        br = fld.structure.bracket
+        a, c = self._num, other._num
+        b = fld.product(self._den) if self._den else None
+
+        def left(x):  # {a/b, x} b^2
+            return br(a, x) if b is None else br(a, x) * b - a * br(b, x)
+
+        if not other._den:
+            num = left(c)
+        else:
+            d = fld.product(other._den)
+            num = left(c) * d - c * left(d)
+        den = {k: 2 * self._den.get(k, 0) + 2 * other._den.get(k, 0)
+               for k in self._den.keys() | other._den.keys()}
+        return FractionElement(fld, num, den)
 
     def __str__(self):
-        if not self.den:
-            return str(self.num)
-        num = str(self.num)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        return f"{num} * ({self.den_poly()})^-1"
+        num, den = self.num, self.den
+        if not den:
+            return str(num)
+        text = str(num)
+        if len(num.terms) > 1:
+            text = f"({text})"
+        return f"{text} * ({self.den_poly()})^-1"
 
 
 @dataclass(frozen=True)
@@ -235,7 +274,7 @@ def chain_step(stage: ChainStage, ore: PoissonOreData) -> ChainStage:
     for i in range(1, j):
         a0 = stage.gen(i)
         mu = ore.mu(j - 1, i - 1)
-        a1 = T.bracket(a0) - mu * a0 * T
+        a1 = (T.bracket(a0) - mu * a0 * T).reduce()
         if a1.is_zero():
             depths[i] = 0
             continue
@@ -247,7 +286,7 @@ def chain_step(stage: ChainStage, ore: PoissonOreData) -> ChainStage:
                                       f" {MAX_DELTA_POWERS} terms")
             k = len(series) - 1
             ak = series[-1]
-            series.append(T.bracket(ak) - (mu - k * eta) * ak * T)
+            series.append((T.bracket(ak) - (mu - k * eta) * ak * T).reduce())
         series.pop()
         depths[i] = len(series) - 1
         total = series[0]
@@ -255,7 +294,7 @@ def chain_step(stage: ChainStage, ore: PoissonOreData) -> ChainStage:
         for k in range(1, len(series)):
             total = total + Fraction(1, factorial(k)) / eta ** k * series[k] * inv_power
             inv_power = inv_power * inv_T
-        new_gens[i - 1] = total
+        new_gens[i - 1] = total.reduce()
     return ChainStage(j, tuple(new_gens), depths)
 
 

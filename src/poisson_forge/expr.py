@@ -314,6 +314,11 @@ class LaurentPoly:
             return NotImplemented
         if n == 0:
             return self.context.one()
+        if len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            # n > 0 keeps the sign of each exponent; c^n of a nonzero
+            # Fraction is one
+            return LaurentPoly._of(self.context, {tuple(e * n for e in m): c ** n})
         result = self
         for _ in range(n - 1):
             result = result * self
@@ -438,6 +443,10 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
 
     Works on the Laurent lattice by shifting both operands into ordinary
     polynomials first; the quotient is recovered with the inverse shift.
+    Each operand is shifted at each invertible position by its least
+    exponent there, so no invertible variable divides either shifted
+    polynomial, and g divides f in the Laurent ring exactly when the
+    shifted g divides the shifted f.  Other positions are not shifted.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -448,11 +457,12 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
         raise ContextMismatch("operands live over different contexts")
     n = ctx.rank
 
+    invertible = [i for i in range(n) if ctx.invertible[i]]
+
     def min_exps(p):
         mins = [0] * n
-        for m in p.terms:
-            for i, e in enumerate(m):
-                mins[i] = min(mins[i], e)
+        for i in invertible:
+            mins[i] = min(m[i] for m in p.terms)
         return mins
 
     fshift = min_exps(f)

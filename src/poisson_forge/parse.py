@@ -11,9 +11,10 @@ insignificant.  Parsing yields a canonical LaurentPoly directly, so
 parse(format(p)) == p.  The length of the text is bounded by
 ``expr.MAX_INPUT_CHARS`` before it is tokenised, nesting of parentheses and
 unary minus by ``MAX_DEPTH``, exponents by ``MAX_EXPONENT`` and the
-term-pair products of ``*`` and ``^`` (repeated ``*``) by
-``expr.MAX_PRODUCTS``, so hostile input ends in a typed error, not a
-RecursionError, a runaway product or a token list as long as the input.
+term-pair products of ``*`` and ``^`` by ``expr.MAX_PRODUCTS``, so
+hostile input ends in a typed error, not a RecursionError, a runaway
+product or a token list as long as the input.  ``base ^ n`` is charged as
+n repeated products, although a one-term base is raised in one step.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _OPS = set("+-*^/()")
 #: Deepest nesting of "(" and unary "-" the parser accepts.
 MAX_DEPTH = 100
 
-#: Largest |n| the parser accepts in "base ^ n"; powers are repeated products.
+#: Largest |n| the parser accepts in "base ^ n"; a base of more than one term
+#: is raised by repeated products.
 MAX_EXPONENT = 20000
 
 
@@ -158,6 +160,11 @@ class _Parser:
             self.next()
             n = self.signed_int()
             base = base.monomial_inverse() if n < 0 else base
+            if len(base.terms) == 1:
+                # raised in one step, charged the |n| one-pair products
+                # of the repeated form
+                self.budget.charge(base, base, abs(n))
+                return base ** abs(n)
             return reduce(self.multiply, [base] * abs(n), self.context.one())
         return base
 

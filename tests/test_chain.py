@@ -1,20 +1,25 @@
 """The deleting-derivations chain, its torus target and the Omega ladders."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from poisson_forge import g2
-from poisson_forge.chain import (ChainStage, FractionField, TruncationError,
-                                 builtin_chain, chain_step, localize_structure,
-                                 run_chain, verify_central_ladders,
-                                 verify_chain_formulas,
+from poisson_forge import chain, g2
+from poisson_forge.chain import (ChainStage, FractionElement, FractionField,
+                                 TruncationError, builtin_chain, chain_step,
+                                 localize_structure, run_chain,
+                                 verify_central_ladders, verify_chain_formulas,
                                  verify_stage_contract, verify_torus_relations)
-from poisson_forge.expr import VarContext
+from poisson_forge.expr import ExprError, VarContext, divide_exact
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import PoissonOreData, PoissonStructure
 
 ALG = g2.builtin_algebra()
+GOLDEN_CHAIN_TEXT = (Path(__file__).parent / "data" / "chain.txt").read_text(
+    encoding="utf-8")
 LOCAL = localize_structure(ALG.structure, ["X5", "X6"])
 LCTX = LOCAL.context
 STAGES = builtin_chain()
@@ -51,6 +56,167 @@ class TestFractionField:
         fld.element(t4).inverse()
         fld.element(t4).inverse()
         assert len(fld.factors) == 1
+
+
+class EagerFraction:
+    """The reference: a fraction over a FractionField that cancels the
+    registered factors out of its numerator after every operation, as
+    FractionElement did before it cancelled on read."""
+
+    def __init__(self, field, num, den):
+        self.field = field
+        den = {} if num.is_zero() else {k: v for k, v in den.items() if v}
+        for label in sorted(den):
+            factor = field.factors[label]
+            while den[label] > 0:
+                quotient = divide_exact(num, factor)
+                if quotient is None:
+                    break
+                num = quotient
+                den[label] -= 1
+            if den[label] == 0:
+                del den[label]
+        self.num, self.den = num, den
+
+    def den_poly(self):
+        p = self.field.context.one()
+        for label, power in self.den.items():
+            p = p * self.field.factors[label] ** power
+        return p
+
+    def _scaled_to(self, den):
+        num = self.num
+        for label, power in den.items():
+            extra = power - self.den.get(label, 0)
+            if extra:
+                num = num * self.field.factors[label] ** extra
+        return num
+
+    def __add__(self, other):
+        den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
+               for k in set(self.den) | set(other.den)}
+        return EagerFraction(self.field,
+                             self._scaled_to(den) + other._scaled_to(den), den)
+
+    def __sub__(self, other):
+        return self + EagerFraction(self.field, -other.num, other.den)
+
+    def __mul__(self, other):
+        den = {k: self.den.get(k, 0) + other.den.get(k, 0)
+               for k in set(self.den) | set(other.den)}
+        return EagerFraction(self.field, self.num * other.num, den)
+
+    def inverse(self):
+        try:
+            inverse = self.num.monomial_inverse()
+        except ExprError:
+            label = self.field.register(self.num)
+            return EagerFraction(self.field, self.den_poly(), {label: 1})
+        return EagerFraction(self.field, self.den_poly() * inverse, {})
+
+    def bracket(self, other):
+        br = self.field.structure.bracket
+        a, c = self.num, other.num
+        b, d = self.den_poly(), other.den_poly()
+        num = (br(a, c) * b * d - br(b, c) * a * d - br(a, d) * c * b
+               + br(b, d) * a * c)
+        den = {k: 2 * self.den.get(k, 0) + 2 * other.den.get(k, 0)
+               for k in set(self.den) | set(other.den)}
+        return EagerFraction(self.field, num, den)
+
+    def __str__(self):
+        if not self.den:
+            return str(self.num)
+        num = str(self.num)
+        if len(self.num.terms) > 1:
+            num = f"({num})"
+        return f"{num} * ({self.den_poly()})^-1"
+
+
+# A chain of its own: inverting generators registers factors in its field.
+PROPERTY_STAGES = builtin_chain()
+GENERATORS = st.tuples(st.sampled_from(sorted(PROPERTY_STAGES)), st.integers(1, 6))
+EXPRESSIONS = st.recursive(
+    st.tuples(st.sampled_from(["gen", "inverse"]), GENERATORS),
+    lambda inner: st.tuples(st.sampled_from(["+", "-", "*", "bracket"]), inner, inner),
+    max_leaves=4)
+
+
+def evaluate(tree, lazy: bool):
+    op = tree[0]
+    if op in ("gen", "inverse"):
+        level, i = tree[1]
+        gen = PROPERTY_STAGES[level].gen(i)
+        if not lazy:
+            gen = EagerFraction(gen.field, gen.num, dict(gen.den))
+        return gen.inverse() if op == "inverse" else gen
+    left, right = evaluate(tree[1], lazy), evaluate(tree[2], lazy)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    return left.bracket(right)
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """The (f, g) of every divide_exact call the chain module makes."""
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return divide_exact(f, g)
+
+    monkeypatch.setattr(chain, "divide_exact", counted)
+    return calls
+
+
+class TestCancellationOnRead:
+    @given(EXPRESSIONS)
+    @example(("bracket", ("gen", (2, 1)), ("gen", (2, 2))))
+    @example(("*", ("gen", (4, 1)), ("inverse", (4, 4))))
+    @example(("bracket", ("inverse", (3, 1)), ("gen", (6, 2))))
+    @example(("-", ("*", ("gen", (3, 1)), ("inverse", (3, 1))), ("gen", (7, 5))))
+    def test_matches_eager_reference(self, tree):
+        value, reference = evaluate(tree, lazy=True), evaluate(tree, lazy=False)
+        assert isinstance(value, FractionElement)
+        # str first: nothing has read the value yet
+        assert str(value) == str(reference)
+        assert value.num == reference.num
+        assert value.den == reference.den
+        assert value.den_poly() == reference.den_poly()
+
+    def test_contract_checks_make_no_divisions(self, divisions):
+        # chain_step left the stages in lowest terms, and the checks only
+        # add, multiply, bracket and test for zero
+        items = verify_torus_relations(STAGES[2], g2.TORUS_MATRIX, ALG.ore)
+        for stage in STAGES.values():
+            items += verify_stage_contract(stage, ALG.ore)
+        assert all(ok for _, ok, _ in items)
+        assert divisions == []
+        # printing a stage reads what chain_step already reduced
+        lines = [f"X[{i},{level}] = {STAGES[level].gen(i)}"
+                 for level in range(6, 1, -1) for i in range(1, 7)]
+        assert lines == GOLDEN_CHAIN_TEXT.splitlines()[:30]
+        assert divisions == []
+
+    def test_reading_reduces_once(self, divisions):
+        fld = FractionField(LOCAL)
+        t4 = parse_expr("X4 - 2/3*X5^3*X6^-1", LCTX)
+        frac = fld.element(t4 * LCTX.var("X1")) * fld.element(t4).inverse()
+        assert divisions == []
+        assert frac.is_polynomial() and frac.num == LCTX.var("X1")
+        assert str(frac) == "X1" and frac.den == {}
+        assert divisions == [(t4 * LCTX.var("X1"), t4)]
+
+    def test_inverse_registers_lowest_terms(self):
+        fld = FractionField(LOCAL)
+        t4 = parse_expr("X4 - 2/3*X5^3*X6^-1", LCTX)
+        frac = fld.element(t4 * LCTX.var("X1")) * fld.element(t4).inverse()
+        assert str(frac.inverse()) == "1 * (X1)^-1"
+        assert list(fld.factors.values()) == [t4, LCTX.var("X1")]
 
 
 class TestChain:
@@ -142,6 +308,25 @@ class TestChain:
         contract = verify_stage_contract(mutated6, ALG.ore)
         failing = {label: residue for label, ok, residue in contract if not ok}
         assert failing["level 6: {X[6,6], X[1,6]} log-canonical"] == "-3*X5"
+
+    def test_level4_mutation_residue_keeps_its_denominator(self):
+        # X[6,4] + X1 in place of X[6,4]: the residues are printed in
+        # lowest terms, T4^2 left in the denominator of the (6,2) one
+        fld = STAGES[4].gens[0].field
+        gens = STAGES[4].gens[:5] + (STAGES[4].gen(6) + fld.var("X1"),)
+        contract = verify_stage_contract(ChainStage(4, gens), ALG.ore)
+        failing = {label: residue for label, ok, residue in contract if not ok}
+        assert sorted(failing) == [f"level 4: {{X[6,4], X[{i},4]}} log-canonical"
+                                   for i in range(1, 6)]
+        assert failing["level 4: {X[6,4], X[2,4]} log-canonical"] == (
+            "(-2*X2*X3^2*X4 - 3*X2*X4^2*X5*X6^-1 - 3*X3^2*X4^2*X6^-1"
+            " - 9/2*X4^3*X5*X6^-2 + 4*X2*X3*X4*X5^2*X6^-1 + 4/3*X3^5"
+            " + 8*X3^3*X4*X5*X6^-1 + 15*X3*X4^2*X5^2*X6^-2"
+            " + 4/3*X2*X3^2*X5^3*X6^-1 + 2*X2*X4*X5^4*X6^-2"
+            " - 20/3*X3^4*X5^2*X6^-1 - 18*X3^2*X4*X5^3*X6^-2"
+            " - 8/3*X2*X3*X5^5*X6^-2 + 8*X3^3*X5^4*X6^-2)"
+            " * (X4^2 - 4/3*X4*X5^3*X6^-1 + 4/9*X5^6*X6^-2)^-1")
+        assert failing["level 4: {X[6,4], X[5,4]} log-canonical"] == "2*X3 + 2*X1*X5"
 
     def test_mutated_chain_fails_torus_relations(self):
         # Propagating the dropped term through the explicit formulas gives

@@ -26,6 +26,9 @@ from poisson_forge.suites import run_suites
 # `poisson-forge verify all` as the reference implementation printed it;
 # refactors must reproduce it byte for byte.
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.txt"
+# `poisson-forge chain` as printed when every FractionElement operation
+# cancelled its denominators at once.
+GOLDEN_CHAIN = Path(__file__).parent / "data" / "chain.txt"
 
 
 def run_cli(*argv):
@@ -127,6 +130,15 @@ class TestCommands:
         assert lines["X[5,6]"] == "X5"
         assert lines["T6"] == "X6"
         assert "^-1" in lines["T1"]  # fraction form with cleared denominator
+
+    def test_chain_matches_golden_text(self):
+        code, text = run_cli("chain")
+        assert code == 0
+        assert text.encode("utf-8") == GOLDEN_CHAIN.read_bytes()
+        code, text = run_cli("chain", "--format", "json")
+        assert code == 0
+        golden = GOLDEN_CHAIN.read_text(encoding="utf-8")
+        assert text == json.dumps({"chain": golden.splitlines()}, indent=2) + "\n"
 
     def test_decompose(self, tmp_path):
         path = tmp_path / "spec.json"

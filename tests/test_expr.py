@@ -237,10 +237,19 @@ class TestResultsAsChecked:
         if g.is_zero():
             return
         quotient = divide_exact(f * g, g)
-        # None where g has positive least exponents on x5 or x6: the
-        # division shifts by min(0, e) only (see ROADMAP)
-        if quotient is not None:
-            assert_as_checked(quotient, f.terms)
+        assert quotient is not None
+        assert_as_checked(quotient, f.terms)
+
+    def test_division_by_an_invertible_monomial(self):
+        # the least exponent of x5 in the divisor is positive
+        x5 = QCTX.var("x5")
+        assert divide_exact(QCTX.one(), x5) == QCTX.monomial({"x5": -1})
+        assert divide_exact(QCTX.var("x6") * x5, x5 * x5) == parse_expr(
+            "x6*x5^-1", QCTX)
+        assert divide_exact(QCTX.var("x1") + x5, x5 ** 2) == parse_expr(
+            "x1*x5^-2 + x5^-1", QCTX)
+        # x1 is not invertible: no shift, so it still does not divide 1
+        assert divide_exact(QCTX.one(), QCTX.var("x1")) is None
 
     def test_checked_constructor_still_refuses(self):
         plain = VarContext.make(["X5"])

@@ -80,6 +80,26 @@ class TestParse:
         with pytest.raises(WorkLimitError):
             parse_expr("(X1+X2)^3*X1", CTX)
 
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+           st.integers(0, 2), st.integers(-2, 2), st.integers(-2, 2),
+           st.integers(-6, 6))
+    @example(Fraction(-2, 3), 1, 0, -1, 5)
+    def test_one_term_power_is_the_repeated_product(self, c, e1, e5, e6, n):
+        # X1 is not invertible, so only a base without it has a negative power
+        base = CTX.monomial({"X1": 0 if n < 0 else e1, "X5": e5, "X6": e6}, c)
+        factor = base.monomial_inverse() if n < 0 else base
+        expected = CTX.one()
+        for _ in range(abs(n)):
+            expected = expected * factor
+        base_text = f"({format_poly(base)})"
+        base_budget, budget = expr.ProductBudget(), expr.ProductBudget()
+        parse_expr(base_text, CTX, budget=base_budget)
+        value = parse_expr(f"{base_text}^{n}", CTX, budget=budget)
+        assert value == expected
+        assert LaurentPoly(CTX, value.terms).terms == value.terms
+        # charged as the |n| one-pair products of the repeated form
+        assert budget.spent == base_budget.spent + abs(n)
+
     @given(signed_summands())
     @example([("+", CTX.var("X1")), ("-", CTX.var("X1")), ("+", CTX.var("X2"))])
     def test_sum_is_the_left_fold(self, summands):
