@@ -310,8 +310,11 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int):
             return NotImplemented
+        if n < 0:
+            # InvertibilityError unless self is an invertible monomial
+            return self.monomial_inverse() ** -n
         if n == 0:
             return self.context.one()
         if len(self.terms) == 1:

@@ -61,9 +61,11 @@ after the unknowns; both searches check their answer through
 ``poisson.derivation_residues`` with each residue reduced modulo the
 ideal.
 
-A ``QuotientElement`` is poly / (t3^a * t4^b), poly in normal form and
-t3, t4 the chain denominators: the quotient is a domain, so sums bring
-both numerators to the larger exponents and products add them.
+A ``QuotientElement`` is an element of the quotient, its polynomial in
+normal form.  The localisation tower t1..t6 (``chain_elements``) is
+computed in the ``chain.FractionField`` of the localised ring's
+structure, and each of its identities is checked as the normal form of
+the numerator of lhs - rhs.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import inf, lcm
 from operator import mul
 
@@ -406,25 +407,13 @@ class QuotientRing:
             return den * power[top - 2 * a - 3 * b]
         return monomials, rows, scale, packing.key
 
-    # -- the chain denominators -------------------------------------------
-    @cached_property
-    def t3(self) -> LaurentPoly:
-        return parse_expr("x3 - 3/2*x4*x5^-1", self.context)
-
-    @cached_property
-    def t4(self) -> LaurentPoly:
-        return parse_expr("x4 - 2/3*x5^3*x6^-1", self.context)
-
 
 @dataclass(frozen=True)
 class QuotientElement:
-    """poly / (t3^a * t4^b) over a QuotientRing, poly in normal form.  The
-    quotient's own elements have a = b = 0; ``bracket`` takes only those."""
+    """An element of a QuotientRing, ``poly`` in normal form."""
 
     ring: QuotientRing
     poly: LaurentPoly
-    a: int = 0
-    b: int = 0
 
     def _lift(self, other) -> "QuotientElement":
         if isinstance(other, QuotientElement):
@@ -433,26 +422,12 @@ class QuotientElement:
             return self.ring.element(other)
         return QuotientElement(self.ring, self.ring.context.scalar(other))
 
-    def _scale(self, a: int, b: int) -> LaurentPoly:
-        """The numerator over t3^a * t4^b; not reduced."""
-        poly = self.poly
-        for _ in range(a - self.a):
-            poly = poly * self.ring.t3
-        for _ in range(b - self.b):
-            poly = poly * self.ring.t4
-        return poly
-
     def __add__(self, other):
-        other = self._lift(other)
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        poly = self._scale(a, b) + other._scale(a, b)
-        if (self.a, self.b) != (other.a, other.b):
-            # a numerator was rescaled; a sum of normal forms is one
-            poly = self.ring.normal_form(poly)
-        return QuotientElement(self.ring, poly, a, b)
+        # a sum of normal forms is one
+        return QuotientElement(self.ring, self.poly + self._lift(other).poly)
 
     def __neg__(self):
-        return QuotientElement(self.ring, -self.poly, self.a, self.b)
+        return QuotientElement(self.ring, -self.poly)
 
     def __sub__(self, other):
         return self + -self._lift(other)
@@ -460,46 +435,24 @@ class QuotientElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # a scalar multiple of a normal form is one
-            return QuotientElement(self.ring, self.poly * other, self.a, self.b)
-        other = self._lift(other)
+            return QuotientElement(self.ring, self.poly * other)
         return QuotientElement(self.ring,
-                               self.ring.normal_form(self.poly * other.poly),
-                               self.a + other.a, self.b + other.b)
+                               self.ring.normal_form(self.poly * self._lift(other).poly))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        base = self if n >= 0 else self.inverse()
-        return QuotientElement(self.ring, self.ring.normal_form(base.poly ** abs(n)),
-                               base.a * abs(n), base.b * abs(n))
-
-    def inverse(self) -> "QuotientElement":
-        """1 / self for a monomial, ``ring.t3`` or ``ring.t4``."""
-        ring, poly = self.ring, self.poly
-        if not (self.a or self.b):
-            if len(poly.terms) == 1:
-                return QuotientElement(ring, poly.monomial_inverse())
-            if ring.localized and poly == ring.t3:
-                return QuotientElement(ring, ring.context.one(), 1, 0)
-            if ring.localized and poly == ring.t4:
-                return QuotientElement(ring, ring.context.one(), 0, 1)
-        raise ExprError(f"{self} has no inverse here: only monomials, t3"
-                        " and t4 are inverted")
+        """self^n; n < 0 needs an invertible monomial."""
+        return QuotientElement(self.ring, self.ring.normal_form(self.poly ** n))
 
     def bracket(self, other) -> "QuotientElement":
-        other = self._lift(other)
-        if self.a or self.b or other.a or other.b:
-            raise ExprError("the bracket needs elements without t3, t4"
-                            " denominators")
-        return QuotientElement(self.ring, self.ring.bracket(self.poly, other.poly))
+        return QuotientElement(self.ring, self.ring.bracket(self.poly, self._lift(other).poly))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
     def __str__(self):
-        if self.a == 0 and self.b == 0:
-            return str(self.poly)
-        return f"({self.poly}) / (t3^{self.a} * t4^{self.b})"
+        return str(self.poly)
 
 
 def check_casimirs(ring: QuotientRing) -> list[CheckItem]:
@@ -535,33 +488,37 @@ _CHAIN_NAMES = {"x16": (1, 6), "x26": (2, 6), "x36": (3, 6), "z1": (1, 5),
                 **{f"t{i}": (i, j) for i, j in CHAIN_STABLE_LEVEL.items()}}
 
 
-def chain_elements(ring: QuotientRing) -> dict[str, QuotientElement]:
+def chain_elements(ring: QuotientRing) -> dict[str, "FractionElement"]:
     """The images of the chain elements in the localised quotient: the
-    formulas of ``g2.CHAIN_FORMULAS`` evaluated on x1..x6."""
+    formulas of ``g2.CHAIN_FORMULAS`` evaluated on x1..x6 in the
+    ``chain.FractionField`` of the ring's structure, whose inverses
+    register t3 and t4."""
     # imported here: a ring alone does not need the chain module, whose
     # import added about 4 ms to the 28 ms set-up of the centre-search
     # benchmark
-    from .chain import formula_stages
+    from .chain import FractionField, formula_stages
     if not ring.localized:
         raise ExprError("chain elements need the localisation at x5, x6")
-    stages = formula_stages([ring.element(ring.context.var(name))
-                             for name in QUOTIENT_NAMES])
+    fld = FractionField(ring.structure)
+    stages = formula_stages([fld.var(name) for name in QUOTIENT_NAMES])
     return {name: stages[j].gen(i) for name, (i, j) in _CHAIN_NAMES.items()}
 
 
 def verify_localized_identities(ring: QuotientRing) -> list[CheckItem]:
-    """The localisation-tower identities, each as the numerator of lhs - rhs
-    over its t3, t4 denominator: the quotient is a domain."""
+    """The localisation-tower identities, each as the normal form of the
+    numerator of lhs - rhs: the localised quotient is a domain in which the
+    denominators t3, t4 are nonzero."""
     e = chain_elements(ring)
-    alpha = ring.element(ring.alpha_poly)
-    beta = ring.element(ring.beta_poly)
-    x = {name: ring.element(ring.context.var(name)) for name in QUOTIENT_NAMES}
+    fld = e["t1"].field
+    alpha = fld.element(ring.alpha_poly)
+    beta = fld.element(ring.beta_poly)
+    x = {name: fld.var(name) for name in QUOTIENT_NAMES}
     x5, x6 = x["x5"], x["x6"]
 
     items = []
 
     def check(label, lhs, rhs):
-        items.append(check_item(label, (lhs - rhs).poly))
+        items.append(check_item(label, ring.normal_form((lhs - rhs).num)))
 
     check("t5 = x5", e["t5"], x5)
     check("relation z2*t5 = 2*(z1*t3*t5 - alpha)",

@@ -206,6 +206,22 @@ class TestArithmetic:
             assert product == expected
             assert all(type(c) is Fraction for c in product.terms.values())
 
+    def test_negative_power_of_invertible_monomial(self):
+        assert QCTX.var("x5") ** -1 == QCTX.monomial({"x5": -1})
+        assert (2 * QCTX.monomial({"x5": 1, "x6": -2})) ** -2 == QCTX.monomial(
+            {"x5": -2, "x6": 4}, Fraction(1, 4))
+
+    @pytest.mark.parametrize("text", ["x1", "x5 + 1", "0"])
+    def test_negative_power_needs_invertible_monomial(self, text):
+        with pytest.raises(InvertibilityError):
+            parse_expr(text, QCTX) ** -1
+
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+           st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+    def test_negative_power_inverts_positive_power(self, c, a, b, n):
+        m = QCTX.monomial({"x5": a, "x6": b}, c)
+        assert m ** -n * m ** n == QCTX.one()
+
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             CTX.var("X1") + TCTX.var("T1")
