@@ -408,9 +408,8 @@ def verify_centrality(structure: PoissonStructure,
     """{Omega_i, X_j} = 0 for both Casimirs and every generator."""
     items = []
     for name in sorted(casimirs):
-        omega = casimirs[name]
-        for i in structure.context.generators():
-            residue = structure.bracket(omega, structure.gen(i))
+        images = structure.generator_brackets(casimirs[name])
+        for i, residue in zip(structure.context.generators(), images):
             items.append(check_item(
                 f"{{{name}, {structure.context.names[i]}}} = 0", residue))
     return items

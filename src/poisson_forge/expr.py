@@ -25,8 +25,9 @@ arithmetic builds its results unchecked, through the private
 negation keeps its operands' monomials and drops zero sums, a product's
 monomial is the sum of two valid ones, a partial derivative lowers only
 a nonzero exponent, and ``divide_exact`` checks each quotient monomial
-itself.  ``PoissonStructure.bracket`` and ``QuotientRing._reduce`` build
-theirs the same way, each with its reason at the call.
+itself.  ``PoissonStructure.bracket``, ``generator_brackets`` and
+``QuotientRing._reduce`` build theirs the same way, each with its reason
+at the call.
 """
 
 from __future__ import annotations
@@ -283,7 +284,8 @@ class LaurentPoly:
     def __mul__(self, other):
         """The product on integers: each operand's terms as numerators over
         its common denominator (``integer_terms``), one ``Fraction`` per
-        output term.  An int or ``Fraction`` scales each coefficient."""
+        output term.  An int or ``Fraction`` scales each coefficient, and
+        so does a one-term operand, which also shifts each monomial."""
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.context.zero()
@@ -294,6 +296,14 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        one, many = (self, other) if len(self.terms) == 1 else (other, self)
+        if len(one.terms) == 1:
+            (m1, c1), = one.terms.items()
+            # m -> m + m1 is one to one, so no two terms meet; the sum of
+            # two valid exponent vectors is valid, and c * c1 != 0
+            return LaurentPoly._of(self.context,
+                                   {tuple(map(add, m, m1)): c * c1
+                                    for m, c in many.terms.items()})
         fterms, fden = integer_terms(self)
         gterms, gden = integer_terms(other)
         acc: dict[Monomial, int] = {}

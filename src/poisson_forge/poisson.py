@@ -13,6 +13,12 @@ m2 and b_ij = {x_i, x_j}, this reads
 
 which is what ``PoissonStructure.bracket`` evaluates: one pass over term
 pairs into a single term dict, exact for negative exponents as well.
+With g a generator x_g the formula needs only the table entries b_vg:
+
+    {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v,
+
+so ``generator_brackets(f)`` gives {f, x_g} for every g from one pass
+over the terms of f, and ``bracket_rows`` the same for basis monomials.
 
 Jacobi and Poisson-derivation checking run on generators only: the
 Jacobiator of a biderivation-extended bracket is a tri-derivation, and the
@@ -110,20 +116,25 @@ class PoissonStructure:
         return max((abs(e) for _, _, shifted in self._entries
                     for shift, _ in shifted for e in shift), default=0) + 1
 
-    def _by_variable(self, packing: ExponentPacking) -> tuple:
-        """Per context position v, one (packed shift, numerator) per term of
-        b_vg / x_v over ``_den``, the shift carrying the generator slot g:
-        the entry b_ij / (x_i*x_j) times x_j for v = i, and times -x_i for
-        v = j."""
+    @cached_property
+    def _by_position(self) -> tuple:
+        """Per context position v, one (generator slot g, exponent shift,
+        numerator) per term of b_vg / x_v over ``_den``: the entry
+        b_ij / (x_i*x_j) times x_j for v = i, and times -x_i for v = j."""
+        rank = self.context.rank
         slot = {pos: g for g, pos in enumerate(self.context.generators())}
-        unit = packing.units
-        table = [[] for _ in range(self.context.rank)]
+        unit = [tuple(int(v == pos) for v in range(rank)) for pos in range(rank)]
+        table = [[] for _ in range(rank)]
         for i, j, shifted in self._entries:
             for shift, n in shifted:
-                packed = packing.shift(shift)
-                table[i].append((packed + unit[j] + slot[j], n))
-                table[j].append((packed + unit[i] + slot[i], -n))
+                table[i].append((slot[j], tuple(map(add, shift, unit[j])), n))
+                table[j].append((slot[i], tuple(map(add, shift, unit[i])), -n))
         return tuple(map(tuple, table))
+
+    def _by_variable(self, packing: ExponentPacking) -> tuple:
+        """``_by_position`` with each shift packed, the slot in its low bits."""
+        return tuple(tuple((packing.shift(shift) + g, n) for g, shift, n in terms)
+                     for terms in self._by_position)
 
     def monomial_brackets(self, monomials,
                           packing: ExponentPacking) -> list[dict[int, int]]:
@@ -162,6 +173,30 @@ class PoissonStructure:
                     rows.setdefault(mm, {})[idx] = n
         den = self._den
         return monomials, rows, lambda key: den, packing.key
+
+    def generator_brackets(self, f: LaurentPoly) -> list[LaurentPoly]:
+        """[{f, x_g} for each generator slot g], from one pass over the
+        terms of f: each term a*x^m adds k*a*n*x^(m + shift) to slot g for
+        each term (g, shift, n) of ``_by_position`` at a position v with
+        k = m_v != 0."""
+        if f.context != self.context:
+            raise ContextMismatch("bracket operand over wrong context")
+        fterms, fden = integer_terms(f)
+        table = self._by_position
+        accs = [{} for _ in self.context.generators()]
+        for m, a in fterms:
+            for k, terms in zip(m, table):
+                if k:
+                    ak = a * k
+                    for g, shift, n in terms:
+                        mm = tuple(map(add, m, shift))
+                        acc = accs[g]
+                        acc[mm] = acc.get(mm, 0) + ak * n
+        den = fden * self._den
+        # m + shift is x^m * b_vg / x_v with m_v != 0, valid as in bracket
+        return [LaurentPoly._of(self.context,
+                                {m: Fraction(n, den) for m, n in acc.items() if n})
+                for acc in accs]
 
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.context != self.context or g.context != self.context:
@@ -318,9 +353,8 @@ def hamiltonian_derivation(f: LaurentPoly, structure) -> DerivationSpec:
     """ham_f = {f, -} restricted to generator images; ``structure`` is a
     PoissonStructure or a QuotientRing (images in normal form)."""
     ctx = structure.context
-    images = {ctx.names[i]: structure.bracket(f, ctx.var(ctx.names[i]))
-              for i in ctx.generators()}
-    return DerivationSpec(ctx, images)
+    return DerivationSpec(ctx, dict(zip((ctx.names[i] for i in ctx.generators()),
+                                        structure.generator_brackets(f))))
 
 
 def jacobiator(structure: PoissonStructure, i: int, j: int, k: int) -> LaurentPoly:
@@ -348,11 +382,12 @@ def derivation_residues(D: DerivationSpec, structure: PoissonStructure):
     """((i, j), D({x_i,x_j}) - {D(x_i),x_j} - {x_i,D(x_j)}) for every
     generator pair i < j."""
     names = structure.context.names
-    for i, j in combinations(structure.context.generators(), 2):
+    gens = structure.context.generators()
+    # images[a][b] = {D(x_a), x_b}, so {x_a, D(x_b)} = -images[b][a]
+    images = [structure.generator_brackets(D.images[names[i]]) for i in gens]
+    for (a, i), (b, j) in combinations(enumerate(gens), 2):
         lhs = D.apply(structure.entry(i, j))
-        rhs = (structure.bracket(D.images[names[i]], structure.gen(j))
-               + structure.bracket(structure.gen(i), D.images[names[j]]))
-        yield (i, j), lhs - rhs
+        yield (i, j), lhs - (images[a][b] - images[b][a])
 
 
 def check_poisson_derivation(D: DerivationSpec, structure: PoissonStructure):

@@ -154,23 +154,24 @@ def suite_torus(seed: int = DEFAULT_SEED):
 
 def _random_decomposition(torus, lattice, rng):
     ctx = torus.context
-    gamma = ctx.zero()
+    gamma: dict = {}
     for _ in range(rng.randint(1, 4)):
         g = tuple(rng.randint(-2, 2) for _ in range(torus.rank))
         if torus.is_central(g):
             continue
-        gamma = gamma + torus.monomial(
-            g, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        gamma[g] = gamma.get(g, 0) + c
     theta = {}
     for name in torus.names:
-        img = ctx.zero()
+        img: dict = {}
         for _ in range(rng.randint(0, 2)):
             coords = [rng.randint(-1, 1) for _ in lattice]
-            vec = [sum(c * b[i] for c, b in zip(coords, lattice))
-                   for i in range(torus.rank)]
-            img = img + torus.monomial(vec, rng.randint(-5, 5))
-        theta[name] = img
-    return gamma, theta
+            vec = tuple(sum(c * b[i] for c, b in zip(coords, lattice))
+                        for i in range(torus.rank))
+            img[vec] = img.get(vec, 0) + rng.randint(-5, 5)
+        # the checked constructor drops the zero coefficients
+        theta[name] = LaurentPoly(ctx, img)
+    return LaurentPoly(ctx, gamma), theta
 
 
 def _derivation_of(torus, gamma, theta):

@@ -21,10 +21,10 @@ The lattice arithmetic runs on integers: lam = L / den with den the lcm
 of the entries' denominators, so the pairings P = g . L are integers.
 The check is cross-multiplied, a_x P_y = a_y P_x on the numerators and
 denominators of the a's, and c_g = a_y den / P_y; an error message
-divides back by den and reads in lam units.  apply_decomposition stays
-on the generic bracket of ``structure``, which does not read the
-pairings: a roundtrip through both halves then checks them against each
-other, where a wrong pairing on both sides would cancel out.
+divides back by den and reads in lam units.  apply_decomposition takes
+ham_gamma from ``structure.generator_brackets``, which reads the bracket
+table, not the pairings: a roundtrip through both halves then checks them
+against each other, where a wrong pairing on both sides would cancel out.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .expr import ContextMismatch, ExprError, LaurentPoly, VarContext, rational
 from .linalg import integer_kernel
-from .poisson import DerivationSpec, PoissonStructure, hamiltonian_derivation
+from .poisson import DerivationSpec, PoissonStructure
 
 
 class DecompositionError(ExprError):
@@ -109,8 +109,14 @@ class TorusStructure:
     def is_central(self, g: Sequence[int]) -> bool:
         return not any(self.pairings(g))
 
+    @cached_property
+    def generators(self) -> tuple[LaurentPoly, ...]:
+        """t1..tn as polynomials, built once per torus."""
+        return tuple(map(self.context.var, self.names))
+
     def monomial(self, g: Sequence[int], coeff=1) -> LaurentPoly:
-        return self.context.monomial(dict(zip(self.names, g)), coeff)
+        """coeff * t^g; ExprError unless g has one entry per generator."""
+        return LaurentPoly(self.context, {tuple(g): coeff})
 
 
 def central_lattice(torus: TorusStructure) -> list[list[int]]:
@@ -171,10 +177,9 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposit
 
 def apply_decomposition(dec: Decomposition, torus: TorusStructure) -> dict[str, LaurentPoly]:
     """Generator images of ham_gamma + D_theta."""
-    ctx = torus.context
-    ham = hamiltonian_derivation(dec.gamma, torus.structure).images
-    return {name: ham[name] + dec.theta_images[name] * ctx.var(name)
-            for name in torus.names}
+    ham = torus.structure.generator_brackets(dec.gamma)
+    return {name: image + dec.theta_images[name] * t
+            for name, image, t in zip(torus.names, ham, torus.generators)}
 
 
 def verify_decomposition(D: DerivationSpec, dec: Decomposition,

@@ -206,6 +206,33 @@ class TestArithmetic:
             assert product == expected
             assert all(type(c) is Fraction for c in product.terms.values())
 
+    @given(laurent_pairs(), st.booleans(),
+           st.fractions(min_value=-6, max_value=6, max_denominator=12)
+           .filter(bool),
+           st.tuples(st.integers(0, 2), st.integers(0, 1),
+                     st.integers(-3, 3), st.integers(-3, 3)))
+    def test_one_term_product_matches_schoolbook(self, pair, left, c, exps):
+        f, _ = pair
+        a, b, e5, e6 = exps
+        one = LaurentPoly(CTX, {(a, b, 0, 0, e5, e6): c})
+        g, h = (one, f) if left else (f, one)
+        product = g * h
+        assert product.terms == schoolbook_product(g, h)
+        assert_as_checked(product, schoolbook_product(g, h))
+
+    @pytest.mark.parametrize("f, g", [
+        ("3/2*X1*X5^-2", "-2/3*X5^2*X6^-1"),            # 1 x 1
+        ("1/2*X2*X6^-1", "X1 + 3*X5^-1 - 1/4*X2*X6"),    # one term on the left
+        ("X1 + 3*X5^-1 - 1/4*X2*X6", "1/2*X2*X6^-1"),    # one term on the right
+        ("-5/6", "X1*X5^-1 + 2/3*X6^2"),                 # a scalar monomial
+        ("X1*X5^-1 + 2/3*X6^2", "7"),
+        ("X3", "0"),
+    ])
+    def test_one_term_products(self, f, g):
+        f, g = parse_expr(f, CTX), parse_expr(g, CTX)
+        assert_as_checked(f * g, schoolbook_product(f, g))
+        assert (f * g).terms == schoolbook_product(f, g)
+
     def test_negative_power_of_invertible_monomial(self):
         assert QCTX.var("x5") ** -1 == QCTX.monomial({"x5": -1})
         assert (2 * QCTX.monomial({"x5": 1, "x6": -2})) ** -2 == QCTX.monomial(

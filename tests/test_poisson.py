@@ -10,11 +10,14 @@ from poisson_forge import g2
 from poisson_forge.chain import localize_structure
 from poisson_forge.expr import ContextMismatch, VarContext
 from poisson_forge.parse import parse_expr
-from poisson_forge.poisson import (DerivationSpec, EtaError, PoissonOreData,
-                                   PoissonStructure, WeightVector,
-                                   check_grading, check_jacobi,
+from poisson_forge.expr import LaurentPoly
+from poisson_forge.poisson import (DerivationSpec, EtaError, ExponentPacking,
+                                   PoissonOreData, PoissonStructure,
+                                   WeightVector, check_grading, check_jacobi,
                                    check_poisson_derivation,
                                    hamiltonian_derivation, jacobiator)
+from poisson_forge.quotient import QuotientRing
+from poisson_forge.torus import TorusStructure
 from tests.test_expr import small_polys
 
 ALG = g2.builtin_algebra()
@@ -122,6 +125,66 @@ class TestBracketReference:
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             S.bracket(LOCAL.context.var("X1"), CTX.var("X2"))
+
+
+# negative x5, x6 exponents and alpha, beta exponents
+LOCAL_QUOTIENT = QuotientRing(localized=True).structure
+TORUS = TorusStructure.make(g2.TORUS_MATRIX).structure
+
+
+class TestGeneratorBrackets:
+    def check(self, structure, f):
+        ctx = structure.context
+        images = structure.generator_brackets(f)
+        assert images == [structure.bracket(f, ctx.var(ctx.names[i]))
+                          for i in ctx.generators()]
+        assert all(type(c) is Fraction and c
+                   for image in images for c in image.terms.values())
+
+    @given(laurent_polys(CTX))
+    def test_builtin(self, f):
+        self.check(S, f)
+
+    @given(laurent_polys(LOCAL_QUOTIENT.context, low=-2))
+    def test_localized_quotient_structure(self, f):
+        self.check(LOCAL_QUOTIENT, f)
+
+    @given(laurent_polys(TORUS.context, low=-2))
+    def test_rank6_torus(self, f):
+        self.check(TORUS, f)
+
+    @given(laurent_polys(RATIONAL.context))
+    def test_rational_table(self, f):
+        self.check(RATIONAL, f)
+
+    def test_zero(self):
+        for structure in (S, LOCAL_QUOTIENT, TORUS):
+            images = structure.generator_brackets(structure.context.zero())
+            assert len(images) == len(structure.context.generators())
+            assert all(image.is_zero() for image in images)
+
+    def test_context_mismatch(self):
+        with pytest.raises(ContextMismatch):
+            S.generator_brackets(LOCAL.context.var("X1"))
+
+    @pytest.mark.parametrize("structure", [S, LOCAL_QUOTIENT, TORUS],
+                             ids=["builtin", "localized-quotient", "torus"])
+    def test_basis_monomials_match_monomial_brackets(self, structure):
+        # the packed images of bracket_rows, unpacked: slot in the low
+        # bits, the exponents above it, numerators over the table's den
+        ctx = structure.context
+        monomials = list(structure.basis_monomials(3))
+        packing = ExponentPacking(ctx, 3 + structure._shift_reach)
+        slot_mask = (1 << packing.low) - 1
+        packed = structure.monomial_brackets(monomials, packing)
+        for m, image in zip(monomials, packed):
+            expected = [{} for _ in ctx.generators()]
+            for key, n in image.items():
+                if n:
+                    expected[key & slot_mask][packing.exponents(key)] = Fraction(
+                        n, structure._den)
+            got = structure.generator_brackets(LaurentPoly(ctx, {m: 1}))
+            assert [image.terms for image in got] == expected
 
 
 class TestJacobi:

@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import g2, quotient
+from poisson_forge.chain import verify_centrality
 from poisson_forge.expr import ExprError, LaurentPoly, VarContext
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
-                                   PoissonStructure, WeightVector, field_width)
+                                   PoissonStructure, WeightVector, field_width,
+                                   hamiltonian_derivation)
 from poisson_forge.quotient import (MAX_TERMS, QuotientElement, QuotientRing,
                                     bounded_centre, bounded_inner_search,
                                     chain_elements, check_casimirs,
@@ -29,8 +31,11 @@ from poisson_forge.quotient import (MAX_TERMS, QuotientElement, QuotientRing,
                                     parse_derivation, quotient_jacobi_items,
                                     spans_same_space,
                                     verify_localized_identities)
+from poisson_forge.torus import (Decomposition, TorusStructure,
+                                 apply_decomposition, decompose_derivation)
 from tests.test_expr import assert_as_checked
-from tests.test_poisson import LOCAL, RATIONAL, S, laurent_polys
+from tests.test_poisson import (LOCAL, RATIONAL, S, laurent_polys,
+                                reference_bracket)
 
 SYM = QuotientRing()
 LOC = QuotientRing(localized=True)
@@ -410,6 +415,19 @@ class TestQuotientBracket:
         assert (x3 - x3).is_zero()
         assert x3.bracket(SYM.element("x4")).poly == nf("3*x3*x4")
 
+    @pytest.mark.parametrize("ring", [NUM11, QuotientRing(alpha=1, beta=0), SYM],
+                             ids=["1,1", "1,0", "sym"])
+    @given(f=st.one_of(
+        quotient_polys(names=("x1", "x3", "x4", "x6", "alpha", "beta")),
+        laurent_polys(VarContext.make(quotient.QUOTIENT_NAMES))))
+    def test_generator_brackets(self, ring, f):
+        # also for f over the context of x1..x6 alone, which the ring
+        # moves into its own
+        images = ring.generator_brackets(f)
+        assert images == [ring.bracket(f, ring.context.var(name))
+                          for name in quotient.QUOTIENT_NAMES]
+        assert all(image == ring.normal_form(image) for image in images)
+
     @given(quotient_polys(max_terms=2), quotient_polys(max_terms=2))
     def test_leibniz_mod_ideal(self, f, g):
         h = SYM.element("x4*x6 + x3")
@@ -773,6 +791,46 @@ class TestBracketRows:
         basis = bounded_centre(g2.builtin_algebra().structure, 4)
         assert len(basis) == 3  # 1, Omega1, Omega2
         assert len(calls) <= 6 * len(basis)  # 1260 with a bracket per row build
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """The list that each PoissonStructure.bracket call appends to."""
+    calls = []
+    original = PoissonStructure.bracket
+
+    def counting(self, f, g):
+        calls.append(1)
+        return original(self, f, g)
+    monkeypatch.setattr(PoissonStructure, "bracket", counting)
+    return calls
+
+
+class TestBracketCalls:
+    def test_one_pass_users_make_no_bracket_call(self, bracket_calls):
+        alg = g2.builtin_algebra()
+        f = parse_expr("X1*X3 - 2/3*X2*X4^2 + X6", alg.context)
+        images = hamiltonian_derivation(f, alg.structure).images
+        assert images == {name: reference_bracket(alg.structure, f, alg.context.var(name))
+                          for name in alg.context.names}
+        assert all(ok for _, ok, _ in verify_centrality(alg.structure, alg.casimirs))
+        torus = TorusStructure.make(g2.TORUS_MATRIX)
+        gamma = parse_expr("t1*t2^-1 - 1/2*t3^2*t6", torus.context)
+        theta = {name: torus.context.zero() for name in torus.names}
+        theta["t2"] = torus.monomial((1, 0, 1, 0, 1, 0), 3)
+        images = apply_decomposition(Decomposition(gamma, theta), torus)
+        assert decompose_derivation(
+            DerivationSpec(torus.context, images), torus) == Decomposition(gamma, theta)
+        assert bracket_calls == []
+
+    def test_search_cross_checks_bracket(self, bracket_calls):
+        basis = bounded_centre(g2.builtin_algebra().structure, 3)
+        assert len(basis) == 2  # 1, Omega1
+        assert len(bracket_calls) == 6 * len(basis)
+        images = hamiltonian_quotient_images("x3", NUM11)
+        bracket_calls.clear()
+        assert bounded_inner_search(images, NUM11, degree=2) == NUM11.context.var("x3")
+        assert len(bracket_calls) == 6
 
 
 class TestBoundedSearches:

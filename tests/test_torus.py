@@ -1,5 +1,6 @@
 """Centre lattices and the inner-plus-central derivation decomposition."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,10 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import g2
+from poisson_forge.expr import ExprError
 from poisson_forge.linalg import hnf_rows, integer_kernel
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, check_poisson_derivation,
                                    hamiltonian_derivation)
+from poisson_forge.suites import (DEFAULT_SEED, TORUS_ROUNDS,
+                                  _random_decomposition)
 from poisson_forge.torus import (Decomposition, DecompositionError,
                                  TorusStructure, apply_decomposition,
                                  central_lattice, decompose_derivation,
@@ -169,6 +173,42 @@ class TestCentralLattice:
         torus = TorusStructure.make([[0, 1], [-1, 0]])
         assert torus.context is torus.context
         assert torus.structure is torus.structure
+        assert torus.generators is torus.generators
+        assert torus.generators == (torus.context.var("t1"), torus.context.var("t2"))
+
+    @pytest.mark.parametrize("g", [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7)])
+    def test_monomial_needs_one_exponent_per_generator(self, g):
+        with pytest.raises(ExprError, match="wrong length"):
+            M6.monomial(g)
+
+    def test_monomial(self):
+        assert M6.monomial((1, -1, 0, 0, 0, 2), Fraction(3, 2)) == parse_expr(
+            "3/2*t1*t2^-1*t6^2", M6.context)
+        assert M6.monomial((1, 0, 0, 0, 0, 0), 0).is_zero()
+
+
+def _torus_cases_digest(seed):
+    """sha256 of the (gamma, theta) term dicts of the torus suite's
+    seeded cases, as ``suite_torus`` draws them."""
+    lattice = central_lattice(M6)
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(TORUS_ROUNDS):
+        gamma, theta = _random_decomposition(M6, lattice, rng)
+        digest.update(repr(sorted(gamma.terms.items())).encode())
+        for name in M6.names:
+            digest.update(repr(sorted(theta[name].terms.items())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (DEFAULT_SEED, "9e4509f40f621b5ec109613c9cb76de2f6e23a1f7d68dfacb39a5afce5334f48"),
+    (7, "f288e7c7a0699fc44d87a13777540869336e3af44411e09d15bd92932b95e0e1"),
+])
+def test_torus_suite_cases_are_pinned(seed, digest):
+    # the suite's text reports only that all roundtrips recover, so the
+    # cases it draws are pinned here
+    assert _torus_cases_digest(seed) == digest
 
 
 class TestDecomposition:
