@@ -339,8 +339,8 @@ def verify_torus_relations(stage2: ChainStage, matrix,
     mismatches = [f"({i + 1},{j + 1}): {matrix[i][j]} != {ore.mu(i, j)}"
                   for i in range(n) for j in range(n)
                   if Fraction(matrix[i][j]) != ore.mu(i, j)]
-    items.append(("matrix matches the sigma table", not mismatches,
-                  "0" if not mismatches else "; ".join(mismatches)))
+    items.append(CheckItem("matrix matches the sigma table", not mismatches,
+                           "0" if not mismatches else "; ".join(mismatches)))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             lhs = stage2.gen(i).bracket(stage2.gen(j))

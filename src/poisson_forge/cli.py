@@ -116,7 +116,8 @@ def _cmd_decompose(args, out) -> int:
     for field in ("rank", "lambda", "images"):
         if field not in spec:
             raise UsageError(f"decomposition spec misses {field!r}")
-    if not isinstance(spec["rank"], int):
+    # JSON true and false load as bool, a subclass of int
+    if type(spec["rank"]) is not int:
         raise UsageError("'rank' must be an integer")
     if not (isinstance(spec["lambda"], list)
             and all(isinstance(row, list) for row in spec["lambda"])):

@@ -143,8 +143,9 @@ def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
 
     weights = None
     if "weights" in data:
+        # JSON true and false load as bool, a subclass of int
         if not all(isinstance(w, list) and len(w) == 2
-                   and all(isinstance(c, int) for c in w) for w in data["weights"]):
+                   and all(type(c) is int for c in w) for w in data["weights"]):
             raise ExprError("weights must be [a, b] integer pairs")
         pairs = [tuple(w) for w in data["weights"]]
         gens = ctx.generators()

@@ -430,10 +430,6 @@ class PoissonOreData:
             return Fraction(self.sigma.get((i, j), 0))
         return -Fraction(self.sigma.get((j, i), 0))
 
-    def mu_matrix(self) -> list[list[Fraction]]:
-        n = self.context.rank
-        return [[self.mu(i, j) for j in range(n)] for i in range(n)]
-
     def sigma_images(self, i: int) -> dict[str, LaurentPoly]:
         names = self.context.names
         return {names[j]: self.mu(i, j) * self.context.var(names[j])
@@ -479,27 +475,6 @@ class PoissonOreData:
             raise EtaError(f"eta_{i + 1} is zero; the rescaling step degenerates")
         self._eta[i] = eta
         return eta
-
-    def check_locally_nilpotent(self) -> dict[int, int]:
-        """Nilpotency witness: index i -> least k with delta_i^k = 0 on
-        generator images; raises past ``MAX_DELTA_POWERS`` steps."""
-        out = {}
-        for i in range(1, self.context.rank):
-            delta = self.delta_images(i)
-            worst = 0
-            for j in range(i):
-                p = delta[self.context.names[j]]
-                k = 1
-                while not p.is_zero():
-                    if k > MAX_DELTA_POWERS:
-                        raise EtaError(
-                            f"delta_{i + 1} not nilpotent on X_{j + 1}"
-                            f" within {MAX_DELTA_POWERS} steps")
-                    p = apply_images(delta, p)
-                    k += 1
-                worst = max(worst, k)
-            out[i] = worst
-        return out
 
 
 def _scalar_ratio(p: LaurentPoly, q: LaurentPoly) -> Fraction | None:

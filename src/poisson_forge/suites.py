@@ -1,7 +1,8 @@
 """The built-in verification suites behind ``poisson-forge verify``.
 
-Every suite runs on the built-in algebra data and returns a Report whose
-items are exact identities (zero residue or golden-value comparison).
+Every suite runs on the built-in algebra data and returns its checks
+(``report.CheckItem``), exact identities (zero residue or golden-value
+comparison); ``run_suites`` times each suite and makes its Report.
 The torus suite is the only randomized one; it is seeded and reproducible.
 """
 
@@ -24,20 +25,12 @@ from .quotient import (QuotientRing, bounded_centre, bounded_inner_search,
                        hamiltonian_quotient_images, parse_derivation,
                        quotient_jacobi_items, spans_same_space,
                        verify_localized_identities)
-from .report import Report, check_item
+from .report import CheckItem, Report, check_item
 from .torus import (Decomposition, DecompositionError, TorusStructure,
                     apply_decomposition, central_lattice, decompose_derivation)
 
 DEFAULT_SEED = 20250809
 TORUS_ROUNDS = 100
-
-
-def _timed(builder):
-    def run(**kwargs):
-        start = time.perf_counter()
-        name, checks = builder(**kwargs)
-        return Report.from_checks(name, checks, time.perf_counter() - start)
-    return run
 
 
 def _triple_items(structure: PoissonStructure):
@@ -65,69 +58,62 @@ def _mutations(structure: PoissonStructure):
     table[(0, 2)] = parse_expr("X1*X3 + 2*X2", ctx)
     cases.append(("mutation {X3,X1} -> -X1*X3 - 2*X2 is detected",
                   PoissonStructure(ctx, table)))
-    return [(label, check_jacobi(mutated) is not None,
-             "mutation passed the Jacobi check") for label, mutated in cases]
+    return [CheckItem(label, check_jacobi(mutated) is not None,
+                      "mutation passed the Jacobi check")
+            for label, mutated in cases]
 
 
-@_timed
 def suite_jacobi():
     alg = g2.builtin_algebra()
-    return "jacobi", _triple_items(alg.structure) + _mutations(alg.structure)
+    return _triple_items(alg.structure) + _mutations(alg.structure)
 
 
-@_timed
 def suite_casimir():
     alg = g2.builtin_algebra()
-    return "casimir", verify_centrality(alg.structure, alg.casimirs)
+    return verify_centrality(alg.structure, alg.casimirs)
 
 
-@_timed
 def suite_pdda():
     alg = g2.builtin_algebra()
     stages = builtin_chain()
     items = []
+    label = "eta values (eta3, eta4, eta5, eta6) = (2, 6, 2, 6)"
     try:
         etas = tuple(alg.ore.eta(i) for i in (2, 3, 4, 5))
-        items.append(("eta values (eta3, eta4, eta5, eta6) = (2, 6, 2, 6)",
-                      etas == (2, 6, 2, 6), str(etas)))
+        items.append(CheckItem(label, etas == (2, 6, 2, 6), str(etas)))
     except EtaError as err:
-        items.append(("eta values (eta3, eta4, eta5, eta6) = (2, 6, 2, 6)",
-                      False, str(err)))
+        items.append(CheckItem(label, False, str(err)))
     items += verify_chain_formulas(stages)
     items += verify_torus_relations(stages[2], g2.TORUS_MATRIX, alg.ore)
     for stage in stages.values():
         items += verify_stage_contract(stage, alg.ore)
-    return "pdda", items
+    return items
 
 
-@_timed
 def suite_pullback():
     casimirs = g2.builtin_algebra().casimirs
-    return "pullback", verify_central_ladders(builtin_chain(), casimirs)
+    return verify_central_ladders(builtin_chain(), casimirs)
 
 
-@_timed
 def suite_pl2():
-    return "pl2", check_casimirs(QuotientRing())
+    return check_casimirs(QuotientRing())
 
 
-@_timed
 def suite_quotient():
-    return "quotient", quotient_jacobi_items(QuotientRing())
+    return quotient_jacobi_items(QuotientRing())
 
 
-@_timed
 def suite_localization():
-    return "localization", verify_localized_identities(QuotientRing(localized=True))
+    return verify_localized_identities(QuotientRing(localized=True))
 
 
-@_timed
 def suite_torus(seed: int = DEFAULT_SEED):
     torus = TorusStructure.make(g2.TORUS_MATRIX)
     lattice = central_lattice(torus)
-    items = [("central lattice of the torus matrix is"
-              " [(1,0,1,0,1,0), (0,1,0,1,0,1)]",
-              lattice == [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], str(lattice))]
+    items = [CheckItem("central lattice of the torus matrix is"
+                       " [(1,0,1,0,1,0), (0,1,0,1,0,1)]",
+                       lattice == [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]],
+                       str(lattice))]
     rng = random.Random(seed)
     failures = []
     rejected = []
@@ -142,14 +128,14 @@ def suite_torus(seed: int = DEFAULT_SEED):
             continue
         if dec.gamma != gamma or dec.theta_images != theta:
             failures.append(f"case {case}: decomposition differs from input")
-    items.append((f"{TORUS_ROUNDS} seeded decomposition roundtrips recover"
-                  " (gamma, theta) exactly", not failures,
-                  "; ".join(failures[:3]) or "0"))
+    items.append(CheckItem(f"{TORUS_ROUNDS} seeded decomposition roundtrips"
+                           " recover (gamma, theta) exactly", not failures,
+                           "; ".join(failures[:3]) or "0"))
     # decompose_derivation checks c_g against every generator, which is
     # what makes every witness choice give the same answer
-    items.append(("compatibility holds across all witness choices",
-                  not rejected, "; ".join(rejected[:3]) or "0"))
-    return "torus", items
+    items.append(CheckItem("compatibility holds across all witness choices",
+                           not rejected, "; ".join(rejected[:3]) or "0"))
+    return items
 
 
 def _random_decomposition(torus, lattice, rng):
@@ -179,7 +165,6 @@ def _derivation_of(torus, gamma, theta):
                           apply_decomposition(Decomposition(gamma, theta), torus))
 
 
-@_timed
 def suite_derivations():
     # the non-localised rings share one context, so each scalar derivation
     # is parsed once and checked on several rings
@@ -187,37 +172,40 @@ def suite_derivations():
     beta0 = QuotientRing(alpha="symbolic", beta=0)
     theta = parse_derivation(g2.builtin_scalar_derivation("beta_zero")["images"],
                              beta0)
-    for label, ok, residue in check_quotient_derivation(theta, beta0):
-        items.append((f"scalar derivation (beta=0 quotient): {label}", ok, residue))
+    for item in check_quotient_derivation(theta, beta0):
+        items.append(item._replace(
+            label=f"scalar derivation (beta=0 quotient): {item.label}"))
 
     alpha0 = QuotientRing(alpha=0, beta="symbolic")
     tilde = parse_derivation(g2.builtin_scalar_derivation("alpha_zero")["images"],
                              alpha0)
-    for label, ok, residue in check_quotient_derivation(tilde, alpha0):
-        items.append((f"scalar derivation (alpha=0 quotient): {label}", ok, residue))
+    for item in check_quotient_derivation(tilde, alpha0):
+        items.append(item._replace(
+            label=f"scalar derivation (alpha=0 quotient): {item.label}"))
 
     generic = QuotientRing()
-    failures = {label: residue for label, ok, residue
-                in check_quotient_derivation(theta, generic) if not ok}
+    failures = {item.label: item.residue for item
+                in check_quotient_derivation(theta, generic) if not item.ok}
     expected = {"D preserves the Omega2 relation": "2*beta"}
-    items.append(("scalar derivation fails for symbolic beta with residue"
-                  " exactly 2*beta", failures == expected, str(failures)))
+    items.append(CheckItem("scalar derivation fails for symbolic beta with"
+                           " residue exactly 2*beta", failures == expected,
+                           str(failures)))
 
     ring10 = QuotientRing(alpha=1, beta=0)
     found = bounded_inner_search(theta, ring10, degree=4)
-    items.append(("inner search (degree <= 4) finds no hamiltonian form of"
-                  " the scalar derivation on the beta=0 quotient",
-                  found is None, str(found)))
+    items.append(CheckItem("inner search (degree <= 4) finds no hamiltonian"
+                           " form of the scalar derivation on the beta=0"
+                           " quotient", found is None, str(found)))
 
     ring11 = QuotientRing(alpha=1, beta=1)
     ham = hamiltonian_quotient_images("x3", ring11)
     recovered = bounded_inner_search(ham, ring11, degree=2)
-    items.append(("inner search recovers x3 from its hamiltonian derivation",
-                  recovered == ring11.context.var("x3"), str(recovered)))
-    return "derivations", items
+    items.append(CheckItem("inner search recovers x3 from its hamiltonian"
+                           " derivation", recovered == ring11.context.var("x3"),
+                           str(recovered)))
+    return items
 
 
-@_timed
 def suite_centre():
     alg = g2.builtin_algebra()
     ctx = alg.context
@@ -230,32 +218,33 @@ def suite_centre():
         label = ("ambient centre at degree <= %d is spanned by {%s}"
                  % (degree, ", ".join(["1"] + [f"Omega{k}" for k in
                                                range(1, len(expected))])))
-        items.append((label, spans_same_space(basis, expected),
-                      f"dimension {len(basis)}"))
+        items.append(CheckItem(label, spans_same_space(basis, expected),
+                               f"dimension {len(basis)}"))
     ring11 = QuotientRing(alpha=1, beta=1)
     basis = bounded_centre(ring11, 4)
-    items.append(("quotient centre at degree <= 4 is the scalars",
-                  spans_same_space(basis, [ring11.context.one()]),
-                  f"dimension {len(basis)}"))
-    return "centre", items
+    items.append(CheckItem("quotient centre at degree <= 4 is the scalars",
+                           spans_same_space(basis, [ring11.context.one()]),
+                           f"dimension {len(basis)}"))
+    return items
 
 
-@_timed
 def suite_grading():
     alg = g2.builtin_algebra()
     items = []
     failure = check_grading(alg.structure, alg.weights)
-    items.append(("weight vector [(1,0),(3,1),(2,1),(3,2),(1,1),(0,1)]"
-                  " grades the bracket table", failure is None, str(failure)))
+    items.append(CheckItem("weight vector [(1,0),(3,1),(2,1),(3,2),(1,1),(0,1)]"
+                           " grades the bracket table", failure is None,
+                           str(failure)))
     for name, expected in (("Omega1", (4, 2)), ("Omega2", (6, 4))):
         got = alg.weights.weight_of(alg.casimirs[name])
-        items.append((f"{name} is homogeneous of weight {expected}",
-                      got == expected, str(got)))
+        items.append(CheckItem(f"{name} is homogeneous of weight {expected}",
+                               got == expected, str(got)))
     torus = TorusStructure.make(g2.TORUS_MATRIX).structure
     w = WeightVector(torus.context, alg.weights.weights)
-    items.append(("the same weights grade the target torus table",
-                  check_grading(torus, w) is None, "inhomogeneous entry"))
-    return "grading", items
+    items.append(CheckItem("the same weights grade the target torus table",
+                           check_grading(torus, w) is None,
+                           "inhomogeneous entry"))
+    return items
 
 
 _BUILDERS = {
@@ -281,5 +270,9 @@ def run_suites(names, seed: int = DEFAULT_SEED) -> list[Report]:
     for name in names:
         if name not in _BUILDERS:
             raise KeyError(f"unknown suite {name!r}")
-    return [_BUILDERS[name](**({"seed": seed} if name == "torus" else {}))
-            for name in names]
+    reports = []
+    for name in names:
+        start = time.perf_counter()
+        checks = _BUILDERS[name](**({"seed": seed} if name == "torus" else {}))
+        reports.append(Report(name, checks, time.perf_counter() - start))
+    return reports

@@ -20,12 +20,15 @@ from poisson_forge import g2
 from poisson_forge.cli import main
 from poisson_forge.expr import MAX_INPUT_CHARS, MAX_PRODUCTS, ProductBudget
 from poisson_forge.parse import parse_expr
-from poisson_forge.report import REPORT_SCHEMA, Report, ReportItem
-from poisson_forge.suites import run_suites
+from poisson_forge.report import REPORT_SCHEMA, CheckItem, Report
+from poisson_forge.suites import SUITE_NAMES, run_suites
 
 # `poisson-forge verify all` as the reference implementation printed it;
 # refactors must reproduce it byte for byte.
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.txt"
+# `poisson-forge verify all --format json` as printed before the JSON was
+# built from one check record, every "seconds" set to 0.
+GOLDEN_VERIFY_ALL_JSON = Path(__file__).parent / "data" / "verify_all.json"
 # `poisson-forge chain` as printed when every FractionElement operation
 # cancelled its denominators at once.
 GOLDEN_CHAIN = Path(__file__).parent / "data" / "chain.txt"
@@ -391,9 +394,15 @@ class TestExitCodes:
          {"variables": [1, 2], "brackets": {}, "sigma": {}}),
         (["bracket", "X1", "X2", "--algebra"], b"\xff\xfe{}"),
         (["decompose", "--file"], b"\xff\xfe{}"),
+        (["decompose", "--file"], {"rank": True, "lambda": [[0]],
+                                   "images": {"t1": "t1"}}),
+        (["bracket", "X1", "X2", "--algebra"],
+         {"variables": ["X1", "X2"], "brackets": {}, "sigma": {},
+          "weights": [[True, False], [0, 1]]}),
     ], ids=["images-list", "lambda-scalar", "brackets-list", "sigma-zero-denominator",
             "lambda-zero-denominator", "image-not-a-generator", "variables-nested",
-            "variables-integers", "algebra-not-utf8", "spec-not-utf8"])
+            "variables-integers", "algebra-not-utf8", "spec-not-utf8",
+            "rank-boolean", "weights-boolean"])
     def test_malformed_file_is_usage_error(self, argv, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
         if isinstance(spec, bytes):
@@ -437,20 +446,39 @@ class TestExitCodes:
 
     def test_failing_report_exits_one(self):
         from poisson_forge.cli import _emit_reports
-        bad = Report("demo", [ReportItem("broken", "fail", "x1")])
+        bad = Report("demo", [CheckItem("broken", False, "x1")])
         out = io.StringIO()
         assert _emit_reports([bad], "text", out) == 1
         assert "residue: x1" in out.getvalue()
 
 
 class TestReports:
-    def test_schema_roundtrip(self):
-        report = run_suites(["casimir"])[0]
+    def test_every_suite_matches_schema(self):
+        code, blob = run_cli("verify", "all", "--format", "json")
+        payload = json.loads(blob)
+        assert code == 0
+        assert [suite["suite"] for suite in payload["suites"]] == SUITE_NAMES
+        for suite in payload["suites"]:
+            jsonschema.validate(suite, REPORT_SCHEMA)
+
+    def test_verify_all_json_matches_golden(self):
+        code, blob = run_cli("verify", "all", "--format", "json")
+        payload = json.loads(blob)
+        for suite in payload["suites"]:
+            assert suite["seconds"] >= 0
+            suite["seconds"] = 0
+        assert code == 0
+        assert payload == json.loads(GOLDEN_VERIFY_ALL_JSON.read_text())
+
+    def test_json_status_and_residue_follow_ok(self):
+        report = Report("demo", [CheckItem("b", True, "unused"),
+                                 CheckItem("a", False, "x1")])
         payload = report.to_dict()
         jsonschema.validate(payload, REPORT_SCHEMA)
-        again = Report.from_dict(payload)
-        assert [(i.label, i.status) for i in again.items] \
-            == [(i.label, i.status) for i in report.items]
+        assert payload["ok"] is False
+        assert payload["items"] == [
+            {"label": "a", "status": "fail", "residue": "x1"},
+            {"label": "b", "status": "pass", "residue": None}]
 
     def test_text_and_json_agree(self):
         code_t, text = run_cli("verify", "grading")

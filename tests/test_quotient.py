@@ -793,6 +793,81 @@ class TestBracketRows:
         assert len(calls) <= 6 * len(basis)  # 1260 with a bracket per row build
 
 
+@functools.cache
+def sympy_bracket_table(R):
+    """{(i, j): {x_i, x_j}} for every ordered pair, read by sympy from the
+    algebra's JSON table into the polynomial ring R of x1..x6."""
+    import importlib.resources
+    import json
+
+    from sympy import sympify
+    data = json.loads(importlib.resources.files("poisson_forge.data")
+                      .joinpath("g2_algebra.json").read_text(encoding="utf-8"))
+    table = {}
+    for pair, text in data["brackets"].items():
+        i, j = (int(part) - 1 for part in pair.split(","))
+        table[i, j] = R.from_expr(sympify(text.replace("^", "**").lower()))
+        table[j, i] = -table[i, j]
+    return table
+
+
+def row_oracle_mismatches(ring, degree):
+    """The columns (basis monomial m, generator slot g) of
+    ``ring.bracket_rows(degree)`` whose image, read back from the rows,
+    is not the normal form of {m, x_g}: a term keeps x3^2, x4^2 or a
+    parameter, or the image minus {m, x_g} rebuilt in sympy from the JSON
+    table is not in the ideal (Omega1 - alpha, Omega2 - beta)."""
+    to_sympy, basis = groebner_oracle(ring)
+    R = basis[0].ring
+    table = sympy_bracket_table(R)
+    monomials, rows, scale, key = ring.bracket_rows(degree)
+    packing = key.__self__
+    slot_mask = (1 << packing.low) - 1
+    images: dict[tuple[int, int], dict] = {}
+    for k, row in rows.items():
+        for idx, n in row.items():
+            images.setdefault((idx, k & slot_mask), {})[
+                packing.exponents(k)] = Fraction(n, scale(k))
+    i3, i4 = ring._i3, ring._i4
+    mismatches = []
+    for idx, m in enumerate(monomials):
+        xm = R({m[:6]: 1})
+        for g, pos in enumerate(ring.context.generators()):
+            image = images.get((idx, g), {})
+            expected = sum((xm.diff(R.gens[i]) * table[i, pos]
+                            for i in range(6) if (i, pos) in table), R.zero)
+            reduced = all(e[i3] <= 1 and e[i4] <= 1 and not any(e[6:])
+                          for e in image)
+            if not reduced or (to_sympy(LaurentPoly(ring.context, image))
+                               - expected).rem(basis) != 0:
+                mismatches.append((m, g))
+    return mismatches
+
+
+class TestBracketRowsOracle:
+    # outside oracle for the rows that bounded_centre and the inner search
+    # solve: the cross-check of bounded_centre brackets only the basis it
+    # found, so it never sees a central element that wrong rows drop
+    @pytest.mark.parametrize("alpha, beta, degree",
+                             [(a, b, d) for a, b in ((1, 1), (1, 0), (0, 1))
+                              for d in (1, 2)] + [(1, 1, 3)],
+                             ids=[f"{a},{b}-d{d}" for a, b in ("11", "10", "01")
+                                  for d in (1, 2)] + ["1,1-d3"])
+    def test_rows_are_the_normal_forms_of_the_brackets(self, alpha, beta, degree):
+        ring = QuotientRing(alpha=alpha, beta=beta)
+        assert row_oracle_mismatches(ring, degree) == []
+
+    def test_flipped_table_term_is_caught(self):
+        # negative control: one term of the per-position table of the
+        # ring's own structure with its sign flipped
+        ring = QuotientRing(alpha=1, beta=1)
+        by_position = [list(terms) for terms in ring.structure._by_position]
+        g, shift, n = by_position[ring._i3][0]
+        by_position[ring._i3][0] = (g, shift, -n)
+        ring.structure.__dict__["_by_position"] = tuple(map(tuple, by_position))
+        assert row_oracle_mismatches(ring, 2)
+
+
 @pytest.fixture
 def bracket_calls(monkeypatch):
     """The list that each PoissonStructure.bracket call appends to."""
