@@ -7,7 +7,8 @@ Subpackages by role:
 - ``poisson``: bracket tables, Jacobi/derivation checks, gradings and the
   sigma/delta data of iterated Poisson-Ore presentations.
 - ``chain``: the deleting-derivations change of variables, its target-torus
-  relations and the pullback of the Casimirs.
+  relations, the pullback of the Casimirs and the localisation tower of the
+  localised quotient.
 - ``torus``: Poisson group algebras over Z^n, centre lattices and the
   inner-plus-central decomposition of Poisson derivations.
 - ``quotient``: the normal-form quotient by the Casimir relations, its

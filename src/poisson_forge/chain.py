@@ -23,6 +23,13 @@ when the element is read (its numerator, denominator or text, or its
 inverse, whose factor is registered in lowest terms).  ``chain_step``
 reduces each series term and each new generator, so the stages stay in
 lowest terms and their size stays bounded.
+
+The same formulas, evaluated on x1..x6 in the fraction field of the
+localised quotient's structure, give its localisation tower t1..t6
+(``chain_elements``); ``verify_localized_identities`` checks the tower's
+identities there.  Both read the ring only through ``context``,
+``structure``, ``normal_form``, ``alpha_poly``, ``beta_poly`` and
+``localized``.
 """
 
 from __future__ import annotations
@@ -95,6 +102,11 @@ class FractionField:
         return self.element(self.context.var(name))
 
 
+def _generators(fld: FractionField) -> list["FractionElement"]:
+    """The generators x1..xn of ``fld``, its context's non-parameters."""
+    return [fld.var(fld.context.names[i]) for i in fld.context.generators()]
+
+
 class FractionElement:
     """num / prod(factor^power) over a FractionField.
 
@@ -159,8 +171,10 @@ class FractionElement:
         return self._num * self.field.product(extra) if extra else self._num
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = self.field.element(self._as_poly(other))
+        if isinstance(other, (int, Fraction)):
+            other = self.field.context.scalar(other)
+        if isinstance(other, LaurentPoly):
+            other = self.field.element(other)
         den = {k: max(self._den.get(k, 0), other._den.get(k, 0))
                for k in self._den.keys() | other._den.keys()}
         return FractionElement(self.field, self._scaled_to(den) + other._scaled_to(den), den)
@@ -171,14 +185,7 @@ class FractionElement:
         return FractionElement(self.field, -self._num, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = self.field.element(self._as_poly(other))
-        return self + (-other)
-
-    def _as_poly(self, value) -> LaurentPoly:
-        if isinstance(value, LaurentPoly):
-            return value
-        return self.field.context.scalar(value)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -190,13 +197,11 @@ class FractionElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n == 0:
-            return self.field.element(self.field.context.one())
-        base = self if n > 0 else self.inverse()
-        result = base
-        for _ in range(abs(n) - 1):
-            result = result * base
-        return result
+        """self^n as one pair: the numerator to the power |n| over each
+        factor's power times |n|, of self or, for n < 0, of its inverse."""
+        base, n = (self, n) if n >= 0 else (self.inverse(), -n)
+        return FractionElement(self.field, base._num ** n,
+                               {label: power * n for label, power in base._den.items()})
 
     def inverse(self) -> "FractionElement":
         """1/self; a factor that is not a unit is registered in lowest terms."""
@@ -257,13 +262,6 @@ class ChainStage:
         return self.gens[i - 1]
 
 
-def initial_stage(structure: PoissonStructure) -> ChainStage:
-    fld = FractionField(structure)
-    gens = tuple(fld.var(structure.context.names[i])
-                 for i in structure.context.generators())
-    return ChainStage(len(gens) + 1, gens)
-
-
 def chain_step(stage: ChainStage, ore: PoissonOreData) -> ChainStage:
     """One deleting-derivations step: level j+1 -> level j."""
     j = stage.level - 1
@@ -301,7 +299,8 @@ def chain_step(stage: ChainStage, ore: PoissonOreData) -> ChainStage:
 def run_chain(structure: PoissonStructure,
               ore: PoissonOreData) -> dict[int, ChainStage]:
     """All stages, keyed by level 7 down to 2."""
-    stage = initial_stage(structure)
+    gens = tuple(_generators(FractionField(structure)))
+    stage = ChainStage(len(gens) + 1, gens)
     stages = {stage.level: stage}
     while stage.level > 2:
         stage = chain_step(stage, ore)
@@ -371,6 +370,72 @@ def formula_stages(gens) -> dict[int, ChainStage]:
             _eval_terms(CHAIN_FORMULAS[i, j], stages) if (i, j) in CHAIN_FORMULAS
             else stages[j + 1].gen(i) for i in range(1, top)))
     return stages
+
+
+# -- the localisation tower ---------------------------------------------------
+
+# The chain elements by their place X[i,j] in the chain; t_i is X[i,j] at
+# the level j where it stabilises.
+_CHAIN_NAMES = {"x16": (1, 6), "x26": (2, 6), "x36": (3, 6), "z1": (1, 5),
+                "z2": (2, 5), "f1": (1, 4),
+                **{f"t{i}": (i, j) for i, j in CHAIN_STABLE_LEVEL.items()}}
+
+
+def chain_elements(ring) -> dict[str, FractionElement]:
+    """The images of the chain elements in the localised quotient ``ring``
+    (a ``quotient.QuotientRing``): the formulas of ``g2.CHAIN_FORMULAS``
+    evaluated on its generators x1..x6 in the ``FractionField`` of its
+    structure, whose inverses register t3 and t4."""
+    if not ring.localized:
+        raise ExprError("chain elements need the localisation at x5, x6")
+    stages = formula_stages(_generators(FractionField(ring.structure)))
+    return {name: stages[j].gen(i) for name, (i, j) in _CHAIN_NAMES.items()}
+
+
+def verify_localized_identities(ring) -> list[CheckItem]:
+    """The localisation-tower identities of the localised quotient
+    ``ring``, each checked as the normal form of the numerator of
+    lhs - rhs: the localised quotient is a domain in which the
+    denominators t3, t4 are nonzero."""
+    e = chain_elements(ring)
+    fld = e["t1"].field
+    alpha = fld.element(ring.alpha_poly)
+    beta = fld.element(ring.beta_poly)
+    x1, _, x3, x4, x5, x6 = _generators(fld)
+
+    items = []
+
+    def check(label, lhs, rhs):
+        items.append(check_item(label, ring.normal_form((lhs - rhs).num)))
+
+    check("t5 = x5", e["t5"], x5)
+    check("relation z2*t5 = 2*(z1*t3*t5 - alpha)",
+          e["z2"] * x5, 2 * (e["z1"] * e["t3"] * x5 - alpha))
+    check("relation t3^3*t5*t6 = 3*z1*t3*t4*t5*t6 - 3/2*beta*t5"
+          " - 3*alpha*t4*t6",
+          e["t3"] ** 3 * x5 * x6,
+          3 * e["z1"] * e["t3"] * e["t4"] * x5 * x6
+          - Fraction(3, 2) * beta * x5 - 3 * alpha * e["t4"] * x6)
+    check("t1*t3*t5 = alpha", e["t1"] * e["t3"] * e["t5"], alpha)
+    check("t2*t4*t6 = beta", e["t2"] * e["t4"] * e["t6"], beta)
+    check("f1 = t1 + 1/2*t2*t3^-1",
+          e["f1"], e["t1"] + Fraction(1, 2) * e["t2"] * e["t3"] ** -1)
+    check("x(3,6) = t3 + 3/2*t4*t5^-1",
+          e["x36"], e["t3"] + Fraction(3, 2) * e["t4"] * x5 ** -1)
+    check("z1 = f1 + 1/3*t3^2*t4^-1",
+          e["z1"], e["f1"] + Fraction(1, 3) * e["t3"] ** 2 * e["t4"] ** -1)
+    check("x1 = x(1,6) + 1/2*t5*t6^-1",
+          x1, e["x16"] + Fraction(1, 2) * x5 * x6 ** -1)
+    check("z2 = t2 + 2/3*t3^3*t4^-1",
+          e["z2"], e["t2"] + Fraction(2, 3) * e["t3"] ** 3 * e["t4"] ** -1)
+    check("x3 = x(3,6) + t5^2*t6^-1",
+          x3, e["x36"] + x5 ** 2 * x6 ** -1)
+    check("x(1,6) = z1 + x(3,6)*t5^-1 - 3/4*t4*t5^-2",
+          e["x16"], e["z1"] + e["x36"] * x5 ** -1
+          - Fraction(3, 4) * e["t4"] * x5 ** -2)
+    check("x4 = t4 + 2/3*t5^3*t6^-1",
+          x4, e["t4"] + Fraction(2, 3) * x5 ** 3 * x6 ** -1)
+    return items
 
 
 def verify_chain_formulas(stages: dict[int, ChainStage]) -> list[CheckItem]:

@@ -56,10 +56,13 @@ def rational(value) -> Fraction:
     ExprError on anything else, a zero denominator included.
 
     Exponent text ("1e300000") is refused before it is converted: its
-    integer can be any size, so converting it is unbounded work."""
+    integer can be any size, so converting it is unbounded work.  JSON
+    true and false, which load as bool, are refused too."""
+    if isinstance(value, bool):
+        raise ExprError(f"expected a rational, got {value!r}")
     text = str(value)
     if "e" in text or "E" in text:
-        raise ExprError(f"expected a rational without an exponent, got {value!r}")
+        raise ExprError(f"expected a rational without an exponent, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

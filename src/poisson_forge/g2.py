@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -59,13 +60,15 @@ MAX_FILE_BYTES = 1_000_000
 def read_json(path) -> object:
     """The JSON value in the file at ``path``, UTF-8.  At most
     ``MAX_FILE_BYTES`` are read (a longer file raises ``WorkLimitError``),
-    and nesting too deep for the decoder raises ``ExprError``."""
+    and nesting too deep for the decoder raises ``ExprError``.  A number
+    with a fraction or an exponent loads as its exact ``Decimal``, never
+    as a float, so ``expr.rational`` sees it as written."""
     with open(path, "rb") as handle:
         raw = handle.read(MAX_FILE_BYTES + 1)
     if len(raw) > MAX_FILE_BYTES:
         raise WorkLimitError(f"{path} is larger than {MAX_FILE_BYTES} bytes")
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), parse_float=Decimal)
     except RecursionError:
         raise ExprError(f"{path} nests JSON values too deeply") from None
 
@@ -127,18 +130,13 @@ def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
         table[(i, j)] = value
     structure = PoissonStructure(ctx, table)
 
-    sigma = {}
-    for key, value in data["sigma"].items():
-        i, j = _pair_key(key, ctx.rank)
-        if not j < i:
-            raise ExprError(f"sigma key {key!r} must have i > j")
-        sigma[(i, j)] = rational(value)
-    delta = {}
-    for key, text in data.get("delta", {}).items():
-        i, j = _pair_key(key, ctx.rank)
-        if not j < i:
-            raise ExprError(f"delta key {key!r} must have i > j")
-        delta[(i, j)] = parsed(text)
+    sigma, delta = {}, {}
+    for field, entries, read in (("sigma", sigma, rational), ("delta", delta, parsed)):
+        for key, value in data.get(field, {}).items():
+            i, j = _pair_key(key, ctx.rank)
+            if not j < i:
+                raise ExprError(f"{field} key {key!r} must have i > j")
+            entries[(i, j)] = read(value)
     ore = PoissonOreData(ctx, sigma, delta)
 
     weights = None

@@ -5,6 +5,7 @@
     factor := base [ "^" signed_int ] | "-" factor
     base   := rational | identifier | "(" expr ")"
     rational := int [ "/" int ]
+    int    := one or more of the ASCII digits 0-9
 
 Identifiers are letters followed by letters/digits; whitespace is
 insignificant.  Parsing yields a canonical LaurentPoly directly, so
@@ -54,9 +55,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # not str.isdigit, which takes any script's digits
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -223,7 +224,7 @@ def parse_expr(text: str, context: VarContext,
     none is given.
     """
     if not isinstance(text, str):
-        raise ParseError(f"expected an expression string, got {text!r}", 0)
+        raise ParseError(f"expected an expression string, got {text}", 0)
     budget = ProductBudget() if budget is None else budget
     budget.read(text)
     return _Parser(text, context, aliases, budget).parse()

@@ -63,10 +63,11 @@ after the unknowns; both searches check their answer through
 ideal.
 
 A ``QuotientElement`` is an element of the quotient, its polynomial in
-normal form.  The localisation tower t1..t6 (``chain_elements``) is
-computed in the ``chain.FractionField`` of the localised ring's
-structure, and each of its identities is checked as the normal form of
-the numerator of lhs - rhs.
+normal form.  The localisation tower t1..t6 lives beside the chain
+(``chain.chain_elements``), which reads the localised ring through
+``context``, ``structure``, ``normal_form``, ``alpha_poly``,
+``beta_poly`` and ``localized``; this module imports nothing of the
+chain.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from operator import mul
 
 from .expr import (ExprError, LaurentPoly, VarContext, WorkLimitError,
                    accumulate, rational)
-from .g2 import CHAIN_STABLE_LEVEL, REWRITE_IDENTITIES, builtin_algebra
+from .g2 import REWRITE_IDENTITIES, builtin_algebra
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
 from .poisson import (DerivationSpec, ExponentPacking, PoissonStructure,
@@ -483,77 +484,6 @@ def quotient_jacobi_items(ring: QuotientRing) -> list[CheckItem]:
     return [check_item(f"jacobi ({names[i]},{names[j]},{names[k]}) mod ideal",
                        ring.normal_form(residue))
             for (i, j, k), residue in jacobi_residues(ring.structure)]
-
-
-# -- the localisation tower -------------------------------------------------
-
-# The chain elements by their place X[i,j] in the chain; t_i is X[i,j] at
-# the level j where it stabilises.
-_CHAIN_NAMES = {"x16": (1, 6), "x26": (2, 6), "x36": (3, 6), "z1": (1, 5),
-                "z2": (2, 5), "f1": (1, 4),
-                **{f"t{i}": (i, j) for i, j in CHAIN_STABLE_LEVEL.items()}}
-
-
-def chain_elements(ring: QuotientRing) -> dict[str, "FractionElement"]:
-    """The images of the chain elements in the localised quotient: the
-    formulas of ``g2.CHAIN_FORMULAS`` evaluated on x1..x6 in the
-    ``chain.FractionField`` of the ring's structure, whose inverses
-    register t3 and t4."""
-    # imported here: a ring alone does not need the chain module, whose
-    # import added about 4 ms to the 28 ms set-up of the centre-search
-    # benchmark
-    from .chain import FractionField, formula_stages
-    if not ring.localized:
-        raise ExprError("chain elements need the localisation at x5, x6")
-    fld = FractionField(ring.structure)
-    stages = formula_stages([fld.var(name) for name in QUOTIENT_NAMES])
-    return {name: stages[j].gen(i) for name, (i, j) in _CHAIN_NAMES.items()}
-
-
-def verify_localized_identities(ring: QuotientRing) -> list[CheckItem]:
-    """The localisation-tower identities, each as the normal form of the
-    numerator of lhs - rhs: the localised quotient is a domain in which the
-    denominators t3, t4 are nonzero."""
-    e = chain_elements(ring)
-    fld = e["t1"].field
-    alpha = fld.element(ring.alpha_poly)
-    beta = fld.element(ring.beta_poly)
-    x = {name: fld.var(name) for name in QUOTIENT_NAMES}
-    x5, x6 = x["x5"], x["x6"]
-
-    items = []
-
-    def check(label, lhs, rhs):
-        items.append(check_item(label, ring.normal_form((lhs - rhs).num)))
-
-    check("t5 = x5", e["t5"], x5)
-    check("relation z2*t5 = 2*(z1*t3*t5 - alpha)",
-          e["z2"] * x5, 2 * (e["z1"] * e["t3"] * x5 - alpha))
-    check("relation t3^3*t5*t6 = 3*z1*t3*t4*t5*t6 - 3/2*beta*t5"
-          " - 3*alpha*t4*t6",
-          e["t3"] ** 3 * x5 * x6,
-          3 * e["z1"] * e["t3"] * e["t4"] * x5 * x6
-          - Fraction(3, 2) * beta * x5 - 3 * alpha * e["t4"] * x6)
-    check("t1*t3*t5 = alpha", e["t1"] * e["t3"] * e["t5"], alpha)
-    check("t2*t4*t6 = beta", e["t2"] * e["t4"] * e["t6"], beta)
-    check("f1 = t1 + 1/2*t2*t3^-1",
-          e["f1"], e["t1"] + Fraction(1, 2) * e["t2"] * e["t3"] ** -1)
-    check("x(3,6) = t3 + 3/2*t4*t5^-1",
-          e["x36"], e["t3"] + Fraction(3, 2) * e["t4"] * x5 ** -1)
-    check("z1 = f1 + 1/3*t3^2*t4^-1",
-          e["z1"], e["f1"] + Fraction(1, 3) * e["t3"] ** 2 * e["t4"] ** -1)
-    check("x1 = x(1,6) + 1/2*t5*t6^-1",
-          x["x1"], e["x16"] + Fraction(1, 2) * x5 * x6 ** -1)
-    check("z2 = t2 + 2/3*t3^3*t4^-1",
-          e["z2"], e["t2"] + Fraction(2, 3) * e["t3"] ** 3 * e["t4"] ** -1)
-    check("x3 = x(3,6) + t5^2*t6^-1",
-          x["x3"], e["x36"] + x5 ** 2 * x6 ** -1)
-    check("x(1,6) = z1 + x(3,6)*t5^-1 - 3/4*t4*t5^-2",
-          e["x16"], e["z1"] + e["x36"] * x5 ** -1
-          - Fraction(3, 4) * e["t4"] * x5 ** -2)
-    check("x4 = t4 + 2/3*t5^3*t6^-1",
-          x["x4"], e["t4"] + Fraction(2, 3) * x5 ** 3 * x6 ** -1)
-    return items
 
 
 # -- derivations --------------------------------------------------------------

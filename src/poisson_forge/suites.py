@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import g2
 from .chain import (builtin_chain, verify_central_ladders, verify_chain_formulas,
-                    verify_centrality, verify_stage_contract,
-                    verify_torus_relations)
+                    verify_centrality, verify_localized_identities,
+                    verify_stage_contract, verify_torus_relations)
 from .expr import LaurentPoly
 from .parse import parse_expr
 from .poisson import (DerivationSpec, EtaError, PoissonStructure, WeightVector,
@@ -23,8 +23,7 @@ from .poisson import (DerivationSpec, EtaError, PoissonStructure, WeightVector,
 from .quotient import (QuotientRing, bounded_centre, bounded_inner_search,
                        check_casimirs, check_quotient_derivation,
                        hamiltonian_quotient_images, parse_derivation,
-                       quotient_jacobi_items, spans_same_space,
-                       verify_localized_identities)
+                       quotient_jacobi_items, spans_same_space)
 from .report import CheckItem, Report, check_item
 from .torus import (Decomposition, DecompositionError, TorusStructure,
                     apply_decomposition, central_lattice, decompose_derivation)
@@ -119,7 +118,8 @@ def suite_torus(seed: int = DEFAULT_SEED):
     rejected = []
     for case in range(TORUS_ROUNDS):
         gamma, theta = _random_decomposition(torus, lattice, rng)
-        D = _derivation_of(torus, gamma, theta)
+        D = DerivationSpec(torus.context, apply_decomposition(
+            Decomposition(gamma, theta), torus))
         try:
             dec = decompose_derivation(D, torus)
         except DecompositionError as err:
@@ -158,11 +158,6 @@ def _random_decomposition(torus, lattice, rng):
         # the checked constructor drops the zero coefficients
         theta[name] = LaurentPoly(ctx, img)
     return LaurentPoly(ctx, gamma), theta
-
-
-def _derivation_of(torus, gamma, theta):
-    return DerivationSpec(torus.context,
-                          apply_decomposition(Decomposition(gamma, theta), torus))
 
 
 def suite_derivations():

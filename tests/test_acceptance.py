@@ -12,6 +12,7 @@ from fractions import Fraction
 from poisson_forge import g2
 from poisson_forge.chain import (builtin_chain, verify_central_ladders,
                                  verify_chain_formulas, verify_centrality,
+                                 verify_localized_identities,
                                  verify_torus_relations)
 from poisson_forge.expr import LaurentPoly
 from poisson_forge.parse import parse_expr
@@ -22,8 +23,7 @@ from poisson_forge.quotient import (QuotientRing, bounded_centre,
                                     check_quotient_derivation,
                                     hamiltonian_quotient_images,
                                     parse_derivation, quotient_jacobi_items,
-                                    spans_same_space,
-                                    verify_localized_identities)
+                                    spans_same_space)
 from poisson_forge.suites import DEFAULT_SEED
 from poisson_forge.torus import (Decomposition, TorusStructure,
                                  apply_decomposition, central_lattice,

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from poisson_forge import chain, g2
 from poisson_forge.chain import (ChainStage, FractionElement, FractionField,
-                                 TruncationError, builtin_chain, chain_step,
+                                 TruncationError, builtin_chain,
+                                 chain_elements, chain_step,
                                  localize_structure, run_chain,
                                  verify_central_ladders, verify_chain_formulas,
                                  verify_stage_contract, verify_torus_relations)
-from poisson_forge.expr import ExprError, VarContext, divide_exact
+from poisson_forge.expr import ExprError, LaurentPoly, VarContext, divide_exact
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import PoissonOreData, PoissonStructure
+from poisson_forge.quotient import QuotientRing
 
 ALG = g2.builtin_algebra()
 GOLDEN_CHAIN_TEXT = (Path(__file__).parent / "data" / "chain.txt").read_text(
@@ -217,6 +219,65 @@ class TestCancellationOnRead:
         frac = fld.element(t4 * LCTX.var("X1")) * fld.element(t4).inverse()
         assert str(frac.inverse()) == "1 * (X1)^-1"
         assert list(fld.factors.values()) == [t4, LCTX.var("X1")]
+
+
+# Elements that hold registered denominators, per pool in a field of its
+# own: the localisation tower of the localised quotient and the chain.
+# Each is built when drawn, as reading an element reduces its pair in place.
+TOWER = chain_elements(QuotientRing(localized=True))
+DENOMINATOR_POOLS = [
+    [lambda: TOWER["f1"], lambda: TOWER["t1"], lambda: TOWER["t2"],
+     lambda: TOWER["t1"] * TOWER["t2"],
+     lambda: TOWER["t1"] * TOWER["t3"]],  # held unreduced: t3 cancels
+    [lambda: PROPERTY_STAGES[4].gen(1), lambda: PROPERTY_STAGES[4].gen(2),
+     lambda: PROPERTY_STAGES[3].gen(1),
+     lambda: PROPERTY_STAGES[3].gen(1) * PROPERTY_STAGES[4].gen(2)],
+]
+
+
+@st.composite
+def with_denominators(draw):
+    """(an element holding registered denominators, the pool it is from)."""
+    pool = draw(st.sampled_from(DENOMINATOR_POOLS))
+    x = draw(st.sampled_from(pool))()
+    assert x._den
+    return x, pool
+
+
+def power_by_products(x, n):
+    """x^n as |n| products of x, or of its inverse for n < 0."""
+    base = x if n >= 0 else x.inverse()
+    result = x.field.element(x.field.context.one())
+    for _ in range(abs(n)):
+        result = result * base
+    return result
+
+
+class TestPowerAndDifference:
+    @given(with_denominators(), st.integers(-3, 3))
+    def test_power_is_the_repeated_product(self, drawn, n):
+        x, _ = drawn
+        value, reference = x ** n, power_by_products(x, n)
+        assert str(value) == str(reference)
+        assert (value.num, value.den) == (reference.num, reference.den)
+
+    @given(with_denominators(), st.data())
+    def test_difference_is_the_sum_with_the_negation(self, drawn, data):
+        x, pool = drawn
+        ctx = x.field.context
+        y = data.draw(st.one_of(
+            st.integers(-5, 5),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            st.sampled_from([ctx.var(ctx.names[i]) + Fraction(1, 2)
+                             for i in ctx.generators()]),
+            st.sampled_from(pool).map(lambda build: build())))
+        value, reference = x - y, x + (-y)
+        assert (value.num, value.den) == (reference.num, reference.den)
+        assert value + y == x
+        # and against y lifted by hand, past the coercion of ``+``
+        if not isinstance(y, FractionElement):
+            y = x.field.element(y if isinstance(y, LaurentPoly) else ctx.scalar(y))
+        assert value == x + FractionElement(x.field, -y._num, y._den)
 
 
 class TestChain:

@@ -198,9 +198,11 @@ class TestExitCodes:
         "1/" + "9" * 5000,
         "(x1+x2+x5+x6)^80",
         "x1*x2+" * 166_666 + "x1*x2",
+        "x1^\u00b2", "\u0663*x1", "\uff11*x1",
     ], ids=["zero-denominator", "nested-parentheses", "nested-minus", "huge-exponent",
             "exponent-over-digit-limit", "integer-over-digit-limit",
-            "denominator-over-digit-limit", "products-over-budget", "one-megabyte"])
+            "denominator-over-digit-limit", "products-over-budget", "one-megabyte",
+            "superscript-digit", "arabic-indic-digit", "fullwidth-digit"])
     def test_hostile_expression_is_usage_error(self, text, capsys):
         code, _ = run_cli("nf", text)
         assert code == 2
@@ -414,6 +416,48 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["bracket", "X1", "X2", "--algebra"],
+         '{"variables": ["X1", "X2"], "brackets": {}, "sigma": {"2,1": true}}',
+         "expected a rational, got True"),
+        (["decompose", "--file"],
+         '{"rank": 2, "lambda": [[0, false], [0, 0]],'
+         ' "images": {"t1": "t1", "t2": "0"}}',
+         "expected a rational, got False"),
+        (["decompose", "--file"],
+         '{"rank": 2, "lambda": [[0, 1.0000000000000001], ["-1", 0]],'
+         ' "images": {"t1": "t1", "t2": "0"}}',
+         "lambda matrix must be antisymmetric"),
+        (["decompose", "--file"],
+         '{"rank": 2, "lambda": [[0, 1e2], [-100, 0]],'
+         ' "images": {"t1": "t1", "t2": "0"}}',
+         "expected a rational without an exponent, got '1E+2'"),
+        (["decompose", "--file"],
+         '{"rank": 2, "lambda": [[0, 1e16], [-1e16, 0]],'
+         ' "images": {"t1": "t1", "t2": "0"}}',
+         "expected a rational without an exponent, got '1E+16'"),
+        (["decompose", "--file"],
+         '{"rank": 2, "lambda": [[0, 1], [-1, 0]],'
+         ' "images": {"t1": 1.5, "t2": "0"}}',
+         "expected an expression string, got 1.5 (at position 0)"),
+    ], ids=["sigma-true", "lambda-false", "lambda-past-float-precision",
+            "lambda-exponent", "lambda-large-exponent", "image-a-number"])
+    def test_json_number_is_read_exactly(self, argv, text, message, tmp_path,
+                                         capsys):
+        # a JSON decimal reaches expr.rational as written, not as a float
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, _ = run_cli(*argv, str(path))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_json_decimal_without_exponent_is_accepted(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"rank": 2, "lambda": [[0, 0.5], [-0.5, 0]],'
+                        ' "images": {"t1": "t1", "t2": "0"}}')
+        assert run_cli("decompose", "--file", str(path)) == (
+            0, "gamma = 0\ntheta(t1) = 1\ntheta(t2) = 0\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "many"), ("--alpha", "1/0"), ("--beta", "1/0"),

@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic: exactness, canonical form, calculus."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -119,14 +120,21 @@ class TestRational:
     @pytest.mark.parametrize("value, expected", [
         ("3", 3), ("-2/3", Fraction(-2, 3)), ("0.25", Fraction(1, 4)),
         (5, 5), (Fraction(1, 3), Fraction(1, 3)),
+        (Decimal("1.0000000000000001"), Fraction(10 ** 16 + 1, 10 ** 16)),
     ])
     def test_plain_forms_accepted(self, value, expected):
         assert rational(value) == expected
 
-    @pytest.mark.parametrize("value", ["1e5", "2.5E-3", 1e16])
+    @pytest.mark.parametrize("value", ["1e5", "2.5E-3", 1e16, Decimal("1e2")])
     def test_exponent_text_rejected(self, value):
         # the integer behind exponent text can be any size
         with pytest.raises(ExprError, match="without an exponent"):
+            rational(value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected(self, value):
+        # JSON true and false load as bool, a subclass of int
+        with pytest.raises(ExprError, match=f"^expected a rational, got {value}$"):
             rational(value)
 
 

@@ -67,6 +67,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expr("X1/2", CTX)
 
+    @pytest.mark.parametrize("text, position", [
+        ("X1^\u00b2", 3), ("\u0663*X1", 0), ("\uff11*X1", 0)],
+        ids=["superscript-two", "arabic-indic-three", "fullwidth-one"])
+    def test_digits_are_ascii_only(self, text, position):
+        # str.isdigit takes each of these; int() reads the last two as 3, 1
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_expr(text, CTX)
+        assert err.value.position == position
+
     def test_exponent_bound(self):
         assert parse_expr(f"1^{MAX_EXPONENT}", CTX) == CTX.one()
         for text in (f"X1^{MAX_EXPONENT + 1}", f"X5^-{MAX_EXPONENT + 1}"):

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import g2, quotient
-from poisson_forge.chain import verify_centrality
+from poisson_forge.chain import (chain_elements, verify_centrality,
+                                 verify_localized_identities)
 from poisson_forge.expr import ExprError, LaurentPoly, VarContext
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
@@ -25,12 +26,10 @@ from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
                                    hamiltonian_derivation)
 from poisson_forge.quotient import (MAX_TERMS, QuotientElement, QuotientRing,
                                     bounded_centre, bounded_inner_search,
-                                    chain_elements, check_casimirs,
-                                    check_quotient_derivation,
+                                    check_casimirs, check_quotient_derivation,
                                     hamiltonian_quotient_images,
                                     parse_derivation, quotient_jacobi_items,
-                                    spans_same_space,
-                                    verify_localized_identities)
+                                    spans_same_space)
 from poisson_forge.torus import (Decomposition, TorusStructure,
                                  apply_decomposition, decompose_derivation)
 from tests.test_expr import assert_as_checked
@@ -474,8 +473,9 @@ class TestLocalizedTower:
         assert calls == []
 
     def test_quotient_import_leaves_chain_unloaded(self):
-        # chain_elements imports the chain module lazily, so a ring alone
-        # (the centre-search set-up) does not pay for its import
+        # the tower lives in the chain module, which reads the ring through
+        # its protocol; the quotient imports nothing of the chain, so a ring
+        # alone (the centre-search set-up) does not pay for its import
         src = Path(__file__).resolve().parent.parent / "src"
         code = ("import sys, poisson_forge.quotient;"
                 " print('poisson_forge.chain' in sys.modules)")
