@@ -5,7 +5,7 @@ Subpackages by role:
 - ``expr`` / ``parse``: exact rationals, sparse Laurent polynomials over a
   declared variable context, and the text expression grammar.
 - ``poisson``: bracket tables, Jacobi/derivation checks, gradings and the
-  sigma/delta data of iterated Poisson-Ore presentations.
+  iterated Poisson-Ore presentation read off a bracket table.
 - ``chain``: the deleting-derivations change of variables, its target-torus
   relations, the pullback of the Casimirs and the localisation tower of the
   localised quotient.

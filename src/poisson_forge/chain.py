@@ -374,11 +374,12 @@ def formula_stages(gens) -> dict[int, ChainStage]:
 
 # -- the localisation tower ---------------------------------------------------
 
-# The chain elements by their place X[i,j] in the chain; t_i is X[i,j] at
-# the level j where it stabilises.
+# The chain elements by their place X[i,j] in the chain; t_i is
+# T_i = X[i,2] = X[i,3], read at level 3, the bottom level formula_stages
+# builds, so that "t5 = x5" compares x5 with what the formulas make of it.
 _CHAIN_NAMES = {"x16": (1, 6), "x26": (2, 6), "x36": (3, 6), "z1": (1, 5),
                 "z2": (2, 5), "f1": (1, 4),
-                **{f"t{i}": (i, j) for i, j in CHAIN_STABLE_LEVEL.items()}}
+                **{f"t{i}": (i, 3) for i in CHAIN_STABLE_LEVEL}}
 
 
 def chain_elements(ring) -> dict[str, FractionElement]:

@@ -119,16 +119,15 @@ def _cmd_decompose(args, out) -> int:
     # JSON true and false load as bool, a subclass of int
     if type(spec["rank"]) is not int:
         raise UsageError("'rank' must be an integer")
-    if not (isinstance(spec["lambda"], list)
-            and all(isinstance(row, list) for row in spec["lambda"])):
-        raise UsageError("'lambda' must be a list of matrix rows")
     if not isinstance(spec["images"], dict):
         raise UsageError("'images' must map generator names to expressions")
     torus = TorusStructure.make(spec["lambda"])
     if torus.rank != spec["rank"]:
         raise UsageError("rank does not match the lambda matrix")
     ctx = torus.context
-    images = {name: parse_expr(text, ctx)
+    # the images share one budget
+    budget = ProductBudget()
+    images = {name: parse_expr(text, ctx, budget=budget)
               for name, text in spec["images"].items()}
     dec = decompose_derivation(DerivationSpec(ctx, images), torus)
     payload = {"gamma": str(dec.gamma),
@@ -222,8 +221,7 @@ def main(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (UsageError, ExprError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as err:
+    except (UsageError, ExprError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

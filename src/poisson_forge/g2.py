@@ -1,9 +1,10 @@
 """Built-in algebra: the rank-6 Poisson algebra of G2 type.
 
 The definition file data/g2_algebra.json carries the bracket table, the
-sigma/delta tables of the iterated Poisson-Ore presentation, the torus
-weights and the two Casimirs Omega1, Omega2.  This module loads that file
-(or a user-supplied one with the same schema) and keeps the golden
+torus weights and the two Casimirs Omega1, Omega2; the sigma/delta data of
+the iterated Poisson-Ore presentation are read off the bracket table in
+generator order.  This module loads that file (or a user-supplied one with
+the same schema) and keeps the golden
 constants the verification suites compare against: the skew-symmetric
 matrix of the target torus, the explicit change-of-variables formulas of
 the deleting-derivations chain, the Omega pullback ladders, and the four
@@ -21,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .expr import (ExprError, LaurentPoly, ProductBudget, VarContext,
-                   WorkLimitError, rational)
+                   WorkLimitError)
 from .linalg import integer_kernel
 from .parse import parse_expr
 from .poisson import PoissonOreData, PoissonStructure, WeightVector, euler_derivation
@@ -31,9 +32,15 @@ from .poisson import PoissonOreData, PoissonStructure, WeightVector, euler_deriv
 class AlgebraData:
     context: VarContext
     structure: PoissonStructure
-    ore: PoissonOreData
     weights: WeightVector | None
     casimirs: dict[str, LaurentPoly]
+
+    @functools.cached_property
+    def ore(self) -> PoissonOreData:
+        """The Poisson-Ore presentation of the bracket table in generator
+        order, read off once on first use; ExprError when the table is
+        not in that form."""
+        return PoissonOreData(self.structure)
 
 
 def _pair_key(key: str, rank: int) -> tuple[int, int]:
@@ -60,9 +67,11 @@ MAX_FILE_BYTES = 1_000_000
 def read_json(path) -> object:
     """The JSON value in the file at ``path``, UTF-8.  At most
     ``MAX_FILE_BYTES`` are read (a longer file raises ``WorkLimitError``),
-    and nesting too deep for the decoder raises ``ExprError``.  A number
-    with a fraction or an exponent loads as its exact ``Decimal``, never
-    as a float, so ``expr.rational`` sees it as written."""
+    and every decoder error raises ``ExprError``: text that is not JSON
+    or not UTF-8, nesting too deep, or an integer past Python's limit on
+    its digits.  A number with a fraction or an exponent loads as its
+    exact ``Decimal``, never as a float, so ``expr.rational`` sees it as
+    written."""
     with open(path, "rb") as handle:
         raw = handle.read(MAX_FILE_BYTES + 1)
     if len(raw) > MAX_FILE_BYTES:
@@ -71,21 +80,22 @@ def read_json(path) -> object:
         return json.loads(raw.decode("utf-8"), parse_float=Decimal)
     except RecursionError:
         raise ExprError(f"{path} nests JSON values too deeply") from None
+    except ValueError as err:
+        raise ExprError(f"{path}: {err}") from None
 
 
 _FIELD_KINDS = {"variables": list, "invertible": list, "parameters": list,
-                "brackets": dict, "sigma": dict, "delta": dict,
-                "weights": list, "casimirs": dict}
+                "brackets": dict, "weights": list, "casimirs": dict}
 
 
 def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
     """Build an AlgebraData from a JSON definition file or parsed dict.
 
     Schema: {"variables": [...], "invertible": [...], "parameters": [...],
-    "brackets": {"i,j": "expr"}, "sigma": {"i,j": rational},
-    "delta": {"i,j": "expr"}, "weights": [[a, b], ...],
+    "brackets": {"i,j": "expr"}, "weights": [[a, b], ...],
     "casimirs": {"name": "expr"}} -- the last two optional, expressions in
-    the package grammar, indices 1-based.  The expressions of one
+    the package grammar, indices 1-based.  The Poisson-Ore data (``ore``)
+    are read off the brackets in generator order.  The expressions of one
     definition share one ``MAX_PRODUCTS`` budget (``budget``, a fresh one
     when none is given), and together store at most
     ``MAX_STORED_EXPONENTS`` exponent entries.
@@ -93,7 +103,7 @@ def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
     data = read_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise ExprError("algebra definition must be a JSON object")
-    for field in ("variables", "brackets", "sigma"):
+    for field in ("variables", "brackets"):
         if field not in data:
             raise ExprError(f"algebra definition misses {field!r}")
     for field, kind in _FIELD_KINDS.items():
@@ -130,15 +140,6 @@ def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
         table[(i, j)] = value
     structure = PoissonStructure(ctx, table)
 
-    sigma, delta = {}, {}
-    for field, entries, read in (("sigma", sigma, rational), ("delta", delta, parsed)):
-        for key, value in data.get(field, {}).items():
-            i, j = _pair_key(key, ctx.rank)
-            if not j < i:
-                raise ExprError(f"{field} key {key!r} must have i > j")
-            entries[(i, j)] = read(value)
-    ore = PoissonOreData(ctx, sigma, delta)
-
     weights = None
     if "weights" in data:
         # JSON true and false load as bool, a subclass of int
@@ -152,7 +153,7 @@ def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
         weights = WeightVector(ctx, dict(zip(gens, pairs)))
     casimirs = {name: parsed(text)
                 for name, text in data.get("casimirs", {}).items()}
-    return AlgebraData(ctx, structure, ore, weights, casimirs)
+    return AlgebraData(ctx, structure, weights, casimirs)
 
 
 @functools.cache
@@ -179,7 +180,8 @@ def builtin_scalar_derivation(which: str) -> dict:
 
 
 # The skew-symmetric matrix of the target Poisson affine space, as printed;
-# the chain suite checks that the sigma table reproduces it entry by entry.
+# the chain suite checks that the mu scalars of the bracket table reproduce
+# it entry by entry.
 TORUS_MATRIX = [
     [0, 3, 1, 0, -1, -3],
     [-3, 0, 3, 3, 0, -3],
@@ -193,7 +195,7 @@ TORUS_MATRIX = [
 # (coefficient, ((i', j', power), ...)) read as  X[i,j] = sum of
 # coeff * prod X[i',j']^power  over level-j' generators (j' = j + 1,
 # with X[i,7] the original X_i).  The chain suite reproduces every one
-# of them from the sigma/delta tables alone.
+# of them from the bracket table alone.
 ChainTerm = tuple[str, tuple[tuple[int, int, int], ...]]
 CHAIN_FORMULAS: dict[tuple[int, int], list[ChainTerm]] = {
     (1, 6): [("1", ((1, 7, 1),)), ("-1/2", ((5, 7, 1), (6, 7, -1)))],

@@ -398,37 +398,39 @@ def check_poisson_derivation(D: DerivationSpec, structure: PoissonStructure):
 
 # -- Poisson-Ore data -------------------------------------------------------
 
-@dataclass(frozen=True)
 class PoissonOreData:
-    """sigma/delta tables of an iterated Poisson-Ore presentation.
+    """The iterated Poisson-Ore presentation of a structure, read off its
+    bracket table in generator order.
 
-    ``sigma[(i, j)]`` (j < i) is the scalar mu_ij with sigma_i(X_j) =
-    mu_ij X_j; ``delta[(i, j)]`` is delta_i(X_j), zero entries may be
-    omitted.  Indices are 0-based context positions.
+    For generators X_j before X_i the table entry reads
+    {X_i, X_j} = mu_ij X_i X_j + delta_i(X_j): mu_ij, the scalar of
+    sigma_i(X_j) = mu_ij X_j, is the coefficient of X_i X_j, and
+    delta_i(X_j) is the rest, which must not hold X_i or a later
+    generator (ExprError otherwise).  Indices are 0-based context
+    positions.
     """
 
-    context: VarContext
-    sigma: dict[tuple[int, int], Fraction]
-    delta: dict[tuple[int, int], LaurentPoly]
-    _eta: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        for (i, j) in self.sigma:
-            if not j < i:
-                raise ExprError(f"sigma key {(i, j)} must have j < i")
-        for (i, j), value in self.delta.items():
-            if not j < i:
-                raise ExprError(f"delta key {(i, j)} must have j < i")
-            if value.context != self.context:
-                raise ContextMismatch("delta entry over wrong context")
+    def __init__(self, structure: PoissonStructure):
+        ctx = self.context = structure.context
+        gens = ctx.generators()
+        self._mu: dict[tuple[int, int], Fraction] = {}
+        self._delta: dict[tuple[int, int], LaurentPoly] = {}
+        self._eta: dict[int, Fraction] = {}
+        # the table holds {X_j, X_i} = c X_i X_j - delta_i(X_j) for j < i
+        for (j, i), value in structure.table.items():
+            x_ij = tuple(int(v in (i, j)) for v in range(ctx.rank))
+            c = value.coeff(x_ij)
+            self._mu[i, j], self._mu[j, i] = -c, c
+            rest = self._delta[i, j] = LaurentPoly(ctx, {x_ij: c}) - value
+            if any(m[v] for m in rest.terms for v in gens if v >= i):
+                raise ExprError(
+                    f"delta_{i + 1}(X_{j + 1}) = {rest} holds X_{i + 1} or a later"
+                    " generator: the table is not in Poisson-Ore form in"
+                    " generator order")
 
     def mu(self, i: int, j: int) -> Fraction:
         """Full antisymmetric scalar matrix entry mu_ij."""
-        if i == j:
-            return Fraction(0)
-        if j < i:
-            return Fraction(self.sigma.get((i, j), 0))
-        return -Fraction(self.sigma.get((j, i), 0))
+        return self._mu.get((i, j), Fraction(0))
 
     def sigma_images(self, i: int) -> dict[str, LaurentPoly]:
         names = self.context.names
@@ -437,7 +439,7 @@ class PoissonOreData:
 
     def delta_images(self, i: int) -> dict[str, LaurentPoly]:
         names = self.context.names
-        return {names[j]: self.delta.get((i, j), self.context.zero())
+        return {names[j]: self._delta.get((i, j), self.context.zero())
                 for j in range(i)}
 
     def eta(self, i: int) -> Fraction:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
 from typing import Sequence
 
 from .expr import ContextMismatch, ExprError, LaurentPoly, VarContext, rational
@@ -57,7 +56,11 @@ class TorusStructure:
     names: tuple[str, ...]
 
     @staticmethod
-    def make(matrix: Sequence[Sequence]) -> "TorusStructure":
+    def make(matrix: list[list]) -> "TorusStructure":
+        """The torus of ``matrix``, a list of rows, each a list of rationals
+        (numbers or "p/q" text); ExprError on anything else."""
+        if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
+            raise ExprError("lambda matrix must be a list of rows, each a list")
         lam = tuple(tuple(rational(v) for v in row) for row in matrix)
         n = len(lam)
         for row in lam:
@@ -95,16 +98,18 @@ class TorusStructure:
         return lcm(*(c.denominator for row in self.lam for c in row))
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        # column j of lam * den
-        return tuple(tuple(row[j].numerator * (self.den // row[j].denominator)
-                           for row in self.lam)
-                     for j in range(self.rank))
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        # the rows of lam * den
+        return tuple(tuple(c.numerator * (self.den // c.denominator) for c in row)
+                     for row in self.lam)
 
     def pairings(self, g: Sequence[int]) -> tuple[int, ...]:
         """(lam(g, e_1), ..., lam(g, e_n)) * den, integers, for the
-        biadditive extension lam(g, h) = g . lam . h."""
-        return tuple(sum(map(mul, g, col)) for col in self._columns)
+        biadditive extension lam(g, h) = g . lam . h: the sum of g_v times
+        row v of lam * den over the nonzero entries g_v only, so a sparse
+        support costs its entries times n, not n^2."""
+        scaled = [[k * c for c in row] for k, row in zip(g, self._rows) if k]
+        return tuple(map(sum, zip([0] * self.rank, *scaled)))
 
     def is_central(self, g: Sequence[int]) -> bool:
         return not any(self.pairings(g))

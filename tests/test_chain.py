@@ -352,9 +352,8 @@ class TestChain:
                  (1, 2): ctx.monomial({"y2": 1, "y3": 1}, 5)}
         struct = localize_structure(PoissonStructure(ctx, table),
                                     ["y1", "y2", "y3"])
-        ore = PoissonOreData(struct.context,
-                             {(1, 0): Fraction(-2), (2, 0): Fraction(1),
-                              (2, 1): Fraction(-5)}, {})
+        ore = PoissonOreData(struct)
+        assert [ore.mu(1, 0), ore.mu(2, 0), ore.mu(2, 1)] == [-2, 1, -5]
         stages = run_chain(struct, ore)
         for level, stage in stages.items():
             assert stage.gens == stages[4].gens
@@ -424,8 +423,8 @@ class TestChain:
         table = {(0, 1): parse_expr("-y1*y2 - y1^3", VarContext.make(
             ["y1", "y2"], invertible=["y2"]))}
         struct = PoissonStructure(ctx, table)
-        ore = PoissonOreData(ctx, {(1, 0): Fraction(1)},
-                             {(1, 0): ctx.monomial({"y1": 3})})
+        ore = PoissonOreData(struct)
+        assert ore.delta_images(1) == {"y1": ctx.monomial({"y1": 3})}
         assert ore.eta(1) == -2
         with pytest.raises(TruncationError):
             run_chain(struct, ore)

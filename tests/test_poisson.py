@@ -1,5 +1,6 @@
 """Bracket evaluation, Jacobi/derivation checks, eta, gradings."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -265,28 +266,78 @@ class TestOreData:
             ALG.ore.eta(1)
 
     def test_eta_inconsistent(self):
+        # {c, a} = c*a + b and {c, b} = 2*c*b + a: delta_c swaps a and b,
+        # and eta reads -1 on a but 1 on b
         ctx = VarContext.make(["a", "b", "c"])
-        ore = PoissonOreData(ctx,
-                             {(2, 0): Fraction(1), (2, 1): Fraction(2), (1, 0): Fraction(0)},
-                             {(2, 0): ctx.var("b"), (2, 1): ctx.var("a")})
+        table = {(0, 2): parse_expr("-a*c - b", ctx),
+                 (1, 2): parse_expr("-2*b*c - a", ctx)}
+        ore = PoissonOreData(PoissonStructure(ctx, table))
         with pytest.raises(EtaError, match="inconsistent"):
             ore.eta(2)
 
     def test_eta_needs_scalar_ratio(self):
+        # {c, a} = c*a + a + b and {c, b} = 2*c*b: on a the commutator is
+        # -b, no multiple of delta_c(a) = a + b
         ctx = VarContext.make(["a", "b", "c"])
-        ore = PoissonOreData(ctx,
-                             {(2, 0): Fraction(1), (2, 1): Fraction(2), (1, 0): Fraction(0)},
-                             {(2, 0): ctx.var("b") + ctx.var("c")})
+        table = {(0, 2): parse_expr("-a*c - a - b", ctx),
+                 (1, 2): parse_expr("-2*b*c", ctx)}
+        ore = PoissonOreData(PoissonStructure(ctx, table))
         with pytest.raises(EtaError, match="not a scalar"):
             ore.eta(2)
 
     def test_table_consistent_with_ore_presentation(self):
-        # {X_i, X_j} = mu_ij X_j X_i + delta_i(X_j) for j < i.
+        # {X_i, X_j} = mu_ij X_j X_i + delta_i(X_j) for j < i, each side
+        # read off the table separately
         for i in range(1, 6):
+            delta = ALG.ore.delta_images(i)
             for j in range(i):
                 expected = (ALG.ore.mu(i, j) * CTX.var(CTX.names[i]) * CTX.var(CTX.names[j])
-                            + ALG.ore.delta.get((i, j), CTX.zero()))
+                            + delta[CTX.names[j]])
                 assert S.entry(i, j) == expected
+
+    def test_tables_read_off_the_brackets(self):
+        # the sigma scalars and the ten delta entries the algebra file
+        # stored before they were read off its bracket table
+        assert [[ALG.ore.mu(i, j) for j in range(6)] for i in range(6)] \
+            == g2.TORUS_MATRIX
+        stored = {(3, 1): "-X2", (4, 1): "-2*X3^2", (4, 2): "-4*X3^3",
+                  (5, 1): "-2*X3", (5, 2): "-6*X3^2", (5, 3): "-3*X4",
+                  (6, 1): "-3*X5", (6, 2): "9*X4 - 18*X3*X5",
+                  (6, 3): "-6*X5^2", (6, 4): "-4*X5^3"}
+        derived = {(i + 1, j + 1): str(image)
+                   for i in range(6)
+                   for j, image in enumerate(ALG.ore.delta_images(i).values())
+                   if not image.is_zero()}
+        assert derived == {key: str(parse_expr(text, CTX))
+                           for key, text in stored.items()}
+
+    @pytest.mark.parametrize("entry, message", [
+        ("-a*c - c", "delta_3(X_1) = c holds X_3 or a later generator"),
+        ("-a*c - a*c^2", "delta_3(X_1) = a*c^2 holds X_3"),
+        ("-2*a^2*c", "delta_3(X_1) = 2*a^2*c holds X_3"),
+    ], ids=["x_i", "x_i-squared", "no-mu-term"])
+    def test_table_out_of_ore_form_raises(self, entry, message):
+        # the rest of {X_i, X_j} beyond mu_ij X_i X_j must be free of X_i
+        # and later generators
+        ctx = VarContext.make(["a", "b", "c"])
+        table = {(0, 2): parse_expr(entry, ctx)}
+        with pytest.raises(ExprError, match=re.escape(message)):
+            PoissonOreData(PoissonStructure(ctx, table))
+
+    def test_later_generator_in_delta_raises(self):
+        # {b, a} = b*a + c: c comes after b
+        ctx = VarContext.make(["a", "b", "c"])
+        table = {(0, 1): parse_expr("-a*b - c", ctx)}
+        with pytest.raises(ExprError, match="delta_2\\(X_1\\) = c holds X_2"):
+            PoissonOreData(PoissonStructure(ctx, table))
+
+    def test_parameter_in_delta_is_a_scalar(self):
+        # a parameter is no generator: {b, a} = b*a + q*a is Poisson-Ore
+        ctx = VarContext.make(["a", "b", "q"], parameters=["q"])
+        table = {(0, 1): parse_expr("-a*b - q*a", ctx)}
+        ore = PoissonOreData(PoissonStructure(ctx, table))
+        assert ore.mu(1, 0) == 1 and ore.mu(0, 1) == -1
+        assert ore.delta_images(1) == {"a": parse_expr("q*a", ctx)}
 
 
 class TestGrading:
@@ -321,14 +372,13 @@ class TestLoader:
         assert g2.builtin_algebra() is g2.builtin_algebra()
 
     def test_reversed_bracket_key_normalises(self):
-        data = {"variables": ["a", "b"], "brackets": {"2,1": "-3*a*b"},
-                "sigma": {"2,1": -3}}
+        data = {"variables": ["a", "b"], "brackets": {"2,1": "-3*a*b"}}
         alg = g2.load_algebra(data)
         assert alg.structure.table[(0, 1)] == parse_expr("3*a*b", alg.context)
 
     def test_duplicate_bracket_rejected(self):
         data = {"variables": ["a", "b"],
-                "brackets": {"1,2": "a*b", "2,1": "-a*b"}, "sigma": {}}
+                "brackets": {"1,2": "a*b", "2,1": "-a*b"}}
         with pytest.raises(Exception, match="duplicate"):
             g2.load_algebra(data)
 
@@ -341,7 +391,7 @@ class TestLoader:
         path = tmp_path / "alg.json"
         path.write_text(json.dumps({
             "variables": ["a", "b"], "brackets": {"1,2": "2*a*b"},
-            "sigma": {"2,1": "-2"}, "weights": [[1, 0], [0, 1]],
+            "weights": [[1, 0], [0, 1]],
             "casimirs": {}}))
         alg = g2.load_algebra(str(path))
         assert alg.ore.mu(1, 0) == -2
@@ -349,7 +399,7 @@ class TestLoader:
 
     def test_boolean_weights_rejected(self):
         # JSON true and false load as bool, a subclass of int
-        data = {"variables": ["a", "b"], "brackets": {}, "sigma": {},
+        data = {"variables": ["a", "b"], "brackets": {},
                 "weights": [[True, False], [0, 1]]}
         with pytest.raises(ExprError, match="integer pairs"):
             g2.load_algebra(data)
@@ -357,4 +407,4 @@ class TestLoader:
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(Exception, match="one pair per generator"):
             g2.load_algebra({"variables": ["a", "b"], "brackets": {},
-                             "sigma": {}, "weights": [[1, 0]]})
+                             "weights": [[1, 0]]})

@@ -494,6 +494,16 @@ class TestLocalizedTower:
         assert not verdicts["t1*t3*t5 = alpha"]
         assert verdicts["t2*t4*t6 = beta"]
 
+    def test_changed_formula_for_x5_breaks_t5(self, monkeypatch):
+        # negative control: t5 is read at level 3, where the formulas have
+        # acted, so X[5,4] = X[5,5] + X[1,5] must show up in "t5 = x5"
+        monkeypatch.setitem(g2.CHAIN_FORMULAS, (5, 4), [
+            ("1", ((5, 5, 1),)), ("1", ((1, 5, 1),))])
+        assert str(chain_elements(LOC)["t5"]) == "x1 - x3*x5^-1 + 3/4*x4*x5^-2 + x5"
+        residues = {label: residue for label, ok, residue
+                    in verify_localized_identities(LOC) if not ok}
+        assert residues["t5 = x5"] == "x1 - x3*x5^-1 + 3/4*x4*x5^-2"
+
 
 class TestQuotientElement:
     def test_inverses(self):

@@ -110,6 +110,15 @@ class TestCentralLattice:
         with pytest.raises(Exception, match="antisymmetric"):
             TorusStructure.make([[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("matrix", [[[0, 0], 5], [["0", "0"], "00"], 5, "00",
+                                        ((0,),)],
+                             ids=["integer-row", "string-row", "integer", "string",
+                                  "tuples"])
+    def test_matrix_must_be_a_list_of_lists(self, matrix):
+        # a string row once read as its characters: "00" as [0, 0]
+        with pytest.raises(ExprError, match="list of rows"):
+            TorusStructure.make(matrix)
+
     def test_hamiltonian_of_t3_is_log_canonical(self):
         # ham_{t3}(t_i) = lam(e3, e_i) t3 t_i with the built-in matrix row.
         struct = M6.structure
