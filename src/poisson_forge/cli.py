@@ -10,7 +10,11 @@ Subcommands:
   chain                                     dump the change of variables
 
 Exit codes: 0 when every requested check passes, 1 on any failing check,
-2 on usage, file or expression errors.
+2 on usage, file or expression errors.  Every error in outside input (an
+option value, an expression, a file) is an ``ExprError``; both JSON files
+are read through ``g2.read_object``, which refuses a field it does not
+know.  Each command renders each result polynomial to text once and
+builds its text and JSON views from those strings.
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ from .quotient import QuotientRing
 from .report import Report
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .torus import TorusStructure, decompose_derivation
-
-
-class UsageError(Exception):
-    pass
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -56,7 +56,7 @@ def _parameter_value(raw: str, which: str) -> str | Fraction:
     try:
         return rational(raw)
     except ExprError:
-        raise UsageError(
+        raise ExprError(
             f"--{which} expects 'symbolic' or a rational, got {raw!r}") from None
 
 
@@ -96,8 +96,8 @@ def _cmd_bracket(args, out) -> int:
     # table's terms (at least one) over the built-in table's
     terms = [sum(len(v.terms) for v in a.structure.table.values()) for a in (alg, builtin)]
     budget.charge(f, g, walks=Fraction(max(1, terms[0]), terms[1]))
-    value = alg.structure.bracket(f, g)
-    return _emit_value({"result": str(value)}, str(value), args.format, out)
+    value = str(alg.structure.bracket(f, g))
+    return _emit_value({"result": value}, value, args.format, out)
 
 
 def _cmd_nf(args, out) -> int:
@@ -105,38 +105,28 @@ def _cmd_nf(args, out) -> int:
     ring = QuotientRing(alpha=_parameter_value(args.alpha, "alpha"),
                         beta=_parameter_value(args.beta, "beta"),
                         localized=True)
-    value = ring.normal_form(args.expr)
-    return _emit_value({"result": str(value)}, str(value), args.format, out)
+    value = str(ring.normal_form(args.expr))
+    return _emit_value({"result": value}, value, args.format, out)
 
 
 def _cmd_decompose(args, out) -> int:
-    spec = g2.read_json(args.file)
-    if not isinstance(spec, dict):
-        raise UsageError("decomposition spec must be a JSON object")
-    for field in ("rank", "lambda", "images"):
-        if field not in spec:
-            raise UsageError(f"decomposition spec misses {field!r}")
-    # JSON true and false load as bool, a subclass of int
-    if type(spec["rank"]) is not int:
-        raise UsageError("'rank' must be an integer")
-    if not isinstance(spec["images"], dict):
-        raise UsageError("'images' must map generator names to expressions")
+    spec = g2.read_object(args.file, "decomposition spec",
+                          {"rank": int, "lambda": list, "images": dict}, {})
     torus = TorusStructure.make(spec["lambda"])
     if torus.rank != spec["rank"]:
-        raise UsageError("rank does not match the lambda matrix")
+        raise ExprError("rank does not match the lambda matrix")
     ctx = torus.context
     # the images share one budget
     budget = ProductBudget()
     images = {name: parse_expr(text, ctx, budget=budget)
               for name, text in spec["images"].items()}
     dec = decompose_derivation(DerivationSpec(ctx, images), torus)
-    payload = {"gamma": str(dec.gamma),
-               "theta": {name: str(img)
-                         for name, img in sorted(dec.theta_images.items())}}
-    text = [f"gamma = {dec.gamma}"]
-    text += [f"theta({name}) = {img}"
-             for name, img in sorted(dec.theta_images.items())]
-    return _emit_value(payload, "\n".join(text), args.format, out)
+    gamma = str(dec.gamma)
+    theta = {name: str(img) for name, img in sorted(dec.theta_images.items())}
+    text = [f"gamma = {gamma}",
+            *(f"theta({name}) = {img}" for name, img in theta.items())]
+    return _emit_value({"gamma": gamma, "theta": theta}, "\n".join(text),
+                       args.format, out)
 
 
 def _cmd_eta(args, out) -> int:
@@ -221,7 +211,7 @@ def main(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (UsageError, ExprError, OSError) as err:
+    except (ExprError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -57,13 +57,17 @@ def rational(value) -> Fraction:
 
     Exponent text ("1e300000") is refused before it is converted: its
     integer can be any size, so converting it is unbounded work.  JSON
-    true and false, which load as bool, are refused too."""
+    true and false, which load as bool, are refused too.  As in the
+    parser, only the ASCII digits 0-9 make a number."""
     if isinstance(value, bool):
         raise ExprError(f"expected a rational, got {value!r}")
     text = str(value)
     if "e" in text or "E" in text:
         raise ExprError(f"expected a rational without an exponent, got {text!r}")
     try:
+        # Fraction also reads other scripts' digits and "_" separators
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ExprError(f"expected a rational, got {value!r}") from None

@@ -4,12 +4,14 @@ The definition file data/g2_algebra.json carries the bracket table, the
 torus weights and the two Casimirs Omega1, Omega2; the sigma/delta data of
 the iterated Poisson-Ore presentation are read off the bracket table in
 generator order.  This module loads that file (or a user-supplied one with
-the same schema) and keeps the golden
-constants the verification suites compare against: the skew-symmetric
-matrix of the target torus, the explicit change-of-variables formulas of
-the deleting-derivations chain, the Omega pullback ladders, and the four
-quotient rewrite identities.  The scalar derivations of the degenerate
-quotients are derived from the weights, signed so that X5 -> X5.
+the same schema) through ``read_object``, the one check of both input
+files (the algebra and a ``decompose`` spec), which refuses a field it
+does not know.  It keeps the golden constants the verification suites
+compare against: the skew-symmetric matrix of the target torus, the
+explicit change-of-variables formulas of the deleting-derivations chain,
+the Omega pullback ladders, and the four quotient rewrite identities.
+The scalar derivations of the degenerate quotients are derived from the
+weights, signed so that X5 -> X5.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ class AlgebraData:
 
 def _pair_key(key: str, rank: int) -> tuple[int, int]:
     try:
+        # int also reads other scripts' digits and "_" separators
+        if not key.isascii() or "_" in key:
+            raise ValueError(key)
         i, j = (int(p) for p in key.split(","))
     except ValueError:
         raise ExprError(f"bad index pair {key!r}; expected 'i,j'") from None
@@ -84,8 +89,32 @@ def read_json(path) -> object:
         raise ExprError(f"{path}: {err}") from None
 
 
-_FIELD_KINDS = {"variables": list, "invertible": list, "parameters": list,
-                "brackets": dict, "weights": list, "casimirs": dict}
+#: The JSON kind of each Python type a field of an input file may hold.
+_KINDS = {dict: "object", list: "array", int: "integer"}
+
+
+def read_object(source, what: str, required: dict, optional: dict) -> dict:
+    """The JSON object of a ``what`` at ``source`` (a path for
+    ``read_json``, or a value parsed already), checked against its
+    fields: ``required`` and ``optional`` map each field name to the
+    Python type its value must have exactly, so JSON ``true`` is no
+    integer.  ExprError when the value is no JSON object, misses a
+    required field, holds a field of neither map, or holds a field of
+    another kind."""
+    data = read_json(source) if isinstance(source, (str, Path)) else source
+    if type(data) is not dict:
+        raise ExprError(f"{what} must be a JSON object")
+    for field in required:
+        if field not in data:
+            raise ExprError(f"{what} misses {field!r}")
+    for field, value in data.items():
+        kind = required.get(field, optional.get(field))
+        if kind is None:
+            raise ExprError(f"{what} has an unknown field {field!r}; its fields"
+                            f" are {', '.join(map(repr, {**required, **optional}))}")
+        if type(value) is not kind:
+            raise ExprError(f"{what} field {field!r} must be a JSON {_KINDS[kind]}")
+    return data
 
 
 def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
@@ -93,26 +122,21 @@ def load_algebra(source, budget: ProductBudget | None = None) -> AlgebraData:
 
     Schema: {"variables": [...], "invertible": [...], "parameters": [...],
     "brackets": {"i,j": "expr"}, "weights": [[a, b], ...],
-    "casimirs": {"name": "expr"}} -- the last two optional, expressions in
+    "casimirs": {"name": "expr"}} -- only "variables" and "brackets"
+    required, no other field allowed (``read_object``), expressions in
     the package grammar, indices 1-based.  The Poisson-Ore data (``ore``)
     are read off the brackets in generator order.  The expressions of one
     definition share one ``MAX_PRODUCTS`` budget (``budget``, a fresh one
     when none is given), and together store at most
     ``MAX_STORED_EXPONENTS`` exponent entries.
     """
-    data = read_json(source) if isinstance(source, (str, Path)) else source
-    if not isinstance(data, dict):
-        raise ExprError("algebra definition must be a JSON object")
-    for field in ("variables", "brackets"):
-        if field not in data:
-            raise ExprError(f"algebra definition misses {field!r}")
-    for field, kind in _FIELD_KINDS.items():
-        if field in data and not isinstance(data[field], kind):
-            raise ExprError(f"algebra field {field!r} must be a JSON"
-                            f" {'object' if kind is dict else 'array'}")
+    data = read_object(source, "algebra definition",
+                       {"variables": list, "brackets": dict},
+                       {"invertible": list, "parameters": list, "weights": list,
+                        "casimirs": dict})
     for field in ("variables", "invertible", "parameters"):
         if not all(isinstance(name, str) for name in data.get(field, ())):
-            raise ExprError(f"algebra field {field!r} must list names as"
+            raise ExprError(f"algebra definition field {field!r} must list names as"
                             " JSON strings")
     ctx = VarContext.make(data["variables"],
                           invertible=data.get("invertible", ()),

@@ -432,11 +432,6 @@ class PoissonOreData:
         """Full antisymmetric scalar matrix entry mu_ij."""
         return self._mu.get((i, j), Fraction(0))
 
-    def sigma_images(self, i: int) -> dict[str, LaurentPoly]:
-        names = self.context.names
-        return {names[j]: self.mu(i, j) * self.context.var(names[j])
-                for j in range(i)}
-
     def delta_images(self, i: int) -> dict[str, LaurentPoly]:
         names = self.context.names
         return {names[j]: self._delta.get((i, j), self.context.zero())
@@ -445,45 +440,35 @@ class PoissonOreData:
     def eta(self, i: int) -> Fraction:
         """The scalar eta_i with (delta_i sigma_i - sigma_i delta_i) = eta_i delta_i.
 
-        Both maps are extended as derivations; eta is matched on every
-        generator X_j (j < i) with delta_i(X_j) != 0 and must agree across
-        them.  Undefined when delta_i vanishes identically.
+        As derivations, sigma_i scales a monomial m by its sigma_i-weight
+        w(m) = sum_k mu_ik m_k (k < i), so the left side maps X_j to the
+        sum of (mu_ij - w(m)) c m over the terms c m of delta_i(X_j):
+        delta_i lowers sigma_i-weight by eta_i.  eta_i is mu_ij - w(m)
+        for every term m of every nonzero delta_i(X_j), and these values
+        must agree.  Undefined when delta_i vanishes identically.
         """
         cached = self._eta.get(i)
         if cached is not None:
             return cached
-        sigma = self.sigma_images(i)
-        delta = self.delta_images(i)
         eta: Fraction | None = None
         for j in range(i):
-            name = self.context.names[j]
-            dj = delta[name]
-            if dj.is_zero():
-                continue
-            q = apply_images(delta, sigma[name]) - apply_images(sigma, dj)
-            candidate = _scalar_ratio(q, dj)
-            if candidate is None:
+            found = {self.mu(i, j) - sum(self.mu(i, k) * m[k] for k in range(i))
+                     for m in self._delta.get((i, j), self.context.zero()).terms}
+            if len(found) > 1:
                 raise EtaError(
                     f"(delta sigma - sigma delta)(X_{j + 1}) is not a scalar"
                     f" multiple of delta_{i + 1}(X_{j + 1})")
-            if eta is None:
+            for candidate in found:
+                if eta is not None and eta != candidate:
+                    raise EtaError(
+                        f"inconsistent eta at index {i + 1}: {eta} vs {candidate}")
                 eta = candidate
-            elif eta != candidate:
-                raise EtaError(
-                    f"inconsistent eta at index {i + 1}: {eta} vs {candidate}")
         if eta is None:
             raise EtaError(f"eta undefined: delta_{i + 1} vanishes on generators")
         if eta == 0:
             raise EtaError(f"eta_{i + 1} is zero; the rescaling step degenerates")
         self._eta[i] = eta
         return eta
-
-
-def _scalar_ratio(p: LaurentPoly, q: LaurentPoly) -> Fraction | None:
-    """c with p == c*q, if such a scalar exists (q != 0)."""
-    m, c = next(iter(q.terms.items()))
-    ratio = p.coeff(m) / c
-    return ratio if p == ratio * q else None
 
 
 # -- gradings ---------------------------------------------------------------

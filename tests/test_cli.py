@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_forge import g2
+from poisson_forge import expr, g2
 from poisson_forge.cli import main
 from poisson_forge.expr import MAX_INPUT_CHARS, MAX_PRODUCTS, ProductBudget
 from poisson_forge.parse import parse_expr
@@ -155,6 +155,18 @@ ALGEBRA_FILES = documents({
     "casimirs": expression_table(st.sampled_from(["Omega1", "Omega2"]),
                                  ["X1*X2*X3", "X2^-1"]),
 })
+# The built-in algebra file with the sigma and delta blocks it held before
+# both were read off its bracket table.
+STALE_ALGEBRA = {
+    **json.loads(
+        (Path(g2.__file__).parent / "data" / "g2_algebra.json").read_text()),
+    "sigma": {f"{i + 1},{j + 1}": str(g2.TORUS_MATRIX[i][j])
+              for i in range(6) for j in range(i)},
+    "delta": {"3,1": "-X2", "4,1": "-2*X3^2", "4,2": "-4*X3^3", "5,1": "-2*X3",
+              "5,2": "-6*X3^2", "5,3": "-3*X4", "6,1": "-3*X5",
+              "6,2": "9*X4 - 18*X3*X5", "6,3": "-6*X5^2", "6,4": "-4*X5^3"},
+}
+
 DECOMPOSE_SPECS = documents({
     "rank": st.sampled_from(["1", "2"]),
     "lambda": st.sampled_from(["[[0]]", "[[0, 1], [-1, 0]]", '[[0, "1/2"], ["-1/2", 0]]']),
@@ -574,16 +586,70 @@ class TestExitCodes:
          '{"rank": 2, "lambda": [[0, 1], [-1, 0]],'
          ' "images": {"t1": 1.5, "t2": "0"}}',
          "expected an expression string, got 1.5 (at position 0)"),
+        (["decompose", "--file"],
+         '{"rank": 2, "lambda": [[0, "\u0663"], ["-3", 0]],'
+         ' "images": {"t1": "t1", "t2": "0"}}',
+         "expected a rational, got '\u0663'"),
+        (["bracket", "X1", "X2", "--algebra"],
+         '{"variables": ["X1", "X2"], "brackets": {"\uff11,\uff12": "X1*X2"}}',
+         "bad index pair '\uff11,\uff12'; expected 'i,j'"),
     ], ids=["lambda-false", "lambda-past-float-precision",
-            "lambda-exponent", "lambda-large-exponent", "image-a-number"])
+            "lambda-exponent", "lambda-large-exponent", "image-a-number",
+            "lambda-arabic-indic-digit", "bracket-key-fullwidth-digits"])
     def test_json_number_is_read_exactly(self, argv, text, message, tmp_path,
                                          capsys):
-        # a JSON decimal reaches expr.rational as written, not as a float
+        # a JSON decimal reaches expr.rational as written, not as a float,
+        # and only the ASCII digits 0-9 make a number, as in the parser
         path = tmp_path / "input.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code, _ = run_cli(*argv, str(path))
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, document, what, field", [
+        (["bracket", "X1", "X2", "--algebra"],
+         {"variables": ["X1", "X2"], "brackets": {"1,2": "X1*X2"},
+          "casimir": {"C": "X1^"}, "weight": 5, "sigma": {"2,1": "7"}},
+         "algebra definition", "casimir"),
+        (["bracket", "X1", "X2", "--algebra"], STALE_ALGEBRA,
+         "algebra definition", "sigma"),
+        (["decompose", "--file"],
+         {"rank": 2, "lambda": [[0, 1], [-1, 0]],
+          "images": {"t1": "t1*t2", "t2": "0"}, "x": 1},
+         "decomposition spec", "x"),
+    ], ids=["misspelt-fields", "sigma-and-delta-blocks", "spec-extra-key"])
+    def test_unknown_field_is_refused(self, argv, document, what, field,
+                                      tmp_path, capsys):
+        # a misspelt optional field must not go unread
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        code, _ = run_cli(*argv, str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {what} has an unknown field {field!r}; its fields are")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, results", [
+        (["nf", "X3^2"], 1),
+        (["bracket", "X2", "X1"], 1),
+        (["decompose", "--file", "SPEC"], 3),
+    ], ids=["nf", "bracket", "decompose"])
+    def test_each_result_is_rendered_once(self, argv, results, fmt, tmp_path,
+                                          monkeypatch):
+        # both views come from one rendering: printing an 18241-term
+        # normal form takes about 0.14 s
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"rank": 2, "lambda": [[0, 1], [-1, 0]],
+                                    "images": {"t1": "t1*t2", "t2": "t2"}}))
+        rendered, format_poly = [], expr.format_poly
+
+        def counted(p):
+            rendered.append(p)
+            return format_poly(p)
+        monkeypatch.setattr(expr, "format_poly", counted)
+        argv = [str(path) if arg == "SPEC" else arg for arg in argv]
+        assert run_cli(*argv, "--format", fmt)[0] == 0
+        assert len(rendered) == results
 
     def test_json_decimal_without_exponent_is_accepted(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -594,9 +660,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "many"), ("--alpha", "1/0"), ("--beta", "1/0"),
-        ("--alpha", "1e100000000"),
+        ("--alpha", "1e100000000"), ("--alpha", "\u0663"), ("--alpha", "1_000"),
     ], ids=["alpha-many", "alpha-zero-denominator", "beta-zero-denominator",
-            "alpha-exponent"])
+            "alpha-exponent", "alpha-arabic-indic-digit", "alpha-underscore"])
     def test_bad_parameter_value(self, flag, value, capsys):
         code, _ = run_cli("nf", "x1", flag, value)
         err = capsys.readouterr().err

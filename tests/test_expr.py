@@ -131,6 +131,12 @@ class TestRational:
         with pytest.raises(ExprError, match="without an exponent"):
             rational(value)
 
+    @pytest.mark.parametrize("value", ["\u0663", "\uff11/2", "1_000", "1/1_0"])
+    def test_digits_are_ascii_only(self, value):
+        # Fraction alone reads these as 3, 1/2, 1000 and 1/10
+        with pytest.raises(ExprError, match="^expected a rational, got"):
+            rational(value)
+
     @pytest.mark.parametrize("value", [True, False])
     def test_booleans_rejected(self, value):
         # JSON true and false load as bool, a subclass of int
