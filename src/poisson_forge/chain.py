@@ -24,23 +24,30 @@ inverse, whose factor is registered in lowest terms).  ``chain_step``
 reduces each series term and each new generator, so the stages stay in
 lowest terms and their size stays bounded.
 
-The same formulas, evaluated on x1..x6 in the fraction field of the
-localised quotient's structure, give its localisation tower t1..t6
-(``chain_elements``); ``verify_localized_identities`` checks the tower's
-identities there.  Both read the ring only through ``context``,
-``structure``, ``normal_form``, ``alpha_poly``, ``beta_poly`` and
-``localized``.
+The golden formulas of ``g2`` are text in the package grammar: the chain
+formulas and Omega ladders in the generators X1..X6 of one level, the
+tower identities in the tower's own names.  One evaluator reads them all,
+parsing each text once per process and putting given elements in for
+the variables.  The chain formulas, evaluated on x1..x6 in the fraction
+field of the localised quotient's structure, give its localisation tower
+t1..t6 (``chain_elements``); ``verify_localized_identities`` reads each
+tower label as its identity and checks it there.  Both read the ring only
+through ``context``, ``structure``, ``normal_form``, ``alpha_poly``,
+``beta_poly`` and ``localized``.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
 
 from .expr import ExprError, LaurentPoly, VarContext, divide_exact
 from .g2 import (CHAIN_FORMULAS, CHAIN_STABLE_LEVEL, OMEGA1_LADDER,
-                 OMEGA2_LADDER, ChainTerm, builtin_algebra)
+                 OMEGA2_LADDER, TOWER_IDENTITIES, builtin_algebra)
+from .parse import parse_expr
 from .poisson import MAX_DELTA_POWERS, PoissonOreData, PoissonStructure
 from .report import CheckItem, check_item
 
@@ -349,13 +356,32 @@ def verify_torus_relations(stage2: ChainStage, matrix,
     return items
 
 
-def _eval_terms(terms: list[ChainTerm], stages: dict[int, ChainStage]):
-    """sum of coeff * prod X[i,j]^power over the generators of ``stages``."""
+# -- the golden formulas, read from their text -------------------------------
+
+#: The context of the chain formulas and ladders of ``g2``: X1..X6 stand
+#: for the generators of one level, each invertible, as the formulas
+#: divide by them.
+_LEVEL_NAMES = tuple(f"X{i}" for i in range(1, 7))
+_LEVEL = VarContext.make(_LEVEL_NAMES, invertible=_LEVEL_NAMES)
+
+
+# Unbounded, but only the golden texts of g2 are read through it; callers
+# read the shared result and never change it.
+@functools.cache
+def _parsed(text: str, context: VarContext) -> LaurentPoly:
+    return parse_expr(text, context)
+
+
+def _evaluate(text: str, context: VarContext, elements):
+    """The value of ``text`` with the i-th of ``elements`` put in for the
+    i-th variable of ``context``: any elements with ``+``, ``*`` and
+    ``**``.  Each text is parsed once per process and context."""
     total = None
-    for coeff, powers in terms:
-        piece = Fraction(coeff)
-        for i, j, e in powers:
-            piece = piece * stages[j].gen(i) ** e
+    for exps, coeff in _parsed(text, context).terms.items():
+        piece = coeff
+        for element, e in zip(elements, exps):
+            if e:
+                piece = piece * element ** e
         total = piece if total is None else total + piece
     return total
 
@@ -366,9 +392,10 @@ def formula_stages(gens) -> dict[int, ChainStage]:
     top = len(gens) + 1
     stages = {top: ChainStage(top, tuple(gens))}
     for j in range(top - 1, 2, -1):
+        above = stages[j + 1].gens
         stages[j] = ChainStage(j, tuple(
-            _eval_terms(CHAIN_FORMULAS[i, j], stages) if (i, j) in CHAIN_FORMULAS
-            else stages[j + 1].gen(i) for i in range(1, top)))
+            _evaluate(CHAIN_FORMULAS[i, j], _LEVEL, above) if (i, j) in CHAIN_FORMULAS
+            else above[i - 1] for i in range(1, top)))
     return stages
 
 
@@ -393,57 +420,36 @@ def chain_elements(ring) -> dict[str, FractionElement]:
     return {name: stages[j].gen(i) for name, (i, j) in _CHAIN_NAMES.items()}
 
 
+#: The context of ``g2.TOWER_IDENTITIES``: the chain elements by name, the
+#: quotient's generators x1..x6 and its parameters alpha, beta.
+_TOWER_NAMES = (*_CHAIN_NAMES, *(f"x{i}" for i in range(1, 7)), "alpha", "beta")
+_TOWER = VarContext.make(_TOWER_NAMES, invertible=_TOWER_NAMES)
+
+
 def verify_localized_identities(ring) -> list[CheckItem]:
-    """The localisation-tower identities of the localised quotient
-    ``ring``, each checked as the normal form of the numerator of
-    lhs - rhs: the localised quotient is a domain in which the
-    denominators t3, t4 are nonzero."""
-    e = chain_elements(ring)
-    fld = e["t1"].field
-    alpha = fld.element(ring.alpha_poly)
-    beta = fld.element(ring.beta_poly)
-    x1, _, x3, x4, x5, x6 = _generators(fld)
-
+    """Each identity of ``g2.TOWER_IDENTITIES`` in the localised quotient
+    ``ring``, read from its label and checked as the normal form of the
+    numerator of lhs - rhs: the localised quotient is a domain in which
+    the denominators t3, t4 are nonzero."""
+    named = chain_elements(ring)
+    fld = named["t1"].field
+    named.update({f"x{i}": fld.var(f"x{i}") for i in range(1, 7)},
+                 alpha=fld.element(ring.alpha_poly), beta=fld.element(ring.beta_poly))
+    elements = [named[name] for name in _TOWER.names]
     items = []
-
-    def check(label, lhs, rhs):
+    for label in TOWER_IDENTITIES:
+        # the label without a leading "relation ", x(i,j) read as xij
+        text = re.sub(r"x\((\d),(\d)\)", r"x\1\2", label.removeprefix("relation "))
+        lhs, rhs = (_evaluate(side, _TOWER, elements) for side in text.split(" = "))
         items.append(check_item(label, ring.normal_form((lhs - rhs).num)))
-
-    check("t5 = x5", e["t5"], x5)
-    check("relation z2*t5 = 2*(z1*t3*t5 - alpha)",
-          e["z2"] * x5, 2 * (e["z1"] * e["t3"] * x5 - alpha))
-    check("relation t3^3*t5*t6 = 3*z1*t3*t4*t5*t6 - 3/2*beta*t5"
-          " - 3*alpha*t4*t6",
-          e["t3"] ** 3 * x5 * x6,
-          3 * e["z1"] * e["t3"] * e["t4"] * x5 * x6
-          - Fraction(3, 2) * beta * x5 - 3 * alpha * e["t4"] * x6)
-    check("t1*t3*t5 = alpha", e["t1"] * e["t3"] * e["t5"], alpha)
-    check("t2*t4*t6 = beta", e["t2"] * e["t4"] * e["t6"], beta)
-    check("f1 = t1 + 1/2*t2*t3^-1",
-          e["f1"], e["t1"] + Fraction(1, 2) * e["t2"] * e["t3"] ** -1)
-    check("x(3,6) = t3 + 3/2*t4*t5^-1",
-          e["x36"], e["t3"] + Fraction(3, 2) * e["t4"] * x5 ** -1)
-    check("z1 = f1 + 1/3*t3^2*t4^-1",
-          e["z1"], e["f1"] + Fraction(1, 3) * e["t3"] ** 2 * e["t4"] ** -1)
-    check("x1 = x(1,6) + 1/2*t5*t6^-1",
-          x1, e["x16"] + Fraction(1, 2) * x5 * x6 ** -1)
-    check("z2 = t2 + 2/3*t3^3*t4^-1",
-          e["z2"], e["t2"] + Fraction(2, 3) * e["t3"] ** 3 * e["t4"] ** -1)
-    check("x3 = x(3,6) + t5^2*t6^-1",
-          x3, e["x36"] + x5 ** 2 * x6 ** -1)
-    check("x(1,6) = z1 + x(3,6)*t5^-1 - 3/4*t4*t5^-2",
-          e["x16"], e["z1"] + e["x36"] * x5 ** -1
-          - Fraction(3, 4) * e["t4"] * x5 ** -2)
-    check("x4 = t4 + 2/3*t5^3*t6^-1",
-          x4, e["t4"] + Fraction(2, 3) * x5 ** 3 * x6 ** -1)
     return items
 
 
 def verify_chain_formulas(stages: dict[int, ChainStage]) -> list[CheckItem]:
     """The explicit X[i,j] formulas, then the T_i stability collapses."""
     items = []
-    for (i, j), terms in sorted(CHAIN_FORMULAS.items(), key=lambda kv: (-kv[0][1], kv[0][0])):
-        expected = _eval_terms(terms, stages)
+    for (i, j), text in sorted(CHAIN_FORMULAS.items(), key=lambda kv: (-kv[0][1], kv[0][0])):
+        expected = _evaluate(text, _LEVEL, stages[j + 1].gens)
         items.append(check_item(f"X[{i},{j}] explicit formula", stages[j].gen(i) - expected))
     for i, stable in sorted(CHAIN_STABLE_LEVEL.items()):
         diffs = [stages[j].gen(i) - stages[j + 1].gen(i) for j in range(2, stable)]
@@ -459,7 +465,7 @@ def verify_central_ladders(stages: dict[int, ChainStage],
     fld = stages[2].gens[0].field
     for name, ladder in (("Omega1", OMEGA1_LADDER), ("Omega2", OMEGA2_LADDER)):
         levels = sorted(ladder)
-        values = {lvl: _eval_terms(ladder[lvl], stages) for lvl in levels}
+        values = {lvl: _evaluate(ladder[lvl], _LEVEL, stages[lvl].gens) for lvl in levels}
         for lo, hi in zip(levels, levels[1:]):
             items.append(check_item(f"{name} ladder: level {lo} = level {hi}",
                                     values[lo] - values[hi]))

@@ -141,6 +141,10 @@ class VarContext:
             raise ExprError("context masks must match the number of names")
         if len(set(self.names)) != len(self.names):
             raise ExprError("variable names must be unique")
+        for name in self.names:
+            # the grammar's identifiers: a letter, then letters or digits
+            if not (name[:1].isalpha() and name.isalnum()):
+                raise ExprError(f"variable name {name!r} is not an identifier")
         for name, inv, par in zip(self.names, self.invertible, self.parameters):
             if par and inv:
                 raise ExprError(f"parameter variable {name!r} cannot be invertible")

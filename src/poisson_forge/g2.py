@@ -7,11 +7,13 @@ generator order.  This module loads that file (or a user-supplied one with
 the same schema) through ``read_object``, the one check of both input
 files (the algebra and a ``decompose`` spec), which refuses a field it
 does not know.  It keeps the golden constants the verification suites
-compare against: the skew-symmetric matrix of the target torus, the
+compare against: the skew-symmetric matrix of the target torus, and as
+text in the package grammar, written as the package prints it, the
 explicit change-of-variables formulas of the deleting-derivations chain,
-the Omega pullback ladders, and the four quotient rewrite identities.
-The scalar derivations of the degenerate quotients are derived from the
-weights, signed so that X5 -> X5.
+the Omega pullback ladders, the localisation-tower identities (each
+label is the identity it states) and the four quotient rewrite
+identities.  The scalar derivations of the degenerate quotients are
+derived from the weights, signed so that X5 -> X5.
 """
 
 from __future__ import annotations
@@ -215,76 +217,77 @@ TORUS_MATRIX = [
     [3, 3, 0, -3, -3, 0],
 ]
 
-# Explicit chain formulas, structurally: (i, j) -> list of terms
-# (coefficient, ((i', j', power), ...)) read as  X[i,j] = sum of
-# coeff * prod X[i',j']^power  over level-j' generators (j' = j + 1,
-# with X[i,7] the original X_i).  The chain suite reproduces every one
-# of them from the bracket table alone.
-ChainTerm = tuple[str, tuple[tuple[int, int, int], ...]]
-CHAIN_FORMULAS: dict[tuple[int, int], list[ChainTerm]] = {
-    (1, 6): [("1", ((1, 7, 1),)), ("-1/2", ((5, 7, 1), (6, 7, -1)))],
-    (2, 6): [("1", ((2, 7, 1),)), ("3/2", ((4, 7, 1), (6, 7, -1))),
-             ("-3", ((3, 7, 1), (5, 7, 1), (6, 7, -1))),
-             ("1", ((5, 7, 3), (6, 7, -2)))],
-    (3, 6): [("1", ((3, 7, 1),)), ("-1", ((5, 7, 2), (6, 7, -1)))],
-    (4, 6): [("1", ((4, 7, 1),)), ("-2/3", ((5, 7, 3), (6, 7, -1)))],
-    (1, 5): [("1", ((1, 6, 1),)), ("-1", ((3, 6, 1), (5, 6, -1))),
-             ("3/4", ((4, 6, 1), (5, 6, -2)))],
-    (2, 5): [("1", ((2, 6, 1),)), ("-3", ((3, 6, 2), (5, 6, -1))),
-             ("9/2", ((3, 6, 1), (4, 6, 1), (5, 6, -2))),
-             ("-9/4", ((4, 6, 2), (5, 6, -3)))],
-    (3, 5): [("1", ((3, 6, 1),)), ("-3/2", ((4, 6, 1), (5, 6, -1)))],
-    (1, 4): [("1", ((1, 5, 1),)), ("-1/3", ((3, 5, 2), (4, 5, -1)))],
-    (2, 4): [("1", ((2, 5, 1),)), ("-2/3", ((3, 5, 3), (4, 5, -1)))],
-    (1, 3): [("1", ((1, 4, 1),)), ("-1/2", ((2, 4, 1), (3, 4, -1)))],
+# Explicit chain formulas: (i, j) -> X[i,j] as text in the generators
+# X1..X6 of level j + 1 (level 7 is X itself), as the package prints it.
+# The chain suite reproduces every one of them from the bracket table alone.
+CHAIN_FORMULAS: dict[tuple[int, int], str] = {
+    (1, 6): "X1 - 1/2*X5*X6^-1",
+    (2, 6): "X2 + 3/2*X4*X6^-1 - 3*X3*X5*X6^-1 + X5^3*X6^-2",
+    (3, 6): "X3 - X5^2*X6^-1",
+    (4, 6): "X4 - 2/3*X5^3*X6^-1",
+    (1, 5): "X1 - X3*X5^-1 + 3/4*X4*X5^-2",
+    (2, 5): "X2 - 3*X3^2*X5^-1 + 9/2*X3*X4*X5^-2 - 9/4*X4^2*X5^-3",
+    (3, 5): "X3 - 3/2*X4*X5^-1",
+    (1, 4): "X1 - 1/3*X3^2*X4^-1",
+    (2, 4): "X2 - 2/3*X3^3*X4^-1",
+    (1, 3): "X1 - 1/2*X2*X3^-1",
 }
 
 # T_i = X[i,2] = ... = X[i, level]: the level at which each generator
 # stabilises (every later X[i,j] equals it; T_5 = X_5 and T_6 = X_6).
 CHAIN_STABLE_LEVEL = {1: 3, 2: 4, 3: 5, 4: 6, 5: 7, 6: 7}
 
-# Omega pullback ladders: level -> expression in the level generators,
-# same structured term encoding.
-OMEGA1_LADDER: dict[int, list[ChainTerm]] = {
-    3: [("1", ((1, 3, 1), (3, 3, 1), (5, 3, 1)))],
-    4: [("1", ((1, 4, 1), (3, 4, 1), (5, 4, 1))),
-        ("-1/2", ((2, 4, 1), (5, 4, 1)))],
-    5: [("1", ((1, 5, 1), (3, 5, 1), (5, 5, 1))),
-        ("-1/2", ((2, 5, 1), (5, 5, 1)))],
-    6: [("1", ((1, 6, 1), (3, 6, 1), (5, 6, 1))),
-        ("-3/2", ((1, 6, 1), (4, 6, 1))),
-        ("-1/2", ((2, 6, 1), (5, 6, 1))),
-        ("1/2", ((3, 6, 2),))],
+# Omega pullback ladders: level -> the Casimir as text in the generators
+# X1..X6 of that level, as printed.
+OMEGA1_LADDER: dict[int, str] = {
+    3: "X1*X3*X5",
+    4: "-1/2*X2*X5 + X1*X3*X5",
+    5: "-1/2*X2*X5 + X1*X3*X5",
+    6: "-3/2*X1*X4 - 1/2*X2*X5 + 1/2*X3^2 + X1*X3*X5",
 }
-OMEGA2_LADDER: dict[int, list[ChainTerm]] = {
-    4: [("1", ((2, 4, 1), (4, 4, 1), (6, 4, 1)))],
-    5: [("1", ((2, 5, 1), (4, 5, 1), (6, 5, 1))),
-        ("-2/3", ((3, 5, 3), (6, 5, 1)))],
-    6: [("1", ((2, 6, 1), (4, 6, 1), (6, 6, 1))),
-        ("-2/3", ((3, 6, 3), (6, 6, 1)))],
+OMEGA2_LADDER: dict[int, str] = {
+    4: "X2*X4*X6",
+    5: "X2*X4*X6 - 2/3*X3^3*X6",
+    6: "X2*X4*X6 - 2/3*X3^3*X6",
 }
 
-# The four rewrite identities of the quotient (x3^2, x4^2, x3^2*x4,
-# x3*x4^2); each reduces to zero in normal form.
-REWRITE_IDENTITIES: dict[str, tuple[str, str]] = {
-    "x3^2": ("x3^2", "2*alpha + 3*x1*x4 + x2*x5 - 2*x1*x3*x5"),
+# The identities of the localisation tower, each label read as the identity
+# it states: a leading "relation " dropped, x(i,j) the tower element X[i,j],
+# t_i = T_i, x_i the quotient generators and alpha, beta its parameters.
+TOWER_IDENTITIES = (
+    "t5 = x5",
+    "relation z2*t5 = 2*(z1*t3*t5 - alpha)",
+    "relation t3^3*t5*t6 = 3*z1*t3*t4*t5*t6 - 3/2*beta*t5 - 3*alpha*t4*t6",
+    "t1*t3*t5 = alpha",
+    "t2*t4*t6 = beta",
+    "f1 = t1 + 1/2*t2*t3^-1",
+    "x(3,6) = t3 + 3/2*t4*t5^-1",
+    "z1 = f1 + 1/3*t3^2*t4^-1",
+    "x1 = x(1,6) + 1/2*t5*t6^-1",
+    "z2 = t2 + 2/3*t3^3*t4^-1",
+    "x3 = x(3,6) + t5^2*t6^-1",
+    "x(1,6) = z1 + x(3,6)*t5^-1 - 3/4*t4*t5^-2",
+    "x4 = t4 + 2/3*t5^3*t6^-1",
+)
+
+# The four rewrite identities of the quotient: each monomial and its normal
+# form, whose difference reduces to zero.
+REWRITE_IDENTITIES: dict[str, str] = {
+    "x3^2": "2*alpha + 3*x1*x4 + x2*x5 - 2*x1*x3*x5",
     "x4^2": (
-        "x4^2",
         "2/3*beta + 8/9*alpha*x3*x6 + 4/3*x1*x3*x4*x6 + 4/9*x2*x3*x5*x6"
         " - 16/9*alpha*x1*x5*x6 - 8/3*x1^2*x4*x5*x6 + 16/9*x1^2*x3*x5^2*x6"
         " - 8/9*x2*x5^3 - 8/3*alpha*x5^2 - 4*x1*x4*x5^2 + 8/3*x1*x3*x5^3"
-        " + 2*x3*x4*x5 - 2/3*x2*x4*x6 - 8/9*x1*x2*x5^2*x6",
+        " + 2*x3*x4*x5 - 2/3*x2*x4*x6 - 8/9*x1*x2*x5^2*x6"
     ),
     "x3^2*x4": (
-        "x3^2*x4",
         "2*alpha*x4 + x2*x4*x5 + 2*beta*x1 + 8/3*alpha*x1*x3*x6"
         " + 4*x1^2*x3*x4*x6 + 4/3*x1*x2*x3*x5*x6 - 8*x1^3*x4*x5*x6"
         " - 8/3*x1^2*x2*x5^2*x6 + 16/3*x1^3*x3*x5^2*x6 - 8/3*x1*x2*x5^3"
         " - 8*alpha*x1*x5^2 - 12*x1^2*x4*x5^2 + 8*x1^2*x3*x5^3"
-        " + 4*x1*x3*x4*x5 - 2*x1*x2*x4*x6 - 16/3*alpha*x1^2*x5*x6",
+        " + 4*x1*x3*x4*x5 - 2*x1*x2*x4*x6 - 16/3*alpha*x1^2*x5*x6"
     ),
     "x3*x4^2": (
-        "x3*x4^2",
         "2/3*beta*x3 + 16/9*alpha^2*x6 + 16/3*alpha*x1*x4*x6"
         " + 16/9*alpha*x2*x5*x6 + 16/9*alpha*x1*x3*x5*x6 + 4/9*x2^2*x5^2*x6"
         " + 8/9*x1*x2*x3*x5^2*x6 - 64/9*alpha*x1^3*x5*x6^2"
@@ -297,6 +300,6 @@ REWRITE_IDENTITIES: dict[str, tuple[str, str]] = {
         " - 8/3*x1^2*x2*x4*x6^2 + 4*alpha*x4*x5 + 2*x2*x4*x5^2"
         " + 4*beta*x1*x5 + 64/9*x1^4*x3*x5^2*x6^2 - 2/3*x2*x3*x4*x6"
         " - 32/3*alpha*x1*x5^3 + 32/3*x1^2*x3*x5^4 + 32/3*x1^2*x3*x4*x5*x6"
-        " - 32/9*x1^3*x2*x5^2*x6^2",
+        " - 32/9*x1^3*x2*x5^2*x6^2"
     ),
 }

@@ -396,9 +396,9 @@ class TestChain:
         fld = STAGES[6].gens[0].field
         envs = dict(STAGES)
         envs[6] = ChainStage(6, (fld.var("X1"),) + STAGES[6].gens[1:])
-        from poisson_forge.chain import _eval_terms
         for (i, j) in [(1, 5), (1, 4), (1, 3)]:
-            value = _eval_terms(g2.CHAIN_FORMULAS[(i, j)], envs)
+            value = chain._evaluate(g2.CHAIN_FORMULAS[(i, j)], chain._LEVEL,
+                                    envs[j + 1].gens)
             gens = list(STAGES[j].gens)
             gens[i - 1] = value
             envs[j] = ChainStage(j, tuple(gens))
@@ -538,18 +538,18 @@ class TestChainFormulaOracle:
                                      rng.randint(1, 9))
                    for s in symbols.values()} for _ in range(self.POINTS)]
 
-        def evaluate(terms, gens):
-            return sympy.Add(*[sympy.Rational(coeff) * sympy.Mul(
-                *[gens[(i, j)] ** e for i, j, e in powers])
-                for coeff, powers in terms])
+        def evaluate(text, level, gens):
+            """``text`` with X[i,level] put in for Xi."""
+            return sympy.sympify(text.replace("^", "**"), locals={
+                f"X{i}": gens[(i, level)] for i in range(1, 7)})
 
         def run(formulas, ladders):
             gens = {(i, 7): symbols[names[i - 1]] for i in range(1, 7)}
             for j in range(6, 1, -1):
                 for i in range(1, 7):
-                    terms = formulas.get((i, j))
-                    gens[(i, j)] = (gens[(i, j + 1)] if terms is None
-                                    else evaluate(terms, gens))
+                    text = formulas.get((i, j))
+                    gens[(i, j)] = (gens[(i, j + 1)] if text is None
+                                    else evaluate(text, j + 1, gens))
             grads = {key: {x: sympy.diff(g, s) for x, s in symbols.items()}
                      for key, g in gens.items()}
             at = [({key: g.xreplace(pt) for key, g in gens.items()},
@@ -573,9 +573,8 @@ class TestChainFormulaOracle:
                                          per_point))
             ladder = []
             for name, levels in ladders.items():
-                for level, terms in sorted(levels.items()):
-                    sym = evaluate(terms, {(i, j): gens[(i, j)]
-                                           for (i, j) in gens if j == level})
+                for level, text in sorted(levels.items()):
+                    sym = evaluate(text, level, gens)
                     ladder.append((f"{name} level {level}",
                                    [(sym - omegas[name]).xreplace(pt)
                                     for pt in points]))
@@ -604,12 +603,34 @@ class TestChainFormulaOracle:
         # negative controls: X[1,6] = X1 - 1/3*X5*X6^-1 instead of -1/2,
         # and the Omega2 level-5 ladder with -1/3 instead of -2/3
         formulas = dict(g2.CHAIN_FORMULAS)
-        formulas[(1, 6)] = [("1", ((1, 7, 1),)), ("-1/3", ((5, 7, 1), (6, 7, -1)))]
+        formulas[(1, 6)] = "X1 - 1/3*X5*X6^-1"
         ladders = dict(self.LADDERS)
         ladders["Omega2"] = dict(g2.OMEGA2_LADDER)
-        ladders["Omega2"][5] = [("1", ((2, 5, 1), (4, 5, 1), (6, 5, 1))),
-                                ("-1/3", ((3, 5, 3), (6, 5, 1)))]
+        ladders["Omega2"][5] = "X2*X4*X6 - 1/3*X3^3*X6"
         contract, ladder = oracle(formulas, ladders)
         assert any(any(per_point) for _, per_point in contract)
         failed = [label for label, per_point in ladder if any(per_point)]
         assert "Omega2 level 5" in failed
+
+
+GOLDEN_TEXTS = [
+    *((f"X[{i},{j}]", text) for (i, j), text in g2.CHAIN_FORMULAS.items()),
+    *((f"{name} level {level}", text)
+      for name, ladder in (("Omega1", g2.OMEGA1_LADDER), ("Omega2", g2.OMEGA2_LADDER))
+      for level, text in ladder.items())]
+
+
+class TestGoldenText:
+    """The chain formulas and ladders of g2 are written as the package
+    prints them, so each reads as what it shows."""
+
+    @pytest.mark.parametrize("text", [text for _, text in GOLDEN_TEXTS],
+                             ids=[name for name, _ in GOLDEN_TEXTS])
+    def test_text_is_its_printed_form(self, text):
+        assert str(parse_expr(text, chain._LEVEL)) == text
+
+    def test_level6_formulas_are_the_chain_lines(self):
+        # level 7 is X itself, so X[i,6] prints as its formula
+        lines = dict(line.split(" = ", 1) for line in GOLDEN_CHAIN_TEXT.splitlines())
+        for i in range(1, 5):
+            assert g2.CHAIN_FORMULAS[i, 6] == lines[f"X[{i},6]"]

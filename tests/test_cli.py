@@ -127,15 +127,16 @@ JSON_VALUES = st.recursive(
 def documents(required, optional):
     """A JSON object that holds every field of ``required`` and some of
     ``optional`` (name -> strategy for the JSON text of a well-formed
-    value), each well formed or any JSON value, and now and then a key of
-    its own."""
+    value), each well formed or any JSON value.  It holds no field of
+    its own: one would stop every document at the unknown-field check
+    (``test_unknown_field_is_refused``) before any value is read."""
     def field(value):
         # well formed three times in four
         return st.integers(0, 3).flatmap(lambda k: value if k else JSON_VALUES)
     return st.fixed_dictionaries(
         {name: field(value) for name, value in required.items()},
-        optional={**{name: field(value) for name, value in optional.items()},
-                  "x": JSON_VALUES}).map(object_text)
+        optional={name: field(value) for name, value in optional.items()}
+    ).map(object_text)
 
 
 def expression_table(keys, expressions):
@@ -547,12 +548,18 @@ class TestExitCodes:
          b' "images": {"t1": "t1*t2", "t2": "0"}, "x": ' + b"9" * 5000 + b"}"),
         (["bracket", "X1", "X2", "--algebra"],
          b'{"variables": ["X1", "X2"], "brackets": {}, "x": ' + b"9" * 5000 + b"}"),
+        # names the grammar cannot read
+        (["bracket", "X2", "X2", "--algebra"], {"variables": ["", "X2"], "brackets": {}}),
+        (["bracket", "X2", "X2", "--algebra"], {"variables": ["1x", "X2"], "brackets": {}}),
+        (["bracket", "X2", "X2", "--algebra"], {"variables": ["X 1", "X2"], "brackets": {}}),
+        (["bracket", "X2", "X2", "--algebra"], {"variables": ["X_1", "X2"], "brackets": {}}),
     ], ids=["images-list", "lambda-scalar", "brackets-list",
             "lambda-zero-denominator", "image-not-a-generator", "variables-nested",
             "variables-integers", "algebra-not-utf8", "spec-not-utf8",
             "rank-boolean", "weights-boolean", "lambda-integer-row",
             "lambda-string-row", "spec-integer-over-digit-limit",
-            "algebra-integer-over-digit-limit"])
+            "algebra-integer-over-digit-limit", "variable-empty",
+            "variable-leading-digit", "variable-with-space", "variable-underscore"])
     def test_malformed_file_is_usage_error(self, argv, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
         if isinstance(spec, bytes):

@@ -149,6 +149,20 @@ class TestContext:
         with pytest.raises(Exception):
             VarContext.make(["a", "a"])
 
+    @pytest.mark.parametrize("name", ["", "1x", "X 1", "X_1", "X1+X2"])
+    def test_name_must_be_an_identifier(self, name):
+        with pytest.raises(ExprError) as raised:
+            VarContext((name, "X2"), (False, False), (False, False))
+        assert str(raised.value) == f"variable name {name!r} is not an identifier"
+
+    @given(st.text(max_size=4))
+    def test_every_name_taken_is_read_by_the_grammar(self, name):
+        try:
+            ctx = VarContext.make([name])
+        except ExprError:
+            return
+        assert parse_expr(name, ctx) == ctx.var(name)
+
     def test_parameter_never_invertible(self):
         with pytest.raises(Exception):
             VarContext.make(["a"], invertible=["a"], parameters=["a"])

@@ -7,6 +7,7 @@ import itertools
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_forge import g2, quotient
+from poisson_forge import chain, g2, quotient
 from poisson_forge.chain import (chain_elements, verify_centrality,
                                  verify_localized_identities)
 from poisson_forge.expr import ExprError, LaurentPoly, VarContext
@@ -132,9 +133,9 @@ def reduction_inputs(draw, ring):
 
 class TestNormalForm:
     def test_rewrite_rules_match_the_stated_identities(self):
-        assert SYM.rewrite_x3 == parse_expr(g2.REWRITE_IDENTITIES["x3^2"][1],
+        assert SYM.rewrite_x3 == parse_expr(g2.REWRITE_IDENTITIES["x3^2"],
                                             SYM.context)
-        assert SYM.rewrite_x4 == parse_expr(g2.REWRITE_IDENTITIES["x4^2"][1],
+        assert SYM.rewrite_x4 == parse_expr(g2.REWRITE_IDENTITIES["x4^2"],
                                             SYM.context)
 
     def test_casimirs_reduce_to_parameters(self):
@@ -145,8 +146,7 @@ class TestNormalForm:
         assert nf("x1") == SYM.context.var("x1")
 
     def test_x3sq_x4_matches_identity_rhs(self):
-        lhs, rhs = g2.REWRITE_IDENTITIES["x3^2*x4"]
-        assert nf(lhs) == nf(rhs)
+        assert nf("x3^2*x4") == nf(g2.REWRITE_IDENTITIES["x3^2*x4"])
 
     def test_all_four_identities(self):
         for label, ok, residue in check_casimirs(SYM):
@@ -460,15 +460,23 @@ class TestLocalizedTower:
         assert "t1*t3*t5 = alpha" in labels
         assert "t2*t4*t6 = beta" in labels
 
-    def test_tower_parses_no_expression(self, monkeypatch):
-        # t3 and t4 come from the chain formulas' own inverses, not from text
-        ring = QuotientRing(localized=True)
+    def test_tower_parses_each_text_once(self, monkeypatch):
+        # the tower reads the chain formulas and its identities as text:
+        # each distinct text is parsed once per process, so a second ring
+        # parses none
         calls = []
         def counting(*args, **kwargs):
             calls.append(args[0])
             return parse_expr(*args, **kwargs)
-        monkeypatch.setattr(quotient, "parse_expr", counting)
-        items = verify_localized_identities(ring)
+        monkeypatch.setattr(chain, "parse_expr", counting)
+        chain._parsed.cache_clear()
+        items = verify_localized_identities(QuotientRing(localized=True))
+        assert all(ok for _, ok, _ in items)
+        assert sorted(calls) == sorted(set(calls))
+        assert set(calls) >= set(g2.CHAIN_FORMULAS.values())
+        calls.clear()
+        items = verify_localized_identities(QuotientRing(alpha=1, beta=2,
+                                                         localized=True))
         assert all(ok for _, ok, _ in items)
         assert calls == []
 
@@ -488,8 +496,7 @@ class TestLocalizedTower:
     def test_changed_chain_formula_breaks_the_relation(self, monkeypatch):
         # negative control: the tower is built from g2.CHAIN_FORMULAS, so
         # X[1,3] = X[1,4] - 1/3*X[2,4]*X[3,4]^-1 must break t1*t3*t5 = alpha
-        monkeypatch.setitem(g2.CHAIN_FORMULAS, (1, 3), [
-            ("1", ((1, 4, 1),)), ("-1/3", ((2, 4, 1), (3, 4, -1)))])
+        monkeypatch.setitem(g2.CHAIN_FORMULAS, (1, 3), "X1 - 1/3*X2*X3^-1")
         verdicts = {label: ok for label, ok, _ in verify_localized_identities(LOC)}
         assert not verdicts["t1*t3*t5 = alpha"]
         assert verdicts["t2*t4*t6 = beta"]
@@ -497,8 +504,7 @@ class TestLocalizedTower:
     def test_changed_formula_for_x5_breaks_t5(self, monkeypatch):
         # negative control: t5 is read at level 3, where the formulas have
         # acted, so X[5,4] = X[5,5] + X[1,5] must show up in "t5 = x5"
-        monkeypatch.setitem(g2.CHAIN_FORMULAS, (5, 4), [
-            ("1", ((5, 5, 1),)), ("1", ((1, 5, 1),))])
+        monkeypatch.setitem(g2.CHAIN_FORMULAS, (5, 4), "X5 + X1")
         assert str(chain_elements(LOC)["t5"]) == "x1 - x3*x5^-1 + 3/4*x4*x5^-2 + x5"
         residues = {label: residue for label, ok, residue
                     in verify_localized_identities(LOC) if not ok}
@@ -536,7 +542,9 @@ TOWER_TEXTS = {"x16": "x1 - 1/2*x5*x6^-1",
 
 def tower_oracle(alpha, beta, texts=TOWER_TEXTS):
     """(t, reduce): the chain elements t1..t4, z1, z2, f1, x16 and x36 as
-    sympy rational functions built from ``texts`` alone, and the
+    sympy rational functions built from ``texts`` alone, with t["identity"]
+    reading a label of ``g2.TOWER_IDENTITIES`` as lhs - rhs over them,
+    x1..x6, t5 = x5, t6 = x6, alpha and beta; and the
     remainder of the numerator of a rational function modulo sympy's
     grevlex Groebner basis of (Omega1 - alpha, Omega2 - beta), the
     Casimirs read from the
@@ -573,9 +581,21 @@ def tower_oracle(alpha, beta, texts=TOWER_TEXTS):
     def reduce(expr):
         numerator, _ = sympy.fraction(sympy.together(expr))
         return basis.reduce(sympy.expand(numerator))[1]
-    return {"t1": t1, "t2": t2, "t3": t3, "t4": t4, "z1": z1, "z2": z2,
-            "f1": f1, "x16": e["x16"], "x36": e["x36"], "x5": x5,
-            "x6": names["x6"], "sym": sym}, reduce
+    t = {"t1": t1, "t2": t2, "t3": t3, "t4": t4, "z1": z1, "z2": z2,
+         "f1": f1, "x16": e["x16"], "x36": e["x36"], "x5": x5,
+         "x6": names["x6"], "sym": sym}
+    own = {**{f"x{i}": s for i, s in enumerate(x, 1)},
+           **{k: v for k, v in t.items() if k != "sym"}, "t5": x5,
+           "t6": names["x6"], "alpha": sympy.Rational(alpha),
+           "beta": sympy.Rational(beta)}
+
+    def identity(label):
+        text = re.sub(r"x\((\d),(\d)\)", r"x\1\2", label.removeprefix("relation "))
+        lhs, rhs = (sympy.sympify(side.replace("^", "**"), locals=own)
+                    for side in text.split(" = "))
+        return lhs - rhs
+    t["identity"] = identity
+    return t, reduce
 
 
 TOWER_RINGS = [QuotientRing(alpha=1, beta=1, localized=True),
@@ -594,6 +614,24 @@ class TestLocalizedTowerOracle:
             f = elements[name]
             value = t["sym"](str(f.num)) / t["sym"](str(f.den_poly()))
             assert reduce(value - t[name]) == 0, name
+
+    @pytest.mark.parametrize("ring", TOWER_RINGS, ids=["1,1", "-2/3,5"])
+    def test_every_identity_against_groebner_basis(self, ring):
+        t, reduce = tower_oracle(ring.alpha, ring.beta)
+        assert len(g2.TOWER_IDENTITIES) == 13
+        for label in g2.TOWER_IDENTITIES:
+            assert reduce(t["identity"](label)) == 0, label
+
+    def test_false_label_fails(self, monkeypatch):
+        # negative control: 1/3 where f1 = t1 + 1/2*t2*t3^-1 has 1/2, in the
+        # oracle and in the package, which reads the identity off its label
+        false = "f1 = t1 + 1/3*t2*t3^-1"
+        t, reduce = tower_oracle(1, 1)
+        assert reduce(t["identity"](false)) != 0
+        monkeypatch.setattr(chain, "TOWER_IDENTITIES", (*g2.TOWER_IDENTITIES, false))
+        failed = [label for label, ok, _ in verify_localized_identities(TOWER_RINGS[0])
+                  if not ok]
+        assert failed == [false]
 
     def test_bumped_t3_breaks_the_relations(self):
         # negative control: a t3 with one coefficient changed
