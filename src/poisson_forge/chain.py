@@ -120,8 +120,9 @@ class FractionElement:
     Arithmetic, brackets and zero tests work on the pair the element holds,
     which need not be in lowest terms.  The registered factors are
     cancelled out of the numerator only when the pair is read (``num``,
-    ``den``, ``den_poly``, ``is_polynomial``, ``inverse``, ``str``) or
-    asked for (``reduce``); the reduced pair then replaces the held one."""
+    ``den``, ``den_poly``, ``inverse``, ``str``) or asked for
+    (``reduce``); the reduced pair then replaces the held one.  An element
+    is a polynomial exactly when its reduced ``den`` is empty."""
 
     __slots__ = ("field", "_num", "_den", "_reduced")
 
@@ -162,9 +163,6 @@ class FractionElement:
 
     def is_zero(self) -> bool:
         return self._num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return not self.den
 
     def __eq__(self, other):
         if not isinstance(other, FractionElement):

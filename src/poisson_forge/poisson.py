@@ -331,11 +331,6 @@ class DerivationSpec:
         """Leibniz extension: D(f) = sum_v D(v) * df/dv."""
         return apply_images(self.images, f)
 
-    @staticmethod
-    def zero(context: VarContext) -> "DerivationSpec":
-        names = [context.names[i] for i in context.generators()]
-        return DerivationSpec(context, {n: context.zero() for n in names})
-
 
 def apply_images(images: Mapping[str, LaurentPoly], f: LaurentPoly) -> LaurentPoly:
     """Leibniz extension of a partial image table (absent names act as 0)."""
@@ -388,12 +383,6 @@ def derivation_residues(D: DerivationSpec, structure: PoissonStructure):
     for (a, i), (b, j) in combinations(enumerate(gens), 2):
         lhs = D.apply(structure.entry(i, j))
         yield (i, j), lhs - (images[a][b] - images[b][a])
-
-
-def check_poisson_derivation(D: DerivationSpec, structure: PoissonStructure):
-    """None on pass; else the first failing generator pair with residue."""
-    return next(((pair, residue) for pair, residue in derivation_residues(D, structure)
-                 if not residue.is_zero()), None)
 
 
 # -- Poisson-Ore data -------------------------------------------------------

@@ -90,10 +90,13 @@ from .report import CheckItem, check_item
 
 QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 # The most terms a normal form may hold while it is rewritten, checked
-# once per weight bucket.  `nf x3^40` peaks at 69421 terms (52965 out),
-# the largest reduction of the benchmark at 5000; past the limit
-# `nf "(x3*x4*x3*x4*x3*x4)^9"` stops after about 1.8 s (Python 3.11 on
-# a 2-core Xeon) instead of filling memory.
+# once per weight bucket, and the highest weight 2a + 3b (a, b the x3, x4
+# exponents) it may start from, checked before any bucket is made.
+# `nf x3^40` peaks at 69421 terms (52965 out), the largest reduction of
+# the benchmark at 5000; past the limit `nf "(x3*x4*x3*x4*x3*x4)^9"`
+# stops after about 1.8 s (Python 3.11 on a 2-core Xeon) instead of
+# filling memory.  The lowest weights past it, x3^50001 and x4^33334 with
+# alpha = beta = 0, need more than MAX_TERMS terms too.
 MAX_TERMS = 100_000
 _AMBIENT_TO_QUOTIENT = {f"X{i}": f"x{i}" for i in range(1, 7)}
 
@@ -235,6 +238,9 @@ class QuotientRing:
         if not source:
             return p
         top = max(2 * m[i3] + 3 * m[i4] for m in source)
+        if top > MAX_TERMS:  # before _rewrite makes top + 1 buckets
+            raise WorkLimitError(f"normal form of weight {top} is over the"
+                                 f" limit of {MAX_TERMS}")
         reach = max(max(map(max, source)), -min(map(min, source)))
         packing, rules = self._packed(reach + top * self._growth)
         D = lcm(*(c.denominator for c in source.values()))

@@ -21,10 +21,12 @@ The lattice arithmetic runs on integers: lam = L / den with den the lcm
 of the entries' denominators, so the pairings P = g . L are integers.
 The check is cross-multiplied, a_x P_y = a_y P_x on the numerators and
 denominators of the a's, and c_g = a_y den / P_y; an error message
-divides back by den and reads in lam units.  apply_decomposition takes
-ham_gamma from ``structure.generator_brackets``, which reads the bracket
-table, not the pairings: a roundtrip through both halves then checks them
-against each other, where a wrong pairing on both sides would cancel out.
+divides back by den and reads in lam units.  apply_decomposition gives
+the generator images of ham_gamma + D_theta, with ham_gamma from
+``structure.generator_brackets``, which reads the bracket table, not the
+pairings: a roundtrip, apply_decomposition(decompose_derivation(D)) ==
+D.images, then checks both halves against each other, where a wrong
+pairing on both sides would cancel out.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ def central_lattice(torus: TorusStructure) -> list[list[int]]:
 @dataclass(frozen=True)
 class Decomposition:
     """gamma with supp(gamma) outside the centre lattice, plus the central
-    images theta(e_i); decompose_derivation guarantees the support
-    condition, verify_decomposition only replays the defining equation."""
+    images theta(e_i).  decompose_derivation guarantees the support
+    condition; the defining equation holds when apply_decomposition gives
+    back the images of the derivation."""
 
     gamma: LaurentPoly
     theta_images: dict[str, LaurentPoly]
@@ -185,9 +188,3 @@ def apply_decomposition(dec: Decomposition, torus: TorusStructure) -> dict[str, 
     ham = torus.structure.generator_brackets(dec.gamma)
     return {name: image + dec.theta_images[name] * t
             for name, image, t in zip(torus.names, ham, torus.generators)}
-
-
-def verify_decomposition(D: DerivationSpec, dec: Decomposition,
-                         torus: TorusStructure) -> bool:
-    recombined = apply_decomposition(dec, torus)
-    return all(recombined[name] == D.images[name] for name in torus.names)

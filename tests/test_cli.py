@@ -285,10 +285,14 @@ class TestExitCodes:
         "(x1+x2+x5+x6)^80",
         "x1*x2+" * 166_666 + "x1*x2",
         "x1^\u00b2", "\u0663*x1", "\uff11*x1",
+        # nested powers multiply, to weights 8*10^8 and 1.2*10^9, refused
+        # before one bucket per weight is made
+        "(x3^20000)^20000", "(x4^20000)^20000*x1",
     ], ids=["zero-denominator", "nested-parentheses", "nested-minus", "huge-exponent",
             "exponent-over-digit-limit", "integer-over-digit-limit",
             "denominator-over-digit-limit", "products-over-budget", "one-megabyte",
-            "superscript-digit", "arabic-indic-digit", "fullwidth-digit"])
+            "superscript-digit", "arabic-indic-digit", "fullwidth-digit",
+            "nested-power-x3", "nested-power-x4"])
     def test_hostile_expression_is_usage_error(self, text, capsys):
         code, _ = run_cli("nf", text)
         assert code == 2

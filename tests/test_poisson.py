@@ -15,8 +15,8 @@ from poisson_forge.expr import LaurentPoly
 from poisson_forge.poisson import (DerivationSpec, EtaError, ExponentPacking,
                                    PoissonOreData, PoissonStructure,
                                    WeightVector, check_grading, check_jacobi,
-                                   check_poisson_derivation,
-                                   hamiltonian_derivation, jacobiator)
+                                   derivation_residues, hamiltonian_derivation,
+                                   jacobiator)
 from poisson_forge.quotient import QuotientRing
 from poisson_forge.torus import TorusStructure
 from tests.test_expr import small_polys
@@ -222,26 +222,27 @@ class TestJacobi:
 
 class TestDerivationCheck:
     def test_zero_derivation_passes(self):
-        assert check_poisson_derivation(DerivationSpec.zero(CTX), S) is None
+        D = DerivationSpec(CTX, {name: CTX.zero() for name in CTX.names})
+        assert all(r.is_zero() for _, r in derivation_residues(D, S))
 
     @given(small_polys(CTX, names=("X1", "X3", "X6"), max_terms=3))
     def test_hamiltonian_passes(self, f):
         D = hamiltonian_derivation(f, S)
-        assert check_poisson_derivation(D, S) is None
+        assert all(r.is_zero() for _, r in derivation_residues(D, S))
 
     def test_diagonal_weight_one_on_x1_fails(self):
-        # D(X1) = X1, other images 0.  The (X1, X2) pair is unharmed since
-        # {X2, X1} = -3*X1*X2 is homogeneous for this weighting; the first
-        # failure is (X1, X3): D({X1,X3}) - ... = -X2.  (Hand-checked:
-        # D(X1*X3 + X2) = X1*X3 while {D(X1), X3} = X1*X3 + X2.)
+        # D(X1) = X1, other images 0, so D multiplies each term by its X1
+        # degree.  A pair (X1, Xj) fails where {X1, Xj} has a term of X1
+        # degree other than 1, and any other pair where its bracket has X1
+        # in it.  The (X1, X2) pair is unharmed since {X2, X1} = -3*X1*X2;
+        # the first failure is (X1, X3): D({X1,X3}) - ... = -X2.
+        # (Hand-checked: D(X1*X3 + X2) = X1*X3 while {D(X1), X3} = X1*X3 + X2.)
         images = {name: CTX.zero() for name in CTX.names}
         images["X1"] = CTX.var("X1")
         D = DerivationSpec(CTX, images)
-        result = check_poisson_derivation(D, S)
-        assert result is not None
-        pair, residue = result
-        assert pair == (0, 2)
-        assert residue == -CTX.var("X2")
+        failures = {pair: r for pair, r in derivation_residues(D, S) if not r.is_zero()}
+        assert list(failures) == [(0, 2), (0, 3), (0, 4), (0, 5)]
+        assert failures[(0, 2)] == -CTX.var("X2")
 
     def test_hamiltonian_of_casimir_is_zero(self):
         D = hamiltonian_derivation(ALG.casimirs["Omega1"], S)

@@ -440,7 +440,7 @@ class TestLocalizedTower:
     def test_chain_elements_reduce_to_expected_forms(self):
         e = chain_elements(LOC)
         assert str(e["t3"]) == "x3 - 3/2*x4*x5^-1"
-        assert e["t5"].num == LOC.context.var("x5") and e["t5"].is_polynomial()
+        assert e["t5"].num == LOC.context.var("x5") and not e["t5"].den
         # t1's denominator reduces to t3 alone
         assert e["t1"].den_poly() == e["t3"].num
 
@@ -603,12 +603,15 @@ TOWER_RINGS = [QuotientRing(alpha=1, beta=1, localized=True),
 
 
 class TestLocalizedTowerOracle:
+    @pytest.fixture(scope="class")
+    def oracles(self):
+        """{(alpha, beta): tower_oracle} on each ring of TOWER_RINGS."""
+        return {(ring.alpha, ring.beta): tower_oracle(ring.alpha, ring.beta)
+                for ring in TOWER_RINGS}
+
     @pytest.mark.parametrize("ring", TOWER_RINGS, ids=["1,1", "-2/3,5"])
-    def test_casimir_relations_against_groebner_basis(self, ring):
-        t, reduce = tower_oracle(ring.alpha, ring.beta)
-        assert reduce(t["t1"] * t["t3"] * t["x5"] - ring.alpha) == 0
-        assert reduce(t["t2"] * t["t4"] * t["x6"] - ring.beta) == 0
-        # the oracle's elements are the package's chain elements
+    def test_package_elements_are_the_oracles(self, ring, oracles):
+        t, reduce = oracles[ring.alpha, ring.beta]
         elements = chain_elements(ring)
         for name in ("x16", "x36", "z1", "z2", "f1", "t1", "t2", "t3", "t4"):
             f = elements[name]
@@ -616,17 +619,17 @@ class TestLocalizedTowerOracle:
             assert reduce(value - t[name]) == 0, name
 
     @pytest.mark.parametrize("ring", TOWER_RINGS, ids=["1,1", "-2/3,5"])
-    def test_every_identity_against_groebner_basis(self, ring):
-        t, reduce = tower_oracle(ring.alpha, ring.beta)
+    def test_every_identity_against_groebner_basis(self, ring, oracles):
+        t, reduce = oracles[ring.alpha, ring.beta]
         assert len(g2.TOWER_IDENTITIES) == 13
         for label in g2.TOWER_IDENTITIES:
             assert reduce(t["identity"](label)) == 0, label
 
-    def test_false_label_fails(self, monkeypatch):
+    def test_false_label_fails(self, monkeypatch, oracles):
         # negative control: 1/3 where f1 = t1 + 1/2*t2*t3^-1 has 1/2, in the
         # oracle and in the package, which reads the identity off its label
         false = "f1 = t1 + 1/3*t2*t3^-1"
-        t, reduce = tower_oracle(1, 1)
+        t, reduce = oracles[1, 1]
         assert reduce(t["identity"](false)) != 0
         monkeypatch.setattr(chain, "TOWER_IDENTITIES", (*g2.TOWER_IDENTITIES, false))
         failed = [label for label, ok, _ in verify_localized_identities(TOWER_RINGS[0])
@@ -957,18 +960,19 @@ class TestBracketCalls:
 
 
 class TestBoundedSearches:
+    ZERO = DerivationSpec(NUM11.context, {name: NUM11.context.zero()
+                                          for name in quotient.QUOTIENT_NAMES})
+
     def test_hamiltonian_roundtrip(self):
         images = hamiltonian_quotient_images("x3", NUM11)
         found = bounded_inner_search(images, NUM11, degree=2)
         assert found == NUM11.context.var("x3")
 
     def test_zero_derivation(self):
-        zero = DerivationSpec.zero(NUM11.context)
-        assert bounded_inner_search(zero, NUM11, degree=2).is_zero()
+        assert bounded_inner_search(self.ZERO, NUM11, degree=2).is_zero()
 
     def test_empty_degree_range(self):
-        zero = DerivationSpec.zero(NUM11.context)
-        assert bounded_inner_search(zero, NUM11, degree=-1).is_zero()
+        assert bounded_inner_search(self.ZERO, NUM11, degree=-1).is_zero()
         assert bounded_centre(NUM11, -1) == []
 
     def test_scalar_derivation_not_inner_at_low_degree(self):
