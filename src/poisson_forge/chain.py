@@ -313,10 +313,18 @@ def run_chain(structure: PoissonStructure,
     return stages
 
 
-def builtin_chain() -> dict[int, ChainStage]:
-    """The built-in algebra's chain; X5, X6 (its first two denominators) inverted."""
+@functools.cache
+def _builtin_stages() -> dict[int, ChainStage]:
     alg = builtin_algebra()
     return run_chain(localize_structure(alg.structure, ["X5", "X6"]), alg.ore)
+
+
+def builtin_chain() -> dict[int, ChainStage]:
+    """The built-in algebra's chain; X5, X6 (its first two denominators)
+    inverted.  The chain runs once per process, on the first call; each
+    call returns a new dict over the same stages, which callers share and
+    must not change."""
+    return dict(_builtin_stages())
 
 
 # -- verification ------------------------------------------------------------

@@ -531,8 +531,10 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
     canonical solution or None when the system is infeasible.
 
     Each equation is the row of ``ring.bracket_rows`` with its rhs times
-    the row's scale, which leaves the solutions as they are.  An rhs
-    monomial that no row reaches makes the system infeasible.
+    the row's scale, which leaves the solutions as they are; only the
+    rows of the rhs monomials have a nonzero rhs, so only those are
+    scaled.  An rhs monomial that no row reaches makes the system
+    infeasible.
     """
     if ring.alpha is None or ring.beta is None:
         raise ExprError("the inner search needs numeric parameters")
@@ -542,8 +544,9 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
            for m, c in images[name].terms.items()}
     if not rhs.keys() <= rows.keys():
         return None
-    solution = solve(((row, rhs.get(key, 0) * scale(key))
-                      for key, row in rows.items()), len(monomials))
+    rhs = {k: c * scale(k) for k, c in rhs.items()}
+    solution = solve(((row, rhs.get(k, 0)) for k, row in rows.items()),
+                     len(monomials))
     if solution is None:
         return None
     x = _combine(ring.context, solution, monomials)

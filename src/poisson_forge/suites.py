@@ -4,10 +4,20 @@ Every suite runs on the built-in algebra data and returns its checks
 (``report.CheckItem``), exact identities (zero residue or golden-value
 comparison); ``run_suites`` times each suite and makes its Report.
 The torus suite is the only randomized one; it is seeded and reproducible.
+
+The built-in objects the suites share are built once per process, each on
+its first use and none at import: the chain (``chain.builtin_chain``),
+every ``QuotientRing``, one per (alpha, beta, localized) through
+``_ring``, and the torus of ``g2.TORUS_MATRIX`` (``_torus``).  Their
+cached tables (bracket tables by position, packed rewrite rules per
+field width, the torus bracket) persist with them, so a second run of
+the suites in one process rebuilds none of them.  The suites read these
+objects and never change them.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -30,6 +40,18 @@ from .torus import (Decomposition, DecompositionError, TorusStructure,
 
 DEFAULT_SEED = 20250809
 TORUS_ROUNDS = 100
+
+
+@functools.cache
+def _ring(alpha, beta, localized: bool) -> QuotientRing:
+    """The suites' one ring per exact (alpha, beta, localized)."""
+    return QuotientRing(alpha, beta, localized)
+
+
+@functools.cache
+def _torus() -> TorusStructure:
+    """The torus of ``g2.TORUS_MATRIX``, for the torus and grading suites."""
+    return TorusStructure.make(g2.TORUS_MATRIX)
 
 
 def _triple_items(structure: PoissonStructure):
@@ -95,19 +117,19 @@ def suite_pullback():
 
 
 def suite_pl2():
-    return check_casimirs(QuotientRing())
+    return check_casimirs(_ring("symbolic", "symbolic", False))
 
 
 def suite_quotient():
-    return quotient_jacobi_items(QuotientRing())
+    return quotient_jacobi_items(_ring("symbolic", "symbolic", False))
 
 
 def suite_localization():
-    return verify_localized_identities(QuotientRing(localized=True))
+    return verify_localized_identities(_ring("symbolic", "symbolic", True))
 
 
 def suite_torus(seed: int = DEFAULT_SEED):
-    torus = TorusStructure.make(g2.TORUS_MATRIX)
+    torus = _torus()
     lattice = central_lattice(torus)
     items = [CheckItem("central lattice of the torus matrix is"
                        " [(1,0,1,0,1,0), (0,1,0,1,0,1)]",
@@ -164,21 +186,21 @@ def suite_derivations():
     # the non-localised rings share one context, so each scalar derivation
     # is parsed once and checked on several rings
     items = []
-    beta0 = QuotientRing(alpha="symbolic", beta=0)
+    beta0 = _ring("symbolic", 0, False)
     theta = parse_derivation(g2.builtin_scalar_derivation("beta_zero")["images"],
                              beta0)
     for item in check_quotient_derivation(theta, beta0):
         items.append(item._replace(
             label=f"scalar derivation (beta=0 quotient): {item.label}"))
 
-    alpha0 = QuotientRing(alpha=0, beta="symbolic")
+    alpha0 = _ring(0, "symbolic", False)
     tilde = parse_derivation(g2.builtin_scalar_derivation("alpha_zero")["images"],
                              alpha0)
     for item in check_quotient_derivation(tilde, alpha0):
         items.append(item._replace(
             label=f"scalar derivation (alpha=0 quotient): {item.label}"))
 
-    generic = QuotientRing()
+    generic = _ring("symbolic", "symbolic", False)
     failures = {item.label: item.residue for item
                 in check_quotient_derivation(theta, generic) if not item.ok}
     expected = {"D preserves the Omega2 relation": "2*beta"}
@@ -186,13 +208,13 @@ def suite_derivations():
                            " residue exactly 2*beta", failures == expected,
                            str(failures)))
 
-    ring10 = QuotientRing(alpha=1, beta=0)
+    ring10 = _ring(1, 0, False)
     found = bounded_inner_search(theta, ring10, degree=4)
     items.append(CheckItem("inner search (degree <= 4) finds no hamiltonian"
                            " form of the scalar derivation on the beta=0"
                            " quotient", found is None, str(found)))
 
-    ring11 = QuotientRing(alpha=1, beta=1)
+    ring11 = _ring(1, 1, False)
     ham = hamiltonian_quotient_images("x3", ring11)
     recovered = bounded_inner_search(ham, ring11, degree=2)
     items.append(CheckItem("inner search recovers x3 from its hamiltonian"
@@ -215,7 +237,7 @@ def suite_centre():
                                                range(1, len(expected))])))
         items.append(CheckItem(label, spans_same_space(basis, expected),
                                f"dimension {len(basis)}"))
-    ring11 = QuotientRing(alpha=1, beta=1)
+    ring11 = _ring(1, 1, False)
     basis = bounded_centre(ring11, 4)
     items.append(CheckItem("quotient centre at degree <= 4 is the scalars",
                            spans_same_space(basis, [ring11.context.one()]),
@@ -234,7 +256,7 @@ def suite_grading():
         got = alg.weights.weight_of(alg.casimirs[name])
         items.append(CheckItem(f"{name} is homogeneous of weight {expected}",
                                got == expected, str(got)))
-    torus = TorusStructure.make(g2.TORUS_MATRIX).structure
+    torus = _torus().structure
     w = WeightVector(torus.context, alg.weights.weights)
     items.append(CheckItem("the same weights grade the target torus table",
                            check_grading(torus, w) is None,

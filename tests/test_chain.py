@@ -135,8 +135,9 @@ class EagerFraction:
         return f"{num} * ({self.den_poly()})^-1"
 
 
-# A chain of its own: inverting generators registers factors in its field.
-PROPERTY_STAGES = builtin_chain()
+# A chain of its own, not the shared one of builtin_chain: inverting
+# generators registers factors in its field.
+PROPERTY_STAGES = run_chain(LOCAL, ALG.ore)
 GENERATORS = st.tuples(st.sampled_from(sorted(PROPERTY_STAGES)), st.integers(1, 6))
 EXPRESSIONS = st.recursive(
     st.tuples(st.sampled_from(["gen", "inverse"]), GENERATORS),
@@ -281,6 +282,21 @@ class TestPowerAndDifference:
 
 
 class TestChain:
+    def test_builtin_chain_runs_once_per_process(self):
+        first, second = builtin_chain(), builtin_chain()
+        assert first is not second
+        assert list(first) == list(second) == [7, 6, 5, 4, 3, 2]
+        assert all(first[level] is second[level] for level in first)
+        assert all(stage is STAGES[level] for level, stage in first.items())
+
+    def test_builtin_chain_result_is_the_callers(self):
+        stages = builtin_chain()
+        del stages[2]
+        stages[7] = None
+        again = builtin_chain()
+        assert list(again) == [7, 6, 5, 4, 3, 2]
+        assert again[7] is STAGES[7] and again[2] is STAGES[2]
+
     def test_level6_formulas_frozen(self):
         expected = {
             1: "X1 - 1/2*X5*X6^-1",

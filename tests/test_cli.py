@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_forge import expr, g2
-from poisson_forge.cli import main
+from poisson_forge.chain import builtin_chain
+from poisson_forge.cli import _emit_reports, main
 from poisson_forge.expr import MAX_INPUT_CHARS, MAX_PRODUCTS, ProductBudget
 from poisson_forge.parse import parse_expr
 from poisson_forge.report import REPORT_SCHEMA, CheckItem, Report
@@ -699,7 +700,6 @@ class TestExitCodes:
             run_cli("eta")
 
     def test_failing_report_exits_one(self):
-        from poisson_forge.cli import _emit_reports
         bad = Report("demo", [CheckItem("broken", False, "x1")])
         out = io.StringIO()
         assert _emit_reports([bad], "text", out) == 1
@@ -777,3 +777,64 @@ class TestReports:
         report = run_suites(["casimir"])[0]
         labels = [item.label for item in report.items]
         assert labels == sorted(labels)
+
+
+class TestBuiltOncePerProcess:
+    """The chain, the suites' rings and the torus are built once per
+    process, on first use; later runs read them again."""
+
+    def test_repeated_runs_give_the_golden_output(self):
+        golden_json = json.loads(GOLDEN_VERIFY_ALL_JSON.read_text())
+        field = builtin_chain()[7].gens[0].field
+        sizes = []
+        for _ in range(3):
+            reports = run_suites(SUITE_NAMES)
+            text, blob = io.StringIO(), io.StringIO()
+            assert _emit_reports(reports, "text", text) == 0
+            assert _emit_reports(reports, "json", blob) == 0
+            assert text.getvalue().encode("utf-8") == GOLDEN_VERIFY_ALL.read_bytes()
+            payload = json.loads(blob.getvalue())
+            for suite in payload["suites"]:
+                suite["seconds"] = 0
+            assert payload == golden_json
+            sizes.append((len(field.factors), len(field._products)))
+        # after the first run the shared chain's field registers no factor
+        # and memoises no product: a long-lived process does not grow
+        assert sizes[0] == sizes[1] == sizes[2]
+
+    def test_chain_after_verify_all_matches_golden_text(self):
+        assert run_cli("verify", "all")[0] == 0
+        code, text = run_cli("chain")
+        assert code == 0
+        assert text.encode("utf-8") == GOLDEN_CHAIN.read_bytes()
+
+    def test_import_builds_nothing(self):
+        # the benchmark's normal-form and centre-search set-ups import the
+        # command line; a chain, ring or torus built at import would add
+        # to each of them.  A profile hook sees every build, whichever
+        # module makes it; the run of verify afterwards shows that it does.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = """if True:
+            import io, os, sys
+            builds = {("chain.py", "run_chain"), ("quotient.py", "__init__"),
+                      ("torus.py", "make")}
+            seen = set()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    where = (os.path.basename(frame.f_code.co_filename),
+                             frame.f_code.co_name)
+                    if where in builds:
+                        seen.add(where)
+            sys.setprofile(profile)
+            from poisson_forge import cli
+            at_import = sorted(seen)
+            cli.main(["verify", "all"], out=io.StringIO())
+            sys.setprofile(None)
+            print(at_import, sorted(seen) == sorted(builds))
+        """
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[] True"
