@@ -46,8 +46,7 @@ from math import factorial
 
 from .expr import ExprError, LaurentPoly, VarContext, divide_exact
 from .g2 import (CHAIN_FORMULAS, CHAIN_STABLE_LEVEL, OMEGA1_LADDER,
-                 OMEGA2_LADDER, TOWER_IDENTITIES, builtin_algebra)
-from .parse import parse_expr
+                 OMEGA2_LADDER, TOWER_IDENTITIES, builtin_algebra, golden_poly)
 from .poisson import MAX_DELTA_POWERS, PoissonOreData, PoissonStructure
 from .report import CheckItem, check_item
 
@@ -329,17 +328,28 @@ def builtin_chain() -> dict[int, ChainStage]:
 
 # -- verification ------------------------------------------------------------
 
-def verify_stage_contract(stage: ChainStage, ore: PoissonOreData) -> list[CheckItem]:
-    """At level j, {X[l,j], X[i,j]} = mu_li X[l,j] X[i,j] for l >= j, i < l."""
+def verify_stage_contract(stage: ChainStage, ore: PoissonOreData,
+                          residues: dict | None = None) -> list[CheckItem]:
+    """At level j, {X[l,j], X[i,j]} = mu_li X[l,j] X[i,j] for l >= j, i < l.
+
+    ``residues``, shared by the stages of one chain over ``ore``, keeps
+    the residue of each pair (l, i) with its two generators.  A chain step
+    keeps the generators it does not change as the same objects, so a
+    pair whose generators are the identical objects is not bracketed
+    again; any other object, equal or not, is."""
+    residues = {} if residues is None else residues
     items = []
     n = len(stage.gens)
     for l in range(max(stage.level, 2), n + 1):
         for i in range(1, l):
-            lhs = stage.gen(l).bracket(stage.gen(i))
-            rhs = ore.mu(l - 1, i - 1) * stage.gen(l) * stage.gen(i)
+            a, b = stage.gen(l), stage.gen(i)
+            known = residues.get((l, i))
+            if known is None or known[0] is not a or known[1] is not b:
+                residue = a.bracket(b) - ore.mu(l - 1, i - 1) * a * b
+                known = residues[l, i] = a, b, residue
             items.append(check_item(
                 f"level {stage.level}: {{X[{l},{stage.level}], X[{i},{stage.level}]}}"
-                f" log-canonical", lhs - rhs))
+                f" log-canonical", known[2]))
     return items
 
 
@@ -371,19 +381,13 @@ _LEVEL_NAMES = tuple(f"X{i}" for i in range(1, 7))
 _LEVEL = VarContext.make(_LEVEL_NAMES, invertible=_LEVEL_NAMES)
 
 
-# Unbounded, but only the golden texts of g2 are read through it; callers
-# read the shared result and never change it.
-@functools.cache
-def _parsed(text: str, context: VarContext) -> LaurentPoly:
-    return parse_expr(text, context)
-
-
 def _evaluate(text: str, context: VarContext, elements):
     """The value of ``text`` with the i-th of ``elements`` put in for the
     i-th variable of ``context``: any elements with ``+``, ``*`` and
-    ``**``.  Each text is parsed once per process and context."""
+    ``**``.  Each text is parsed once per process and context
+    (``g2.golden_poly``)."""
     total = None
-    for exps, coeff in _parsed(text, context).terms.items():
+    for exps, coeff in golden_poly(text, context).terms.items():
         piece = coeff
         for element, e in zip(elements, exps):
             if e:
@@ -432,15 +436,17 @@ _TOWER_NAMES = (*_CHAIN_NAMES, *(f"x{i}" for i in range(1, 7)), "alpha", "beta")
 _TOWER = VarContext.make(_TOWER_NAMES, invertible=_TOWER_NAMES)
 
 
-def verify_localized_identities(ring) -> list[CheckItem]:
+def verify_localized_identities(ring, tower: dict | None = None) -> list[CheckItem]:
     """Each identity of ``g2.TOWER_IDENTITIES`` in the localised quotient
     ``ring``, read from its label and checked as the normal form of the
     numerator of lhs - rhs: the localised quotient is a domain in which
-    the denominators t3, t4 are nonzero."""
-    named = chain_elements(ring)
-    fld = named["t1"].field
-    named.update({f"x{i}": fld.var(f"x{i}") for i in range(1, 7)},
-                 alpha=fld.element(ring.alpha_poly), beta=fld.element(ring.beta_poly))
+    the denominators t3, t4 are nonzero.  ``tower`` is
+    ``chain_elements(ring)``, built here when not given; it is read, not
+    changed."""
+    tower = chain_elements(ring) if tower is None else tower
+    fld = tower["t1"].field
+    named = {**tower, **{f"x{i}": fld.var(f"x{i}") for i in range(1, 7)},
+             "alpha": fld.element(ring.alpha_poly), "beta": fld.element(ring.beta_poly)}
     elements = [named[name] for name in _TOWER.names]
     items = []
     for label in TOWER_IDENTITIES:

@@ -12,8 +12,10 @@ text in the package grammar, written as the package prints it, the
 explicit change-of-variables formulas of the deleting-derivations chain,
 the Omega pullback ladders, the localisation-tower identities (each
 label is the identity it states) and the four quotient rewrite
-identities.  The scalar derivations of the degenerate quotients are
-derived from the weights, signed so that X5 -> X5.
+identities; ``golden_poly`` parses each of these texts once per process
+and context, for the chain and the quotient alike.  The scalar
+derivations of the degenerate quotients are derived from the weights,
+signed so that X5 -> X5.
 """
 
 from __future__ import annotations
@@ -203,6 +205,15 @@ def builtin_scalar_derivation(which: str) -> dict:
     sign = 1 if lam[0] * a + lam[1] * b > 0 else -1
     D = euler_derivation(alg.weights, [sign * c for c in lam])
     return {"images": {name: str(image) for name, image in D.images.items()}}
+
+
+# Unbounded, but only the golden texts below are read through it; callers
+# read the shared result and never change it.
+@functools.cache
+def golden_poly(text: str, context: VarContext) -> LaurentPoly:
+    """``text``, a golden text of this module, parsed in ``context``: each
+    (text, context) is parsed once per process."""
+    return parse_expr(text, context)
 
 
 # The skew-symmetric matrix of the target Poisson affine space, as printed;

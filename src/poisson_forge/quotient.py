@@ -62,6 +62,13 @@ after the unknowns; both searches check their answer through
 ``poisson.derivation_residues`` with each residue reduced modulo the
 ideal.
 
+A reduction that passes ``MAX_TERMS`` terms or ``MAX_REWRITES``
+rewritten monomials raises ``WorkLimitError``, so hostile input ends in
+bounded time as well as bounded memory.  ``check_casimirs`` reads the
+golden texts of ``g2.REWRITE_IDENTITIES`` through ``g2.golden_poly``,
+which parses each once per process and context, as the chain reads its
+formulas.
+
 A ``QuotientElement`` is an element of the quotient, its polynomial in
 normal form.  The localisation tower t1..t6 lives beside the chain
 (``chain.chain_elements``), which reads the localised ring through
@@ -80,7 +87,7 @@ from operator import mul
 
 from .expr import (ExprError, LaurentPoly, VarContext, WorkLimitError,
                    accumulate, rational)
-from .g2 import REWRITE_IDENTITIES, builtin_algebra
+from .g2 import REWRITE_IDENTITIES, builtin_algebra, golden_poly
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
 from .poisson import (DerivationSpec, ExponentPacking, PoissonStructure,
@@ -98,6 +105,14 @@ QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 # filling memory.  The lowest weights past it, x3^50001 and x4^33334 with
 # alpha = beta = 0, need more than MAX_TERMS terms too.
 MAX_TERMS = 100_000
+# The most monomials one normal form may rewrite, counted and checked once
+# per weight bucket, before the bucket is rewritten: the weight bound
+# keeps memory bounded but not time.  With alpha = beta = 0,
+# `nf "x4^20000*x4^13333"` stays under MAX_TERMS terms for 1.9 million
+# rewrites (about 15 s); the budget stops it after about 1.8 s (Python
+# 3.11 on a 2-core Xeon).  `nf x3^40` rewrites 161137 monomials, and
+# `nf "(x3*x4*x3*x4*x3*x4)^9"` passes MAX_TERMS terms after 209971.
+MAX_REWRITES = 300_000
 _AMBIENT_TO_QUOTIENT = {f"X{i}": f"x{i}" for i in range(1, 7)}
 
 
@@ -285,7 +300,8 @@ class QuotientRing:
         term that lowers the weight by d >= 1 lands d levels down, so the
         rule carries it as the integer c * R^d and a rewrite adds n times
         that to the target's numerator, with no rescaling.  Past
-        ``MAX_TERMS`` terms, checked once per bucket, it raises
+        ``MAX_TERMS`` terms or ``MAX_REWRITES`` rewritten monomials (each
+        entry of a bucket counts), both checked once per bucket, it raises
         ``WorkLimitError``.
         """
         _, rule3, rule4 = rules
@@ -293,6 +309,7 @@ class QuotientRing:
         bias, mask = packing.bias, (1 << packing.width) - 1
         off3, off4 = packing.offsets[self._i3], packing.offsets[self._i4]
         buckets: list[list] = [[] for _ in range(top + 1)]
+        steps = 0
         for k in terms:
             a = ((k >> off3) & mask) - bias
             b = ((k >> off4) & mask) - bias
@@ -303,6 +320,10 @@ class QuotientRing:
             if len(terms) > MAX_TERMS:
                 raise WorkLimitError(f"normal form needs more than {MAX_TERMS}"
                                      " terms")
+            steps += len(buckets[w])
+            if steps > MAX_REWRITES:
+                raise WorkLimitError(f"normal form needs more than {MAX_REWRITES}"
+                                     " rewrite steps")
             for k, a, b in buckets[w]:
                 n = terms.pop(k, None)
                 if n is None:
@@ -478,8 +499,8 @@ def check_casimirs(ring: QuotientRing) -> list[CheckItem]:
                    ring.normal_form(ring.casimir2) - ring.normal_form(ring.beta_poly)),
     ]
     for name, rhs in REWRITE_IDENTITIES.items():
-        residue = ring.normal_form(parse_expr(name, ring.context)
-                                   - parse_expr(rhs, ring.context))
+        residue = ring.normal_form(golden_poly(name, ring.context)
+                                   - golden_poly(rhs, ring.context))
         items.append(check_item(f"identity {name} reduces to 0", residue))
     return items
 

@@ -8,11 +8,18 @@ The torus suite is the only randomized one; it is seeded and reproducible.
 The built-in objects the suites share are built once per process, each on
 its first use and none at import: the chain (``chain.builtin_chain``),
 every ``QuotientRing``, one per (alpha, beta, localized) through
-``_ring``, and the torus of ``g2.TORUS_MATRIX`` (``_torus``).  Their
+``_ring``, the localisation tower of the localised symbolic ring
+(``_tower``) and the torus of ``g2.TORUS_MATRIX`` (``_torus``).  Their
 cached tables (bracket tables by position, packed rewrite rules per
-field width, the torus bracket) persist with them, so a second run of
-the suites in one process rebuilds none of them.  The suites read these
-objects and never change them.
+field width, the tower's registered factors, the torus bracket) persist
+with them, and every golden text is parsed once (``g2.golden_poly``), so
+a second run of the suites in one process rebuilds and parses none of
+them.  The suites read these objects and never change them; a library
+caller of ``chain_elements`` or ``verify_localized_identities`` still
+gets a tower of its own.  ``pdda`` brackets each pair of chain
+generators once: a step keeps the generators it does not change as the
+same objects, and ``verify_stage_contract`` reuses a pair's residue
+across the stages only for those identical objects.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ import time
 from fractions import Fraction
 
 from . import g2
-from .chain import (builtin_chain, verify_central_ladders, verify_chain_formulas,
+from .chain import (FractionElement, builtin_chain, chain_elements,
+                    verify_central_ladders, verify_chain_formulas,
                     verify_centrality, verify_localized_identities,
                     verify_stage_contract, verify_torus_relations)
 from .expr import LaurentPoly
@@ -46,6 +54,12 @@ TORUS_ROUNDS = 100
 def _ring(alpha, beta, localized: bool) -> QuotientRing:
     """The suites' one ring per exact (alpha, beta, localized)."""
     return QuotientRing(alpha, beta, localized)
+
+
+@functools.cache
+def _tower() -> dict[str, FractionElement]:
+    """The localisation tower of the suites' localised symbolic ring."""
+    return chain_elements(_ring("symbolic", "symbolic", True))
 
 
 @functools.cache
@@ -106,8 +120,9 @@ def suite_pdda():
         items.append(CheckItem(label, False, str(err)))
     items += verify_chain_formulas(stages)
     items += verify_torus_relations(stages[2], g2.TORUS_MATRIX, alg.ore)
+    residues: dict = {}  # each generator pair bracketed once per chain
     for stage in stages.values():
-        items += verify_stage_contract(stage, alg.ore)
+        items += verify_stage_contract(stage, alg.ore, residues)
     return items
 
 
@@ -125,7 +140,7 @@ def suite_quotient():
 
 
 def suite_localization():
-    return verify_localized_identities(_ring("symbolic", "symbolic", True))
+    return verify_localized_identities(_ring("symbolic", "symbolic", True), _tower())
 
 
 def suite_torus(seed: int = DEFAULT_SEED):

@@ -177,8 +177,11 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposit
                     f" ({torus.names[x]}, {torus.names[y]}):"
                     f" {lhs} != {rhs}; not a Poisson derivation")
         gamma_terms[g] = Fraction(a_y.numerator * torus.den, scale_y)
-    gamma = LaurentPoly(ctx, gamma_terms)
-    theta = {name: LaurentPoly(ctx, terms)
+    # every coefficient is nonzero (D's own, or c_g with a_y != 0, as the
+    # check above fails on a_y = 0), and every monomial is valid on the
+    # torus, whose generators are all invertible
+    gamma = LaurentPoly._of(ctx, gamma_terms)
+    theta = {name: LaurentPoly._of(ctx, terms)
              for name, terms in theta_terms.items()}
     return Decomposition(gamma, theta)
 

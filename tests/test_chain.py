@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from poisson_forge import chain, g2
+from poisson_forge import chain, g2, suites
 from poisson_forge.chain import (ChainStage, FractionElement, FractionField,
                                  TruncationError, builtin_chain,
                                  chain_elements, chain_step,
@@ -174,6 +174,28 @@ def divisions(monkeypatch):
 
     monkeypatch.setattr(chain, "divide_exact", counted)
     return calls
+
+
+@pytest.fixture
+def brackets(monkeypatch):
+    """The (self, other) of every FractionElement.bracket call."""
+    calls = []
+    bracket = FractionElement.bracket
+
+    def counted(self, other):
+        calls.append((self, other))
+        return bracket(self, other)
+
+    monkeypatch.setattr(FractionElement, "bracket", counted)
+    return calls
+
+
+def chain_contract(stages):
+    """Every stage's contract with one residue table, as suite_pdda
+    checks the chain."""
+    residues: dict = {}
+    return [item for stage in stages.values()
+            for item in verify_stage_contract(stage, ALG.ore, residues)]
 
 
 class TestCancellationOnRead:
@@ -403,6 +425,44 @@ class TestChain:
             " - 8/3*X2*X3*X5^5*X6^-2 + 8*X3^3*X5^4*X6^-2)"
             " * (X4^2 - 4/3*X4*X5^3*X6^-1 + 4/9*X5^6*X6^-2)^-1")
         assert failing["level 4: {X[6,4], X[5,4]} log-canonical"] == "2*X3 + 2*X1*X5"
+
+    def test_chain_contract_brackets_each_pair_once(self, brackets):
+        # a chain step keeps the generators it does not change as the same
+        # objects, so the 55 contract items of the chain hold 25 distinct
+        # generator pairs, each bracketed once
+        items = chain_contract(STAGES)
+        assert len(items) == 55 and all(ok for _, ok, _ in items)
+        assert len(brackets) == 25
+
+    def test_pdda_brackets_each_contract_pair_once(self, brackets):
+        # its 25 contract pairs and the 15 torus relations of level 2
+        items = suites.suite_pdda()
+        assert sum(label.endswith("log-canonical") for label, _, _ in items) == 55
+        assert len(brackets) == 25 + 15
+
+    def test_swapped_generator_fails_at_its_level(self, brackets):
+        # negative control: X[6,4] + X1, a new object, in place of X[6,4]
+        # at level 4 alone.  Its pairs (6, 3..5), bracketed at the levels above,
+        # are bracketed again at level 4 and fail there with (6, 1..2);
+        # level 3 holds the chain's own X[6,4] again, so its pairs
+        # (6, 2..5) are bracketed again too, and levels 3 and 2 pass
+        fld = STAGES[4].gens[0].field
+        stages = dict(STAGES)
+        stages[4] = ChainStage(4, STAGES[4].gens[:5] + (STAGES[4].gen(6) + fld.var("X1"),))
+        failing = sorted(label for label, ok, _ in chain_contract(stages) if not ok)
+        assert failing == [f"level 4: {{X[6,4], X[{i},4]}} log-canonical"
+                           for i in range(1, 6)]
+        assert len(brackets) == 25 + 3 + 4
+
+    def test_equal_new_generator_is_bracketed_again(self, brackets):
+        # a residue is reused only for the identical objects: X[1,2] + 0 is
+        # equal to X[1,2] but a new object, so its pairs (3..6, 1), which
+        # level 3 bracketed, are bracketed again at level 2, and they pass
+        stages = dict(STAGES)
+        stages[2] = ChainStage(2, (STAGES[2].gen(1) + 0,) + STAGES[2].gens[1:])
+        assert stages[2].gen(1) is not STAGES[2].gen(1)
+        assert all(ok for _, ok, _ in chain_contract(stages))
+        assert len(brackets) == 25 + 4
 
     def test_mutated_chain_fails_torus_relations(self):
         # Propagating the dropped term through the explicit formulas gives

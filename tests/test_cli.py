@@ -480,6 +480,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: normal form needs more than {MAX_TERMS} terms")
 
+    def test_long_rewrite_is_usage_error(self, capsys):
+        # weight 100000, at the weight limit: with alpha = beta = 0 the
+        # terms stay under MAX_TERMS for over 5 million rewrites (about
+        # 20 s); the rewrite budget refuses it after MAX_REWRITES
+        from poisson_forge.quotient import MAX_REWRITES
+        code, _ = run_cli("nf", "x3^20000*x3^20000*x3^10000",
+                          "--alpha", "0", "--beta", "0")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: normal form needs more than {MAX_REWRITES} rewrite steps\n")
+
     @pytest.mark.parametrize("argv", [["nf", "-x1"], ["bracket", "-X1", "X2"]],
                              ids=["nf", "bracket"])
     def test_expression_with_leading_minus(self, argv, capsys):
@@ -780,8 +791,8 @@ class TestReports:
 
 
 class TestBuiltOncePerProcess:
-    """The chain, the suites' rings and the torus are built once per
-    process, on first use; later runs read them again."""
+    """The chain, the suites' rings, their tower and the torus are built
+    once per process, on first use; later runs read them again."""
 
     def test_repeated_runs_give_the_golden_output(self):
         golden_json = json.loads(GOLDEN_VERIFY_ALL_JSON.read_text())
@@ -802,6 +813,32 @@ class TestBuiltOncePerProcess:
         # and memoises no product: a long-lived process does not grow
         assert sizes[0] == sizes[1] == sizes[2]
 
+    def test_second_run_parses_nothing_and_registers_nothing(self):
+        # every golden text is parsed once per process (g2.golden_poly)
+        # and the suites' tower is built once: a second run of pl2 and
+        # localization parses no expression, whichever module asks, and
+        # the tower's field registers no factor and memoises no product
+        from poisson_forge import suites
+        run_suites(SUITE_NAMES)
+        field = suites._tower()["t1"].field
+        before = (len(field.factors), len(field._products))
+        parses = []
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "parse_expr"
+                    and Path(frame.f_code.co_filename).name == "parse.py"):
+                parses.append(frame.f_back.f_code.co_name)
+        sys.setprofile(profile)
+        try:
+            reports = run_suites(["pl2", "localization"])
+        finally:
+            sys.setprofile(None)
+        assert [(report.suite, report.ok) for report in reports] == [
+            ("pl2", True), ("localization", True)]
+        assert parses == []
+        assert suites._tower()["t1"].field is field
+        assert (len(field.factors), len(field._products)) == before
+
     def test_chain_after_verify_all_matches_golden_text(self):
         assert run_cli("verify", "all")[0] == 0
         code, text = run_cli("chain")
@@ -810,14 +847,14 @@ class TestBuiltOncePerProcess:
 
     def test_import_builds_nothing(self):
         # the benchmark's normal-form and centre-search set-ups import the
-        # command line; a chain, ring or torus built at import would add
+        # command line; a chain, tower, ring or torus built at import would add
         # to each of them.  A profile hook sees every build, whichever
         # module makes it; the run of verify afterwards shows that it does.
         src = Path(__file__).resolve().parent.parent / "src"
         code = """if True:
             import io, os, sys
-            builds = {("chain.py", "run_chain"), ("quotient.py", "__init__"),
-                      ("torus.py", "make")}
+            builds = {("chain.py", "run_chain"), ("chain.py", "chain_elements"),
+                      ("quotient.py", "__init__"), ("torus.py", "make")}
             seen = set()
 
             def profile(frame, event, arg):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from poisson_forge import chain, g2, quotient
 from poisson_forge.chain import (chain_elements, verify_centrality,
                                  verify_localized_identities)
-from poisson_forge.expr import ExprError, LaurentPoly, VarContext
+from poisson_forge.expr import ExprError, LaurentPoly, VarContext, WorkLimitError
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
                                    PoissonStructure, WeightVector, field_width,
@@ -168,6 +168,17 @@ class TestNormalForm:
         # peak of the rewrite, under MAX_TERMS
         ring = QuotientRing(alpha=1, beta=1, localized=True)
         assert len(ring.normal_form("x3^40").terms) == 52965 < MAX_TERMS
+
+    def test_rewrite_budget_counts_rewritten_monomials(self, monkeypatch):
+        # x3^12 on the symbolic ring rewrites 678 monomials: a budget of
+        # 678 lets it through, one less refuses it, deterministically
+        expected = nf("x3^12")
+        monkeypatch.setattr(quotient, "MAX_REWRITES", 678)
+        assert nf("x3^12") == expected
+        monkeypatch.setattr(quotient, "MAX_REWRITES", 677)
+        with pytest.raises(WorkLimitError,
+                           match="^normal form needs more than 677 rewrite steps$"):
+            nf("x3^12")
 
     def test_uppercase_aliases_accepted(self):
         assert nf("X3^2") == SYM.rewrite_x3
@@ -468,8 +479,8 @@ class TestLocalizedTower:
         def counting(*args, **kwargs):
             calls.append(args[0])
             return parse_expr(*args, **kwargs)
-        monkeypatch.setattr(chain, "parse_expr", counting)
-        chain._parsed.cache_clear()
+        monkeypatch.setattr(g2, "parse_expr", counting)
+        g2.golden_poly.cache_clear()
         items = verify_localized_identities(QuotientRing(localized=True))
         assert all(ok for _, ok, _ in items)
         assert sorted(calls) == sorted(set(calls))
