@@ -333,29 +333,45 @@ def verify_stage_contract(stage: ChainStage, ore: PoissonOreData,
     """At level j, {X[l,j], X[i,j]} = mu_li X[l,j] X[i,j] for l >= j, i < l.
 
     ``residues``, shared by the stages of one chain over ``ore``, keeps
-    the residue of each pair (l, i) with its two generators.  A chain step
-    keeps the generators it does not change as the same objects, so a
-    pair whose generators are the identical objects is not bracketed
-    again; any other object, equal or not, is."""
+    the bracket and the residue of each pair (l, i) with its two
+    generators.  A chain step keeps the generators it does not change as
+    the same objects, so a pair whose generators are the identical
+    objects is not bracketed again; any other object, equal or not, is."""
     residues = {} if residues is None else residues
     items = []
     n = len(stage.gens)
     for l in range(max(stage.level, 2), n + 1):
         for i in range(1, l):
-            a, b = stage.gen(l), stage.gen(i)
-            known = residues.get((l, i))
-            if known is None or known[0] is not a or known[1] is not b:
-                residue = a.bracket(b) - ore.mu(l - 1, i - 1) * a * b
-                known = residues[l, i] = a, b, residue
+            residue = _contract_pair(stage, l, i, ore, residues)[3]
             items.append(check_item(
                 f"level {stage.level}: {{X[{l},{stage.level}], X[{i},{stage.level}]}}"
-                f" log-canonical", known[2]))
+                f" log-canonical", residue))
     return items
 
 
-def verify_torus_relations(stage2: ChainStage, matrix,
-                           ore: PoissonOreData) -> list[CheckItem]:
-    """{T_i, T_j} = M[i][j] T_i T_j for all 15 pairs, and M matches sigma."""
+def _contract_pair(stage: ChainStage, l: int, i: int, ore: PoissonOreData,
+                   residues: dict) -> tuple:
+    """(X[l], X[i], {X[l], X[i]}, {X[l], X[i]} - mu_li X[l] X[i]) at
+    ``stage``, read from ``residues`` when it holds these very
+    generators, else bracketed and kept there."""
+    a, b = stage.gen(l), stage.gen(i)
+    known = residues.get((l, i))
+    if known is None or known[0] is not a or known[1] is not b:
+        bracket = a.bracket(b)
+        known = residues[l, i] = (a, b, bracket,
+                                  bracket - ore.mu(l - 1, i - 1) * a * b)
+    return known
+
+
+def verify_torus_relations(stage2: ChainStage, matrix, ore: PoissonOreData,
+                           residues: dict | None = None) -> list[CheckItem]:
+    """{T_i, T_j} = M[i][j] T_i T_j for all 15 pairs, and M matches sigma.
+
+    {T_i, T_j} is minus the contract's bracket {T_j, T_i} of level 2,
+    read from ``residues`` (see ``verify_stage_contract``) when it holds
+    these very generators, else bracketed and kept there; each item
+    subtracts the matrix's own entry."""
+    residues = {} if residues is None else residues
     items = []
     n = len(stage2.gens)
     mismatches = [f"({i + 1},{j + 1}): {matrix[i][j]} != {ore.mu(i, j)}"
@@ -365,7 +381,7 @@ def verify_torus_relations(stage2: ChainStage, matrix,
                            "0" if not mismatches else "; ".join(mismatches)))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            lhs = stage2.gen(i).bracket(stage2.gen(j))
+            lhs = -_contract_pair(stage2, j, i, ore, residues)[2]
             rhs = Fraction(matrix[i - 1][j - 1]) * stage2.gen(i) * stage2.gen(j)
             items.append(check_item(
                 f"{{T{i}, T{j}}} = {matrix[i - 1][j - 1]}*T{i}*T{j}", lhs - rhs))

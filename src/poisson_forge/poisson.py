@@ -18,7 +18,9 @@ With g a generator x_g the formula needs only the table entries b_vg:
     {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v,
 
 so ``generator_brackets(f)`` gives {f, x_g} for every g from one pass
-over the terms of f, and ``bracket_rows`` the same for basis monomials.
+over the terms of f, and ``bracket_rows`` the same for basis monomials,
+for every g or for the slots of a Poisson generating set
+(``generating_slots``), whose brackets decide centrality.
 
 Jacobi and Poisson-derivation checking run on generators only: the
 Jacobiator of a biderivation-extended bracket is a tri-derivation, and the
@@ -131,19 +133,60 @@ class PoissonStructure:
                 table[j].append((slot[i], tuple(map(add, shift, unit[i])), -n))
         return tuple(map(tuple, table))
 
-    def _by_variable(self, packing: ExponentPacking) -> tuple:
-        """``_by_position`` with each shift packed, the slot in its low bits."""
-        return tuple(tuple((packing.shift(shift) + g, n) for g, shift, n in terms)
+    def _by_variable(self, packing: ExponentPacking, slots) -> tuple:
+        """``_by_position`` with each shift packed, the slot in its low
+        bits, and the terms of every slot not in ``slots`` (None for all)
+        left out."""
+        return tuple(tuple((packing.shift(shift) + g, n) for g, shift, n in terms
+                           if slots is None or g in slots)
                      for terms in self._by_position)
 
-    def monomial_brackets(self, monomials,
-                          packing: ExponentPacking) -> list[dict[int, int]]:
+    @cached_property
+    def generating_slots(self) -> tuple[int, ...]:
+        """The generator slots of a smallest Poisson generating set, found
+        on first use.
+
+        x_k is reached from x_i and x_j when their entry is
+        {x_i, x_j} = c*x_k + r, c a nonzero rational and r free of every
+        generator not yet reached.  The set is the first smallest subset,
+        in ``combinations`` order, whose closure under this rule reaches
+        every generator, and all slots when the table fails Jacobi.  With
+        Jacobi, {f, -} is a derivation of the bracket, so
+        {f, x_k} = {f, {x_i, x_j}} - {f, r} over c is zero once {f, -}
+        kills x_i, x_j and the generators of r: an f whose brackets with
+        the set vanish is central.  The same holds modulo an ideal I with
+        {I, -} inside I, such as one generated by Casimirs minus
+        constants."""
+        gens = self.context.generators()
+        everything = tuple(range(len(gens)))
+        if check_jacobi(self) is not None:
+            return everything
+        unit = {tuple(int(v == pos) for v in range(self.context.rank)): pos
+                for pos in gens}
+        # (k, the generators x_k needs: x_i, x_j and those of r) per term
+        # c*x_k of an entry
+        rules = [(unit[m], {i, j} | {v for mm in value.terms if mm != m
+                                     for v in gens if mm[v]})
+                 for (i, j), value in self.table.items()
+                 for m in value.terms if m in unit]
+        for size in range(1, len(gens)):
+            for subset in combinations(everything, size):
+                reached = {gens[g] for g in subset}
+                for _ in gens:  # each pass reaches one more generator or none
+                    reached |= {k for k, needed in rules if needed <= reached}
+                if len(reached) == len(gens):
+                    return subset
+        return everything
+
+    def monomial_brackets(self, monomials, packing: ExponentPacking,
+                          slots=None) -> list[dict[int, int]]:
         """For each exponent vector m, {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v
-        for every generator slot g at once, as {row key: integer numerator
-        over ``_den``}, the row key ``packing.key(g, m'')`` of each image
-        monomial m''; an entry may be zero where terms cancel.  Each image
-        term is one integer add to the packed key of m."""
-        table = self._by_variable(packing)
+        for every generator slot g in ``slots`` (None for all) at once, as
+        {row key: integer numerator over ``_den``}, the row key
+        ``packing.key(g, m'')`` of each image monomial m''; an entry may be
+        zero where terms cancel.  Each image term is one integer add to the
+        packed key of m."""
+        table = self._by_variable(packing, slots)
         out = []
         for m in monomials:
             key = packing.key(0, m)
@@ -156,17 +199,17 @@ class PoissonStructure:
             out.append(image)
         return out
 
-    def bracket_rows(self, degree: int):
+    def bracket_rows(self, degree: int, slots=None):
         """The basis monomials of degree <= d, the matrix of
-        f -> ({f, x_1}, ..., {f, x_n}) on their span as integer rows
-        row key -> {monomial index: numerator}, the scale of a row (its
-        entries over ``scale(key)`` are the coefficients) and ``key(g, m)``,
-        the row key of generator slot g and exponent vector m.  Here every
-        row has the one scale ``_den``."""
+        f -> ({f, x_g} for g in ``slots``, None for all generator slots) on
+        their span as integer rows row key -> {monomial index: numerator},
+        the scale of a row (its entries over ``scale(key)`` are the
+        coefficients) and ``key(g, m)``, the row key of generator slot g
+        and exponent vector m.  Here every row has the one scale ``_den``."""
         monomials = list(self.basis_monomials(degree))
         packing = ExponentPacking(self.context, max(degree, 0) + self._shift_reach)
         rows: dict[int, dict[int, int]] = {}
-        images = self.monomial_brackets(monomials, packing)
+        images = self.monomial_brackets(monomials, packing, slots)
         for idx, image in enumerate(images):
             for mm, n in image.items():
                 if n:

@@ -30,13 +30,27 @@ otherwise; coefficients are polynomials in the parameters alpha, beta
 A numeric or symbolic ``QuotientRing`` and an ambient ``PoissonStructure``
 serve one bracket protocol: ``context``, ``bracket(f, g)``,
 ``generator_brackets(f)`` (every {f, x_g} from one pass),
-``basis_monomials(degree)`` and ``bracket_rows(degree)``.
-``bounded_centre``, ``bounded_inner_search`` and
+``basis_monomials(degree)``, ``bracket_rows(degree, slots)`` and
+``generating_slots``.  ``bounded_centre``, ``bounded_inner_search`` and
 ``poisson.hamiltonian_derivation`` are written against it, so each runs
 unchanged on the ambient algebra (no reduction) and on the quotient
-(brackets reduced to normal form).  ``bracket_rows(degree)`` returns
-``(monomials, rows, scale, key)``: the matrix of
-f -> ({f, x_1}, ..., {f, x_n}) on the basis monomials (exponent tuples;
+(brackets reduced to normal form).
+
+The searches build their rows for a Poisson generating set only,
+``generating_slots``: x1 and x6 on the built-in table, as
+{x1,x6} = -3x1x6 + 3x5 gives x5, {x1,x5} gives x3, {x1,x3} gives x2 and
+{x3,x5} gives x4.  With Jacobi, {f, -} is a derivation of the bracket,
+so {f, x1} = {f, x6} = 0 gives {f, x_k} = 0 for every generator they
+reach; in the quotient too, as the Casimirs are central, so the ideal
+I of the relations has {I, -} inside I.  So the rows of x1 and x6 have
+the kernel of all the rows: the centre in degree <= d, and so one row
+space, one RREF, one null-space basis and one pinned solution.  The
+ring reads the set off the built-in algebra's structure, which holds
+the same table, once per process and on first use.
+
+``bracket_rows(degree, slots)`` returns ``(monomials, rows, scale,
+key)``: the matrix of f -> ({f, x_g} for g in ``slots``, every generator
+by default) on the basis monomials (exponent tuples;
 polynomials are built only for the results), built in one integer pass
 per monomial, as rows keyed by opaque packed keys.  A key
 is one integer that holds a generator slot and an exponent vector
@@ -57,7 +71,10 @@ the inner search multiplies each rhs entry by its row's scale.  The
 centre loads its rows into ``LinearSystem.from_rows`` as they are, the
 inner search (``linalg.solve``) with the scaled rhs as one more column
 after the unknowns; both searches check their answer through
-``bracket``.  Derivations are
+``bracket`` on all six generators, and an inner-search answer that
+fails only on generators other than x1 and x6 means that D is not inner
+in that degree.
+Derivations are
 ``DerivationSpec``s over the ring's context, checked by
 ``poisson.derivation_residues`` with each residue reduced modulo the
 ideal.
@@ -146,6 +163,7 @@ class QuotientRing:
         table = {key: value.into(ctx, _AMBIENT_TO_QUOTIENT)
                  for key, value in algebra.structure.table.items()}
         self.structure = PoissonStructure(ctx, table)
+        self._ambient = algebra.structure  # the same table, over X1..X6
         self.casimir1 = algebra.casimirs["Omega1"].into(ctx, _AMBIENT_TO_QUOTIENT)
         self.casimir2 = algebra.casimirs["Omega2"].into(ctx, _AMBIENT_TO_QUOTIENT)
         self._i3 = ctx.index("x3")
@@ -369,7 +387,15 @@ class QuotientRing:
             for i, j, k, l in exponents_up_to(4, degree - e1 - e2):
                 yield (i, j, e1, e2, k, l, 0, 0)
 
-    def bracket_rows(self, degree: int):
+    @property
+    def generating_slots(self) -> tuple[int, ...]:
+        """``PoissonStructure.generating_slots`` of the built-in algebra,
+        whose table this ring's structure holds; it is found once per
+        process, on first use, and holds for the quotient too, as the
+        Casimirs are central."""
+        return self._ambient.generating_slots
+
+    def bracket_rows(self, degree: int, slots=None):
         """``PoissonStructure.bracket_rows`` over the quotient basis, each
         bracket reduced to normal form.
 
@@ -398,7 +424,7 @@ class QuotientRing:
         s = structure._shift_reach
         packing, rules = self._packed(max(degree, 0) + s
                                       + 5 * (1 + s) * self._growth)
-        images = structure.monomial_brackets(monomials, packing)
+        images = structure.monomial_brackets(monomials, packing, slots)
         # x4 follows x3 in the context, so one mask reads both exponents
         low, mask = packing.offsets[i3], (1 << 2 * packing.width) - 1
         # the key of x3^a x4^b less its (a, b) code
@@ -551,18 +577,27 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
     total degree <= degree; constant term pinned to zero.  Returns the
     canonical solution or None when the system is infeasible.
 
-    Each equation is the row of ``ring.bracket_rows`` with its rhs times
-    the row's scale, which leaves the solutions as they are; only the
-    rows of the rhs monomials have a nonzero rhs, so only those are
-    scaled.  An rhs monomial that no row reaches makes the system
-    infeasible.
+    The equations are those of the generators of ``ring.generating_slots``
+    only, x1 and x6 (see ``bounded_centre``).  Each is the row of
+    ``ring.bracket_rows`` with its rhs times the row's scale, which leaves
+    the solutions as they are; only the rows of the rhs monomials have a
+    nonzero rhs, so only those are scaled.  An rhs monomial that no row
+    reaches makes the system infeasible.  Two solutions of these
+    equations differ by an element whose brackets with x1 and x6 vanish,
+    a central one, so all of them have one Hamiltonian; when the system
+    of all six generators is feasible, both systems have the same
+    solutions and so the same unique RREF and canonical solution.  The
+    solution is checked through ``bracket`` on all six generators: a
+    mismatch on x1 or x6 is an internal error, and one only on another
+    generator means that D is not Hamiltonian in this degree (None).
     """
     if ring.alpha is None or ring.beta is None:
         raise ExprError("the inner search needs numeric parameters")
-    monomials, rows, scale, key = ring.bracket_rows(degree)
+    slots = ring.generating_slots
+    monomials, rows, scale, key = ring.bracket_rows(degree, slots)
     images = {name: ring.normal_form(D.images[name]) for name in QUOTIENT_NAMES}
-    rhs = {key(gi, m): c for gi, name in enumerate(QUOTIENT_NAMES)
-           for m, c in images[name].terms.items()}
+    rhs = {key(g, m): c for g in slots
+           for m, c in images[QUOTIENT_NAMES[g]].terms.items()}
     if not rhs.keys() <= rows.keys():
         return None
     rhs = {k: c * scale(k) for k, c in rhs.items()}
@@ -571,11 +606,12 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
     if solution is None:
         return None
     x = _combine(ring.context, solution, monomials)
-    if any(ring.bracket(x, ring.context.var(name)) != images[name]
-           for name in QUOTIENT_NAMES):
+    mismatched = {g for g, name in enumerate(QUOTIENT_NAMES)
+                  if ring.bracket(x, ring.context.var(name)) != images[name]}
+    if not mismatched.isdisjoint(slots):
         raise RuntimeError("bracket_rows disagrees with bracket:"
                            " ham_x differs from D")
-    return x
+    return None if mismatched else x
 
 
 def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
@@ -583,12 +619,17 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
 
     Accepts either an ambient PoissonStructure (polynomial ring, no
     reduction) or a numeric QuotientRing (brackets reduced to normal form).
-    The rows come from ``bracket_rows``, each scaled by a nonzero constant,
-    which leaves the kernel as it is; every basis element is checked to be
-    central through ``bracket``.
+    The rows come from ``bracket_rows`` for the generators of
+    ``generating_slots`` only (x1 and x6 on the built-in table), each
+    scaled by a nonzero constant, which leaves the kernel as it is: an f
+    whose brackets with a Poisson generating set vanish is central.  The
+    kernel, and with it the unique RREF of the rows and the null-space
+    basis, is the one of all the rows.  Every basis element is checked to
+    be central through ``bracket`` on every generator.
     """
     ctx = structure_or_ring.context
-    monomials, rows, *_ = structure_or_ring.bracket_rows(degree)
+    monomials, rows, *_ = structure_or_ring.bracket_rows(
+        degree, structure_or_ring.generating_slots)
     system = LinearSystem.from_rows(rows.values())
     basis = [_combine(ctx, vec, monomials)
              for vec in system.null_space(len(monomials))]

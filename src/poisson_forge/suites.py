@@ -18,8 +18,9 @@ them.  The suites read these objects and never change them; a library
 caller of ``chain_elements`` or ``verify_localized_identities`` still
 gets a tower of its own.  ``pdda`` brackets each pair of chain
 generators once: a step keeps the generators it does not change as the
-same objects, and ``verify_stage_contract`` reuses a pair's residue
-across the stages only for those identical objects.
+same objects, and ``verify_stage_contract`` reuses a pair's bracket and
+residue across the stages only for those identical objects; the torus
+relations of level 2 read the brackets the contract made there.
 """
 
 from __future__ import annotations
@@ -119,11 +120,12 @@ def suite_pdda():
     except EtaError as err:
         items.append(CheckItem(label, False, str(err)))
     items += verify_chain_formulas(stages)
-    items += verify_torus_relations(stages[2], g2.TORUS_MATRIX, alg.ore)
     residues: dict = {}  # each generator pair bracketed once per chain
-    for stage in stages.values():
-        items += verify_stage_contract(stage, alg.ore, residues)
-    return items
+    contract = [item for stage in stages.values()
+                for item in verify_stage_contract(stage, alg.ore, residues)]
+    # the torus relations read the level-2 brackets the contract made
+    items += verify_torus_relations(stages[2], g2.TORUS_MATRIX, alg.ore, residues)
+    return items + contract
 
 
 def suite_pullback():

@@ -435,10 +435,23 @@ class TestChain:
         assert len(brackets) == 25
 
     def test_pdda_brackets_each_contract_pair_once(self, brackets):
-        # its 25 contract pairs and the 15 torus relations of level 2
+        # its 25 contract pairs; the 15 torus relations of level 2 read
+        # the contract's brackets of the same generators
         items = suites.suite_pdda()
         assert sum(label.endswith("log-canonical") for label, _, _ in items) == 55
-        assert len(brackets) == 25 + 15
+        assert len(brackets) == 25
+
+    def test_pdda_wrong_matrix_entry_fails_its_torus_item(self, brackets, monkeypatch):
+        # negative control: the torus items subtract the matrix's own
+        # entry from the contract's bracket, so one wrong entry of
+        # TORUS_MATRIX fails its item and the comparison with sigma
+        matrix = [list(row) for row in g2.TORUS_MATRIX]
+        matrix[0][1] += 1
+        matrix[1][0] -= 1
+        monkeypatch.setattr(g2, "TORUS_MATRIX", matrix)
+        failing = [label for label, ok, _ in suites.suite_pdda() if not ok]
+        assert failing == ["matrix matches the sigma table", "{T1, T2} = 4*T1*T2"]
+        assert len(brackets) == 25
 
     def test_swapped_generator_fails_at_its_level(self, brackets):
         # negative control: X[6,4] + X1, a new object, in place of X[6,4]

@@ -22,9 +22,10 @@ from poisson_forge.chain import (chain_elements, verify_centrality,
                                  verify_localized_identities)
 from poisson_forge.expr import ExprError, LaurentPoly, VarContext, WorkLimitError
 from poisson_forge.parse import parse_expr
+from poisson_forge.linalg import solve
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
-                                   PoissonStructure, WeightVector, field_width,
-                                   hamiltonian_derivation)
+                                   PoissonStructure, WeightVector, check_jacobi,
+                                   field_width, hamiltonian_derivation)
 from poisson_forge.quotient import (MAX_TERMS, QuotientElement, QuotientRing,
                                     bounded_centre, bounded_inner_search,
                                     check_casimirs, check_quotient_derivation,
@@ -830,8 +831,8 @@ class TestBracketRows:
         # columns taken for the wrong monomials give a wrong answer, which
         # the check through bracket refuses as an internal error
         for cls in (PoissonStructure, QuotientRing):
-            def reversed_columns(self, degree, original=cls.bracket_rows):
-                monomials, *rest = original(self, degree)
+            def reversed_columns(self, degree, slots=None, original=cls.bracket_rows):
+                monomials, *rest = original(self, degree, slots)
                 return monomials[::-1], *rest
             monkeypatch.setattr(cls, "bracket_rows", reversed_columns)
         with pytest.raises(RuntimeError, match="bracket_rows disagrees"):
@@ -843,7 +844,9 @@ class TestBracketRows:
 
     def test_centre_brackets_only_its_certificate(self, monkeypatch):
         # the rows come from bracket_rows; bracket runs only to check
-        # each basis element on each generator
+        # each basis element on each generator, once the process has
+        # found the generating set (its Jacobi check brackets too)
+        assert g2.builtin_algebra().structure.generating_slots == (0, 5)
         calls = []
         original = PoissonStructure.bracket
         def counting(self, f, g):
@@ -961,6 +964,9 @@ class TestBracketCalls:
         assert bracket_calls == []
 
     def test_search_cross_checks_bracket(self, bracket_calls):
+        # the generating set's one Jacobi check per process brackets too
+        assert g2.builtin_algebra().structure.generating_slots == (0, 5)
+        bracket_calls.clear()
         basis = bounded_centre(g2.builtin_algebra().structure, 3)
         assert len(basis) == 2  # 1, Omega1
         assert len(bracket_calls) == 6 * len(basis)
@@ -1085,3 +1091,150 @@ class TestBoundedSearches:
         assert spans_same_space([x1 + x2, x1 - x2, x3 + x1],
                                 [x3 + 3 * x1, x2, Fraction(1, 2) * x1])
         assert not spans_same_space([x1 + x2, x3], [x1, x2, x3])
+
+
+def all_slots(monkeypatch):
+    """Make every search build its rows for all six generators: the
+    reference that the rows of a Poisson generating set must match."""
+    every = property(lambda self: tuple(range(6)))
+    for cls in (PoissonStructure, QuotientRing):
+        monkeypatch.setattr(cls, "generating_slots", every)
+
+
+GENERATING_RINGS = {(1, 1): NUM11, **{ab: QuotientRing(*ab)
+                                      for ab in ((1, 0), (0, 1), ("-2/3", 5))}}
+
+
+class TestGeneratingSet:
+    """x1 and x6 generate the built-in algebra as a Poisson algebra, so
+    the searches build their rows for those two generators only."""
+
+    def test_builtin_table_and_rings_take_x1_and_x6(self):
+        assert g2.builtin_algebra().structure.generating_slots == (0, 5)
+        for ab in ((1, 1), (1, 0), (0, 1)):
+            ring = GENERATING_RINGS[ab]
+            assert ring.generating_slots == (0, 5)
+            assert ring.structure.generating_slots == (0, 5)
+
+    def test_table_failing_jacobi_takes_every_generator(self):
+        # the distinguished mutation of the jacobi suite
+        alg = g2.builtin_algebra()
+        table = dict(alg.structure.table)
+        table[(0, 2)] = parse_expr("X1*X3 + 2*X2", alg.context)
+        mutated = PoissonStructure(alg.context, table)
+        assert check_jacobi(mutated) is not None
+        assert mutated.generating_slots == tuple(range(6))
+
+    def test_log_canonical_torus_takes_every_generator(self):
+        # negative control of the closure rule: Jacobi holds, but no entry
+        # has a linear term, so no generator is reached from others
+        structure = TorusStructure.make(g2.TORUS_MATRIX).structure
+        assert check_jacobi(structure) is None
+        assert structure.generating_slots == tuple(range(6))
+
+    def test_closure_needs_the_rest_of_the_entry_reached(self):
+        # {a, b} = c + d with c, d central: c is reached from a and b only
+        # once d is, and d only once c is, so no pair generates
+        ctx = VarContext.make(["a", "b", "c", "d"])
+        structure = PoissonStructure(ctx, {(0, 1): parse_expr("c + d", ctx)})
+        assert check_jacobi(structure) is None
+        assert structure.generating_slots == (0, 1, 2)
+
+    @pytest.mark.parametrize("structure_or_ring, degree",
+                             [(g2.builtin_algebra().structure, 3), (NUM11, 3),
+                              (GENERATING_RINGS["-2/3", 5], 2)],
+                             ids=["ambient-d3", "1,1-d3", "-2/3,5-d2"])
+    def test_rows_of_the_set_are_the_full_rows_of_its_slots(self, structure_or_ring,
+                                                           degree):
+        monomials, rows, scale, key = structure_or_ring.bracket_rows(degree, (0, 5))
+        full_monomials, full, full_scale, full_key = \
+            structure_or_ring.bracket_rows(degree)
+        assert monomials == full_monomials
+        packing = full_key.__self__
+        slot_mask = (1 << packing.low) - 1
+        expected = {k: row for k, row in full.items() if k & slot_mask in (0, 5)}
+        assert rows.keys() == expected.keys()
+        for k, row in rows.items():
+            assert {i: Fraction(n, scale(k)) for i, n in row.items()} == \
+                {i: Fraction(n, full_scale(k)) for i, n in expected[k].items()}
+
+    def test_row_counts(self):
+        # deterministic work counts of the rows the searches build
+        counts = {}
+        for name, structure_or_ring, degree in (
+                ("ambient d6", g2.builtin_algebra().structure, 6),
+                ("(1,1) d4", NUM11, 4)):
+            counts[name] = tuple(len(structure_or_ring.bracket_rows(degree, slots)[1])
+                                 for slots in (None, structure_or_ring.generating_slots))
+        assert counts == {"ambient d6": (9169, 3109), "(1,1) d4": (3414, 747)}
+
+    @pytest.mark.parametrize("structure_or_ring, top",
+                             [(g2.builtin_algebra().structure, 5)]
+                             + [(ring, 3) for ring in GENERATING_RINGS.values()],
+                             ids=["ambient"] + [f"{a},{b}" for a, b in GENERATING_RINGS])
+    def test_centre_equals_the_centre_on_all_rows(self, structure_or_ring, top,
+                                                  monkeypatch):
+        found = [bounded_centre(structure_or_ring, d) for d in range(top + 1)]
+        all_slots(monkeypatch)
+        assert structure_or_ring.generating_slots == tuple(range(6))
+        assert found == [bounded_centre(structure_or_ring, d) for d in range(top + 1)]
+
+    def test_inner_search_off_the_set_returns_none(self, monkeypatch):
+        # ham_f with x2 added to one image is not inner.  Perturbing x1 or
+        # x6 makes the rows' system infeasible (an rhs monomial no row
+        # reaches, or a pivot in the rhs column); perturbing any other
+        # generator leaves it feasible, and the check through bracket on
+        # that generator refuses the solution.  The searches on the rows of
+        # all six generators give the same answers.
+        ring = NUM11
+        f = parse_expr("x1*x4 - 2*x5*x6 + x2", ring.context)
+        ham = hamiltonian_quotient_images(f, ring)
+        assert bounded_inner_search(ham, ring, 2) == f
+        solved = []
+        monkeypatch.setattr(quotient, "solve", lambda rows, ncols: solved.append(
+            solve(rows, ncols)) or solved[-1])
+        perturbed, feasible = [], {}
+        for name in quotient.QUOTIENT_NAMES:
+            images = dict(ham.images)
+            images[name] = images[name] + ring.context.var("x2")
+            perturbed.append(DerivationSpec(ring.context, images))
+            solved.clear()
+            assert bounded_inner_search(perturbed[-1], ring, 2) is None
+            feasible[name] = [x is not None for x in solved]
+        # x1: a pivot in the rhs column; x6: an rhs monomial no row reaches
+        assert feasible == {"x1": [False], "x2": [True], "x3": [True],
+                            "x4": [True], "x5": [True], "x6": []}
+        all_slots(monkeypatch)
+        assert all(bounded_inner_search(D, ring, 2) is None for D in perturbed)
+        assert bounded_inner_search(ham, ring, 2) == f
+
+    def test_set_is_found_on_first_use_once_per_process(self):
+        # ring and algebra set-up run no Jacobi check; the first search
+        # runs one, on the built-in table, and every ring reads it
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = """if True:
+            import os, sys
+            calls = []
+
+            def profile(frame, event, arg):
+                if (event == "call" and frame.f_code.co_name == "check_jacobi"
+                        and os.path.basename(frame.f_code.co_filename) == "poisson.py"):
+                    calls.append(1)
+            sys.setprofile(profile)
+            from poisson_forge import cli, g2
+            from poisson_forge.quotient import QuotientRing, bounded_centre
+            alg = g2.builtin_algebra()
+            rings = [QuotientRing(1, 1), QuotientRing(1, 0)]
+            rings[0].normal_form("x3^4")
+            before = len(calls)
+            bounded_centre(alg.structure, 2)
+            for ring in rings:
+                bounded_centre(ring, 2)
+            sys.setprofile(None)
+            print(before, len(calls))
+        """
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
