@@ -22,7 +22,12 @@ built from; the registered factors are cancelled out of the numerator only
 when the element is read (its numerator, denominator or text, or its
 inverse, whose factor is registered in lowest terms).  ``chain_step``
 reduces each series term and each new generator, so the stages stay in
-lowest terms and their size stays bounded.
+lowest terms and their size stays bounded.  ``builtin_chain`` runs the
+built-in algebra's chain once per process and hands every caller the
+one dict of stages.  ``verify_log_canonical`` checks every stage's
+log-canonical contract and the torus relations of level 2 in one pass,
+bracketing each distinct pair of generator objects once: a chain step
+keeps the generators it does not change as the same objects.
 
 The golden formulas of ``g2`` are text in the package grammar: the chain
 formulas and Omega ladders in the generators X1..X6 of one level, the
@@ -313,67 +318,54 @@ def run_chain(structure: PoissonStructure,
 
 
 @functools.cache
-def _builtin_stages() -> dict[int, ChainStage]:
+def builtin_chain() -> dict[int, ChainStage]:
+    """The built-in algebra's chain; X5, X6 (its first two denominators)
+    inverted.  The chain runs once per process, on the first call; every
+    call returns the one dict, which callers share and must not change,
+    as with ``g2.builtin_algebra``."""
     alg = builtin_algebra()
     return run_chain(localize_structure(alg.structure, ["X5", "X6"]), alg.ore)
 
 
-def builtin_chain() -> dict[int, ChainStage]:
-    """The built-in algebra's chain; X5, X6 (its first two denominators)
-    inverted.  The chain runs once per process, on the first call; each
-    call returns a new dict over the same stages, which callers share and
-    must not change."""
-    return dict(_builtin_stages())
-
-
 # -- verification ------------------------------------------------------------
 
-def verify_stage_contract(stage: ChainStage, ore: PoissonOreData,
-                          residues: dict | None = None) -> list[CheckItem]:
-    """At level j, {X[l,j], X[i,j]} = mu_li X[l,j] X[i,j] for l >= j, i < l.
+def verify_log_canonical(stages: dict[int, ChainStage], matrix,
+                         ore: PoissonOreData) -> list[CheckItem]:
+    """The log-canonical contract of every stage and the torus of level 2.
 
-    ``residues``, shared by the stages of one chain over ``ore``, keeps
-    the bracket and the residue of each pair (l, i) with its two
-    generators.  A chain step keeps the generators it does not change as
-    the same objects, so a pair whose generators are the identical
-    objects is not bracketed again; any other object, equal or not, is."""
-    residues = {} if residues is None else residues
+    At level j, {X[l,j], X[i,j]} = mu_li X[l,j] X[i,j] for l >= j, i < l.
+    Then M matches sigma, and {T_i, T_j} = M[i][j] T_i T_j for all 15
+    pairs of T_i = X[i,2], each item subtracting the matrix's own entry;
+    {T_i, T_j} is minus the contract's bracket {T_j, T_i} of level 2.
+
+    A chain step keeps the generators it does not change as the same
+    objects, so each distinct pair of generator objects is bracketed once,
+    and its residue made once, through a call-local table keyed by the
+    pair's places (l, i), on which mu depends, and the objects' ids:
+    ``stages`` holds every generator for the whole call, so no id is
+    reused within it.  An equal generator that is another object is
+    bracketed again."""
+    pairs: dict[tuple, tuple] = {}
+
+    def pair(stage, l, i):
+        """({X[l], X[i]}, its residue) at ``stage``, made once per pair."""
+        a, b = stage.gen(l), stage.gen(i)
+        key = l, i, id(a), id(b)
+        if key not in pairs:
+            bracket = a.bracket(b)
+            pairs[key] = bracket, bracket - ore.mu(l - 1, i - 1) * a * b
+        return pairs[key]
+
     items = []
-    n = len(stage.gens)
-    for l in range(max(stage.level, 2), n + 1):
-        for i in range(1, l):
-            residue = _contract_pair(stage, l, i, ore, residues)[3]
-            items.append(check_item(
-                f"level {stage.level}: {{X[{l},{stage.level}], X[{i},{stage.level}]}}"
-                f" log-canonical", residue))
-    return items
-
-
-def _contract_pair(stage: ChainStage, l: int, i: int, ore: PoissonOreData,
-                   residues: dict) -> tuple:
-    """(X[l], X[i], {X[l], X[i]}, {X[l], X[i]} - mu_li X[l] X[i]) at
-    ``stage``, read from ``residues`` when it holds these very
-    generators, else bracketed and kept there."""
-    a, b = stage.gen(l), stage.gen(i)
-    known = residues.get((l, i))
-    if known is None or known[0] is not a or known[1] is not b:
-        bracket = a.bracket(b)
-        known = residues[l, i] = (a, b, bracket,
-                                  bracket - ore.mu(l - 1, i - 1) * a * b)
-    return known
-
-
-def verify_torus_relations(stage2: ChainStage, matrix, ore: PoissonOreData,
-                           residues: dict | None = None) -> list[CheckItem]:
-    """{T_i, T_j} = M[i][j] T_i T_j for all 15 pairs, and M matches sigma.
-
-    {T_i, T_j} is minus the contract's bracket {T_j, T_i} of level 2,
-    read from ``residues`` (see ``verify_stage_contract``) when it holds
-    these very generators, else bracketed and kept there; each item
-    subtracts the matrix's own entry."""
-    residues = {} if residues is None else residues
-    items = []
-    n = len(stage2.gens)
+    for stage in stages.values():
+        j = stage.level
+        for l in range(max(j, 2), len(stage.gens) + 1):
+            for i in range(1, l):
+                items.append(check_item(
+                    f"level {j}: {{X[{l},{j}], X[{i},{j}]}} log-canonical",
+                    pair(stage, l, i)[1]))
+    torus = stages[2]
+    n = len(torus.gens)
     mismatches = [f"({i + 1},{j + 1}): {matrix[i][j]} != {ore.mu(i, j)}"
                   for i in range(n) for j in range(n)
                   if Fraction(matrix[i][j]) != ore.mu(i, j)]
@@ -381,8 +373,8 @@ def verify_torus_relations(stage2: ChainStage, matrix, ore: PoissonOreData,
                            "0" if not mismatches else "; ".join(mismatches)))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            lhs = -_contract_pair(stage2, j, i, ore, residues)[2]
-            rhs = Fraction(matrix[i - 1][j - 1]) * stage2.gen(i) * stage2.gen(j)
+            lhs = -pair(torus, j, i)[0]
+            rhs = Fraction(matrix[i - 1][j - 1]) * torus.gen(i) * torus.gen(j)
             items.append(check_item(
                 f"{{T{i}, T{j}}} = {matrix[i - 1][j - 1]}*T{i}*T{j}", lhs - rhs))
     return items

@@ -219,7 +219,7 @@ def _term_key(exps: Monomial):
 class LaurentPoly:
     """Immutable sparse Laurent polynomial over a fixed :class:`VarContext`."""
 
-    __slots__ = ("context", "terms", "_hash")
+    __slots__ = ("context", "terms")
 
     def __init__(self, context: VarContext, terms: Mapping[Monomial, Fraction]):
         clean: dict[Monomial, Fraction] = {}
@@ -232,7 +232,6 @@ class LaurentPoly:
             clean[exps] = c
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _of(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> "LaurentPoly":
@@ -242,7 +241,6 @@ class LaurentPoly:
         p = object.__new__(cls)
         object.__setattr__(p, "context", context)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):
@@ -365,11 +363,7 @@ class LaurentPoly:
         return self.context == other.context and self.terms == other.terms
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.context, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.context, frozenset(self.terms.items())))
 
     # -- calculus ---------------------------------------------------------
     def partial(self, name: str) -> "LaurentPoly":

@@ -18,9 +18,9 @@ With g a generator x_g the formula needs only the table entries b_vg:
     {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v,
 
 so ``generator_brackets(f)`` gives {f, x_g} for every g from one pass
-over the terms of f, and ``bracket_rows`` the same for basis monomials,
-for every g or for the slots of a Poisson generating set
-(``generating_slots``), whose brackets decide centrality.
+over the terms of f, and ``bracket_rows`` the same for basis monomials
+and the slots of a Poisson generating set (``generating_slots``), whose
+brackets decide centrality.
 
 Jacobi and Poisson-derivation checking run on generators only: the
 Jacobiator of a biderivation-extended bracket is a tri-derivation, and the
@@ -135,10 +135,9 @@ class PoissonStructure:
 
     def _by_variable(self, packing: ExponentPacking, slots) -> tuple:
         """``_by_position`` with each shift packed, the slot in its low
-        bits, and the terms of every slot not in ``slots`` (None for all)
-        left out."""
+        bits, and the terms of every slot not in ``slots`` left out."""
         return tuple(tuple((packing.shift(shift) + g, n) for g, shift, n in terms
-                           if slots is None or g in slots)
+                           if g in slots)
                      for terms in self._by_position)
 
     @cached_property
@@ -179,9 +178,9 @@ class PoissonStructure:
         return everything
 
     def monomial_brackets(self, monomials, packing: ExponentPacking,
-                          slots=None) -> list[dict[int, int]]:
+                          slots) -> list[dict[int, int]]:
         """For each exponent vector m, {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v
-        for every generator slot g in ``slots`` (None for all) at once, as
+        for every generator slot g in ``slots`` at once, as
         {row key: integer numerator over ``_den``}, the row key
         ``packing.key(g, m'')`` of each image monomial m''; an entry may be
         zero where terms cancel.  Each image term is one integer add to the
@@ -199,17 +198,17 @@ class PoissonStructure:
             out.append(image)
         return out
 
-    def bracket_rows(self, degree: int, slots=None):
+    def bracket_rows(self, degree: int):
         """The basis monomials of degree <= d, the matrix of
-        f -> ({f, x_g} for g in ``slots``, None for all generator slots) on
-        their span as integer rows row key -> {monomial index: numerator},
-        the scale of a row (its entries over ``scale(key)`` are the
-        coefficients) and ``key(g, m)``, the row key of generator slot g
-        and exponent vector m.  Here every row has the one scale ``_den``."""
+        f -> ({f, x_g} for g in ``generating_slots``) on their span as
+        integer rows row key -> {monomial index: numerator}, the scale of a
+        row (its entries over ``scale(key)`` are the coefficients) and
+        ``key(g, m)``, the row key of generator slot g and exponent vector
+        m.  Here every row has the one scale ``_den``."""
         monomials = list(self.basis_monomials(degree))
         packing = ExponentPacking(self.context, max(degree, 0) + self._shift_reach)
         rows: dict[int, dict[int, int]] = {}
-        images = self.monomial_brackets(monomials, packing, slots)
+        images = self.monomial_brackets(monomials, packing, self.generating_slots)
         for idx, image in enumerate(images):
             for mm, n in image.items():
                 if n:

@@ -30,13 +30,13 @@ otherwise; coefficients are polynomials in the parameters alpha, beta
 A numeric or symbolic ``QuotientRing`` and an ambient ``PoissonStructure``
 serve one bracket protocol: ``context``, ``bracket(f, g)``,
 ``generator_brackets(f)`` (every {f, x_g} from one pass),
-``basis_monomials(degree)``, ``bracket_rows(degree, slots)`` and
+``basis_monomials(degree)``, ``bracket_rows(degree)`` and
 ``generating_slots``.  ``bounded_centre``, ``bounded_inner_search`` and
 ``poisson.hamiltonian_derivation`` are written against it, so each runs
 unchanged on the ambient algebra (no reduction) and on the quotient
 (brackets reduced to normal form).
 
-The searches build their rows for a Poisson generating set only,
+``bracket_rows`` builds the rows of a Poisson generating set only,
 ``generating_slots``: x1 and x6 on the built-in table, as
 {x1,x6} = -3x1x6 + 3x5 gives x5, {x1,x5} gives x3, {x1,x3} gives x2 and
 {x3,x5} gives x4.  With Jacobi, {f, -} is a derivation of the bracket,
@@ -48,11 +48,11 @@ space, one RREF, one null-space basis and one pinned solution.  The
 ring reads the set off the built-in algebra's structure, which holds
 the same table, once per process and on first use.
 
-``bracket_rows(degree, slots)`` returns ``(monomials, rows, scale,
-key)``: the matrix of f -> ({f, x_g} for g in ``slots``, every generator
-by default) on the basis monomials (exponent tuples;
-polynomials are built only for the results), built in one integer pass
-per monomial, as rows keyed by opaque packed keys.  A key
+``bracket_rows(degree)`` returns ``(monomials, rows, scale, key)``: the
+matrix of f -> ({f, x_g} for g in ``generating_slots``) on the basis
+monomials (exponent tuples; polynomials are built only for the results),
+built in one integer pass per monomial, as rows keyed by opaque packed
+keys.  A key
 is one integer that holds a generator slot and an exponent vector
 (``poisson.ExponentPacking``, its field width chosen per call from the
 largest exponent the call can reach), so multiplying by a monomial is
@@ -395,7 +395,7 @@ class QuotientRing:
         Casimirs are central."""
         return self._ambient.generating_slots
 
-    def bracket_rows(self, degree: int, slots=None):
+    def bracket_rows(self, degree: int):
         """``PoissonStructure.bracket_rows`` over the quotient basis, each
         bracket reduced to normal form.
 
@@ -424,7 +424,8 @@ class QuotientRing:
         s = structure._shift_reach
         packing, rules = self._packed(max(degree, 0) + s
                                       + 5 * (1 + s) * self._growth)
-        images = structure.monomial_brackets(monomials, packing, slots)
+        images = structure.monomial_brackets(monomials, packing,
+                                             self.generating_slots)
         # x4 follows x3 in the context, so one mask reads both exponents
         low, mask = packing.offsets[i3], (1 << 2 * packing.width) - 1
         # the key of x3^a x4^b less its (a, b) code
@@ -594,7 +595,7 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
     if ring.alpha is None or ring.beta is None:
         raise ExprError("the inner search needs numeric parameters")
     slots = ring.generating_slots
-    monomials, rows, scale, key = ring.bracket_rows(degree, slots)
+    monomials, rows, scale, key = ring.bracket_rows(degree)
     images = {name: ring.normal_form(D.images[name]) for name in QUOTIENT_NAMES}
     rhs = {key(g, m): c for g in slots
            for m, c in images[QUOTIENT_NAMES[g]].terms.items()}
@@ -628,8 +629,7 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
     be central through ``bracket`` on every generator.
     """
     ctx = structure_or_ring.context
-    monomials, rows, *_ = structure_or_ring.bracket_rows(
-        degree, structure_or_ring.generating_slots)
+    monomials, rows, *_ = structure_or_ring.bracket_rows(degree)
     system = LinearSystem.from_rows(rows.values())
     basis = [_combine(ctx, vec, monomials)
              for vec in system.null_space(len(monomials))]

@@ -16,11 +16,10 @@ with them, and every golden text is parsed once (``g2.golden_poly``), so
 a second run of the suites in one process rebuilds and parses none of
 them.  The suites read these objects and never change them; a library
 caller of ``chain_elements`` or ``verify_localized_identities`` still
-gets a tower of its own.  ``pdda`` brackets each pair of chain
-generators once: a step keeps the generators it does not change as the
-same objects, and ``verify_stage_contract`` reuses a pair's bracket and
-residue across the stages only for those identical objects; the torus
-relations of level 2 read the brackets the contract made there.
+gets a tower of its own.  ``pdda`` checks every stage's log-canonical
+contract and the torus of level 2 in one call,
+``chain.verify_log_canonical``, which brackets each distinct pair of
+chain generator objects once.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from . import g2
 from .chain import (FractionElement, builtin_chain, chain_elements,
                     verify_central_ladders, verify_chain_formulas,
                     verify_centrality, verify_localized_identities,
-                    verify_stage_contract, verify_torus_relations)
+                    verify_log_canonical)
 from .expr import LaurentPoly
 from .parse import parse_expr
 from .poisson import (DerivationSpec, EtaError, PoissonStructure, WeightVector,
@@ -119,13 +118,8 @@ def suite_pdda():
         items.append(CheckItem(label, etas == (2, 6, 2, 6), str(etas)))
     except EtaError as err:
         items.append(CheckItem(label, False, str(err)))
-    items += verify_chain_formulas(stages)
-    residues: dict = {}  # each generator pair bracketed once per chain
-    contract = [item for stage in stages.values()
-                for item in verify_stage_contract(stage, alg.ore, residues)]
-    # the torus relations read the level-2 brackets the contract made
-    items += verify_torus_relations(stages[2], g2.TORUS_MATRIX, alg.ore, residues)
-    return items + contract
+    return (items + verify_chain_formulas(stages)
+            + verify_log_canonical(stages, g2.TORUS_MATRIX, alg.ore))
 
 
 def suite_pullback():
@@ -203,19 +197,15 @@ def suite_derivations():
     # the non-localised rings share one context, so each scalar derivation
     # is parsed once and checked on several rings
     items = []
-    beta0 = _ring("symbolic", 0, False)
-    theta = parse_derivation(g2.builtin_scalar_derivation("beta_zero")["images"],
-                             beta0)
-    for item in check_quotient_derivation(theta, beta0):
-        items.append(item._replace(
-            label=f"scalar derivation (beta=0 quotient): {item.label}"))
-
-    alpha0 = _ring(0, "symbolic", False)
-    tilde = parse_derivation(g2.builtin_scalar_derivation("alpha_zero")["images"],
-                             alpha0)
-    for item in check_quotient_derivation(tilde, alpha0):
-        items.append(item._replace(
-            label=f"scalar derivation (alpha=0 quotient): {item.label}"))
+    scalar = {}
+    for which, ring in (("beta", _ring("symbolic", 0, False)),
+                        ("alpha", _ring(0, "symbolic", False))):
+        D = scalar[which] = parse_derivation(
+            g2.builtin_scalar_derivation(f"{which}_zero")["images"], ring)
+        items += [item._replace(label=f"scalar derivation ({which}=0 quotient):"
+                                      f" {item.label}")
+                  for item in check_quotient_derivation(D, ring)]
+    theta = scalar["beta"]
 
     generic = _ring("symbolic", "symbolic", False)
     failures = {item.label: item.residue for item

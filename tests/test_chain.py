@@ -13,7 +13,7 @@ from poisson_forge.chain import (ChainStage, FractionElement, FractionField,
                                  chain_elements, chain_step,
                                  localize_structure, run_chain,
                                  verify_central_ladders, verify_chain_formulas,
-                                 verify_stage_contract, verify_torus_relations)
+                                 verify_log_canonical)
 from poisson_forge.expr import ExprError, LaurentPoly, VarContext, divide_exact
 from poisson_forge.parse import parse_expr
 from poisson_forge.poisson import PoissonOreData, PoissonStructure
@@ -190,12 +190,14 @@ def brackets(monkeypatch):
     return calls
 
 
-def chain_contract(stages):
-    """Every stage's contract with one residue table, as suite_pdda
-    checks the chain."""
-    residues: dict = {}
-    return [item for stage in stages.values()
-            for item in verify_stage_contract(stage, ALG.ore, residues)]
+def log_canonical(stages):
+    """The one log-canonical check of ``stages`` against the shipped torus
+    matrix, as suite_pdda makes it."""
+    return verify_log_canonical(stages, g2.TORUS_MATRIX, ALG.ore)
+
+
+def is_contract(label):
+    return label.endswith("log-canonical")
 
 
 class TestCancellationOnRead:
@@ -216,10 +218,8 @@ class TestCancellationOnRead:
     def test_contract_checks_make_no_divisions(self, divisions):
         # chain_step left the stages in lowest terms, and the checks only
         # add, multiply, bracket and test for zero
-        items = verify_torus_relations(STAGES[2], g2.TORUS_MATRIX, ALG.ore)
-        for stage in STAGES.values():
-            items += verify_stage_contract(stage, ALG.ore)
-        assert all(ok for _, ok, _ in items)
+        items = log_canonical(STAGES)
+        assert len(items) == 71 and all(ok for _, ok, _ in items)
         assert divisions == []
         # printing a stage reads what chain_step already reduced
         lines = [f"X[{i},{level}] = {STAGES[level].gen(i)}"
@@ -305,19 +305,8 @@ class TestPowerAndDifference:
 
 class TestChain:
     def test_builtin_chain_runs_once_per_process(self):
-        first, second = builtin_chain(), builtin_chain()
-        assert first is not second
-        assert list(first) == list(second) == [7, 6, 5, 4, 3, 2]
-        assert all(first[level] is second[level] for level in first)
-        assert all(stage is STAGES[level] for level, stage in first.items())
-
-    def test_builtin_chain_result_is_the_callers(self):
-        stages = builtin_chain()
-        del stages[2]
-        stages[7] = None
-        again = builtin_chain()
-        assert list(again) == [7, 6, 5, 4, 3, 2]
-        assert again[7] is STAGES[7] and again[2] is STAGES[2]
+        assert builtin_chain() is builtin_chain() is STAGES
+        assert list(STAGES) == [7, 6, 5, 4, 3, 2]
 
     def test_level6_formulas_frozen(self):
         expected = {
@@ -344,7 +333,7 @@ class TestChain:
             assert ok, f"{label}: residue {residue}"
 
     def test_torus_relations(self):
-        items = verify_torus_relations(STAGES[2], g2.TORUS_MATRIX, ALG.ore)
+        items = [item for item in log_canonical(STAGES) if not is_contract(item.label)]
         assert len(items) == 16  # matrix golden check + 15 bracket pairs
         for label, ok, residue in items:
             assert ok, f"{label}: residue {residue}"
@@ -354,9 +343,10 @@ class TestChain:
         assert t1.bracket(t2) == 3 * t1 * t2
 
     def test_stage_contracts_all_levels(self):
-        for level, stage in STAGES.items():
-            for label, ok, residue in verify_stage_contract(stage, ALG.ore):
-                assert ok, f"{label}: residue {residue}"
+        items = [item for item in log_canonical(STAGES) if is_contract(item.label)]
+        assert len(items) == 55
+        for label, ok, residue in items:
+            assert ok, f"{label}: residue {residue}"
 
     def test_series_depths(self):
         worst = max(max(stage.depths.values(), default=0)
@@ -400,20 +390,23 @@ class TestChain:
         # Drop the -1/2*X5*X6^-1 term of X[1,6].  Hand oracle at level 6:
         # {X6, X1} - 3*X1*X6 = -3*X5, so the (6,1) contract fails with
         # residue -3*X5.
+        # The levels below keep the chain's own generators and pass.
         fld = STAGES[6].gens[0].field
-        mutated_gens = (fld.var("X1"),) + STAGES[6].gens[1:]
-        mutated6 = ChainStage(6, mutated_gens)
-        contract = verify_stage_contract(mutated6, ALG.ore)
-        failing = {label: residue for label, ok, residue in contract if not ok}
-        assert failing["level 6: {X[6,6], X[1,6]} log-canonical"] == "-3*X5"
+        stages = dict(STAGES)
+        stages[6] = ChainStage(6, (fld.var("X1"),) + STAGES[6].gens[1:])
+        failing = {label: residue for label, ok, residue in log_canonical(stages)
+                   if not ok}
+        assert failing == {"level 6: {X[6,6], X[1,6]} log-canonical": "-3*X5"}
 
     def test_level4_mutation_residue_keeps_its_denominator(self):
-        # X[6,4] + X1 in place of X[6,4]: the residues are printed in
-        # lowest terms, T4^2 left in the denominator of the (6,2) one
+        # X[6,4] + X1 in place of X[6,4]: only its five (6, i) items of
+        # level 4 fail, their residues printed in lowest terms, T4^2 left
+        # in the denominator of the (6,2) one
         fld = STAGES[4].gens[0].field
-        gens = STAGES[4].gens[:5] + (STAGES[4].gen(6) + fld.var("X1"),)
-        contract = verify_stage_contract(ChainStage(4, gens), ALG.ore)
-        failing = {label: residue for label, ok, residue in contract if not ok}
+        stages = dict(STAGES)
+        stages[4] = ChainStage(4, STAGES[4].gens[:5] + (STAGES[4].gen(6) + fld.var("X1"),))
+        failing = {label: residue for label, ok, residue in log_canonical(stages)
+                   if not ok}
         assert sorted(failing) == [f"level 4: {{X[6,4], X[{i},4]}} log-canonical"
                                    for i in range(1, 6)]
         assert failing["level 4: {X[6,4], X[2,4]} log-canonical"] == (
@@ -429,9 +422,11 @@ class TestChain:
     def test_chain_contract_brackets_each_pair_once(self, brackets):
         # a chain step keeps the generators it does not change as the same
         # objects, so the 55 contract items of the chain hold 25 distinct
-        # generator pairs, each bracketed once
-        items = chain_contract(STAGES)
-        assert len(items) == 55 and all(ok for _, ok, _ in items)
+        # generator pairs, each bracketed once, and the 15 torus relations
+        # of level 2 read the contract's brackets of the same generators
+        items = log_canonical(STAGES)
+        assert len(items) == 71 and all(ok for _, ok, _ in items)
+        assert sum(is_contract(label) for label, _, _ in items) == 55
         assert len(brackets) == 25
 
     def test_pdda_brackets_each_contract_pair_once(self, brackets):
@@ -455,17 +450,19 @@ class TestChain:
 
     def test_swapped_generator_fails_at_its_level(self, brackets):
         # negative control: X[6,4] + X1, a new object, in place of X[6,4]
-        # at level 4 alone.  Its pairs (6, 3..5), bracketed at the levels above,
-        # are bracketed again at level 4 and fail there with (6, 1..2);
-        # level 3 holds the chain's own X[6,4] again, so its pairs
-        # (6, 2..5) are bracketed again too, and levels 3 and 2 pass
+        # at level 4 alone.  Its pairs (6, 3..5), bracketed at the levels
+        # above, are bracketed again at level 4 and fail there with
+        # (6, 1..2).  Level 3 holds the chain's own X[6,4] again: its pairs
+        # (6, 3..5) were bracketed at level 5 and above, and only (6, 2),
+        # which the chain first brackets at level 4, is bracketed again.
+        # Levels 3 and 2 pass
         fld = STAGES[4].gens[0].field
         stages = dict(STAGES)
         stages[4] = ChainStage(4, STAGES[4].gens[:5] + (STAGES[4].gen(6) + fld.var("X1"),))
-        failing = sorted(label for label, ok, _ in chain_contract(stages) if not ok)
+        failing = sorted(label for label, ok, _ in log_canonical(stages) if not ok)
         assert failing == [f"level 4: {{X[6,4], X[{i},4]}} log-canonical"
                            for i in range(1, 6)]
-        assert len(brackets) == 25 + 3 + 4
+        assert len(brackets) == 25 + 3 + 1
 
     def test_equal_new_generator_is_bracketed_again(self, brackets):
         # a residue is reused only for the identical objects: X[1,2] + 0 is
@@ -474,7 +471,7 @@ class TestChain:
         stages = dict(STAGES)
         stages[2] = ChainStage(2, (STAGES[2].gen(1) + 0,) + STAGES[2].gens[1:])
         assert stages[2].gen(1) is not STAGES[2].gen(1)
-        assert all(ok for _, ok, _ in chain_contract(stages))
+        assert all(ok for _, ok, _ in log_canonical(stages))
         assert len(brackets) == 25 + 4
 
     def test_mutated_chain_fails_torus_relations(self):
@@ -495,8 +492,8 @@ class TestChain:
         t1 = envs[2].gen(1)
         assert t1 == STAGES[2].gen(1) + fld.element(
             parse_expr("1/2*X5*X6^-1", LCTX))
-        torus = verify_torus_relations(envs[2], g2.TORUS_MATRIX, ALG.ore)
-        failed = {label for label, ok, _ in torus if not ok}
+        failed = {label for label, ok, _ in log_canonical(envs)
+                  if not ok and not is_contract(label)}
         assert failed == {
             "{T1, T2} = 3*T1*T2",
             "{T1, T3} = 1*T1*T3",

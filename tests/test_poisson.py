@@ -177,7 +177,8 @@ class TestGeneratorBrackets:
         monomials = list(structure.basis_monomials(3))
         packing = ExponentPacking(ctx, 3 + structure._shift_reach)
         slot_mask = (1 << packing.low) - 1
-        packed = structure.monomial_brackets(monomials, packing)
+        packed = structure.monomial_brackets(monomials, packing,
+                                             tuple(range(len(ctx.generators()))))
         for m, image in zip(monomials, packed):
             expected = [{} for _ in ctx.generators()]
             for key, n in image.items():

@@ -741,9 +741,11 @@ ROW_IDS = ([f"ambient-d{d}" for d in range(5)]
 
 
 def assert_rows_match(structure_or_ring, degree):
-    """``bracket_rows`` equals ``reference_rows`` row for row, each
-    reference row (g, m) looked up under ``key(g, m)``."""
-    monomials, rows, scale, key = structure_or_ring.bracket_rows(degree)
+    """``bracket_rows`` of all six generators equals ``reference_rows``
+    row for row, each reference row (g, m) looked up under ``key(g, m)``."""
+    with pytest.MonkeyPatch.context() as patch:
+        all_slots(patch)
+        monomials, rows, scale, key = structure_or_ring.bracket_rows(degree)
     expected_monomials, expected = reference_rows(structure_or_ring, degree)
     assert monomials == expected_monomials
     packed = {key(g, m): row for (g, m), row in expected.items()}
@@ -831,8 +833,8 @@ class TestBracketRows:
         # columns taken for the wrong monomials give a wrong answer, which
         # the check through bracket refuses as an internal error
         for cls in (PoissonStructure, QuotientRing):
-            def reversed_columns(self, degree, slots=None, original=cls.bracket_rows):
-                monomials, *rest = original(self, degree, slots)
+            def reversed_columns(self, degree, original=cls.bracket_rows):
+                monomials, *rest = original(self, degree)
                 return monomials[::-1], *rest
             monkeypatch.setattr(cls, "bracket_rows", reversed_columns)
         with pytest.raises(RuntimeError, match="bracket_rows disagrees"):
@@ -878,14 +880,17 @@ def sympy_bracket_table(R):
 
 def row_oracle_mismatches(ring, degree):
     """The columns (basis monomial m, generator slot g) of
-    ``ring.bracket_rows(degree)`` whose image, read back from the rows,
-    is not the normal form of {m, x_g}: a term keeps x3^2, x4^2 or a
-    parameter, or the image minus {m, x_g} rebuilt in sympy from the JSON
-    table is not in the ideal (Omega1 - alpha, Omega2 - beta)."""
+    ``ring.bracket_rows(degree)`` on all six generators whose image, read
+    back from the rows, is not the normal form of {m, x_g}: a term keeps
+    x3^2, x4^2 or a parameter, or the image minus {m, x_g} rebuilt in
+    sympy from the JSON table is not in the ideal (Omega1 - alpha,
+    Omega2 - beta)."""
     to_sympy, basis = groebner_oracle(ring)
     R = basis[0].ring
     table = sympy_bracket_table(R)
-    monomials, rows, scale, key = ring.bracket_rows(degree)
+    with pytest.MonkeyPatch.context() as patch:
+        all_slots(patch)
+        monomials, rows, scale, key = ring.bracket_rows(degree)
     packing = key.__self__
     slot_mask = (1 << packing.low) - 1
     images: dict[tuple[int, int], dict] = {}
@@ -1094,8 +1099,9 @@ class TestBoundedSearches:
 
 
 def all_slots(monkeypatch):
-    """Make every search build its rows for all six generators: the
-    reference that the rows of a Poisson generating set must match."""
+    """Make ``bracket_rows``, and with it every search, build the rows of
+    all six generators: the reference that the rows of a Poisson
+    generating set must match."""
     every = property(lambda self: tuple(range(6)))
     for cls in (PoissonStructure, QuotientRing):
         monkeypatch.setattr(cls, "generating_slots", every)
@@ -1145,8 +1151,9 @@ class TestGeneratingSet:
                               (GENERATING_RINGS["-2/3", 5], 2)],
                              ids=["ambient-d3", "1,1-d3", "-2/3,5-d2"])
     def test_rows_of_the_set_are_the_full_rows_of_its_slots(self, structure_or_ring,
-                                                           degree):
-        monomials, rows, scale, key = structure_or_ring.bracket_rows(degree, (0, 5))
+                                                           degree, monkeypatch):
+        monomials, rows, scale, key = structure_or_ring.bracket_rows(degree)
+        all_slots(monkeypatch)
         full_monomials, full, full_scale, full_key = \
             structure_or_ring.bracket_rows(degree)
         assert monomials == full_monomials
@@ -1158,15 +1165,20 @@ class TestGeneratingSet:
             assert {i: Fraction(n, scale(k)) for i, n in row.items()} == \
                 {i: Fraction(n, full_scale(k)) for i, n in expected[k].items()}
 
-    def test_row_counts(self):
-        # deterministic work counts of the rows the searches build
-        counts = {}
-        for name, structure_or_ring, degree in (
-                ("ambient d6", g2.builtin_algebra().structure, 6),
-                ("(1,1) d4", NUM11, 4)):
-            counts[name] = tuple(len(structure_or_ring.bracket_rows(degree, slots)[1])
-                                 for slots in (None, structure_or_ring.generating_slots))
-        assert counts == {"ambient d6": (9169, 3109), "(1,1) d4": (3414, 747)}
+    def test_row_counts(self, monkeypatch):
+        # deterministic work counts of the rows of all six generators and
+        # of the rows the searches build
+        cases = {"ambient d6": (g2.builtin_algebra().structure, 6),
+                 "(1,1) d4": (NUM11, 4)}
+
+        def counts():
+            return {name: len(structure_or_ring.bracket_rows(degree)[1])
+                    for name, (structure_or_ring, degree) in cases.items()}
+        of_the_set = counts()
+        all_slots(monkeypatch)
+        of_all = counts()
+        assert {name: (of_all[name], of_the_set[name]) for name in cases} == \
+            {"ambient d6": (9169, 3109), "(1,1) d4": (3414, 747)}
 
     @pytest.mark.parametrize("structure_or_ring, top",
                              [(g2.builtin_algebra().structure, 5)]
