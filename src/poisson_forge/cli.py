@@ -14,12 +14,15 @@ Exit codes: 0 when every requested check passes, 1 on any failing check,
 option value, an expression, a file) is an ``ExprError``; both JSON files
 are read through ``g2.read_object``, which refuses a field it does not
 know.  Each command renders each result polynomial to text once and
-builds its text and JSON views from those strings.
+builds its text and JSON views from those strings.  The argument parser
+is built once per process, on the first call of ``main``; each call then
+runs the handler ``_cmd_<command>`` of the subcommand it names.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -40,8 +43,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     the command line, print ``error: ...`` first."""
 
     def error(self, message):
+        # a subcommand's parser is named "poisson-forge <command>"
         if ("arguments are required" in message
-                and self.get_default("func") in (_cmd_nf, _cmd_bracket)):
+                and self.prog.rpartition(" ")[2] in ("nf", "bracket")):
             # argparse reads an expression such as -x1 as an option, and
             # then misses the expression
             message += ("; put '--' before an expression that starts with"
@@ -154,7 +158,10 @@ def _cmd_chain(args, out) -> int:
     return _emit_value(payload, "\n".join(lines), args.format, out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process on first use.
+    Parsing leaves it unchanged, so every call shares it."""
     parser = _ArgumentParser(
         prog="poisson-forge",
         description="Exact verification toolkit for the built-in Poisson"
@@ -170,47 +177,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized torus suite")
     add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bracket", help="evaluate a Poisson bracket")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--algebra", help="algebra definition JSON file")
     add_format(p)
-    p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("nf", help="quotient normal form of an expression")
     p.add_argument("expr")
     p.add_argument("--alpha", default="symbolic")
     p.add_argument("--beta", default="symbolic")
     add_format(p)
-    p.set_defaults(func=_cmd_nf)
 
     p = sub.add_parser("decompose",
                        help="decompose a torus derivation (inner + central)")
     p.add_argument("--file", required=True)
     add_format(p)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("eta", help="print the eta scalars")
     add_format(p)
-    p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser("chain", help="dump the change-of-variables chain")
     add_format(p)
-    p.set_defaults(func=_cmd_chain)
     return parser
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args, out)
+        # the handler of a command is looked up on each call, by name, so
+        # the cached parser holds no function
+        return globals()[f"_cmd_{args.command}"](args, out)
     except (ExprError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -59,6 +59,8 @@ def rational(value) -> Fraction:
     integer can be any size, so converting it is unbounded work.  JSON
     true and false, which load as bool, are refused too.  As in the
     parser, only the ASCII digits 0-9 make a number."""
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool):
         raise ExprError(f"expected a rational, got {value!r}")
     text = str(value)

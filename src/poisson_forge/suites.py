@@ -173,23 +173,27 @@ def suite_torus(seed: int = DEFAULT_SEED):
 
 def _random_decomposition(torus, lattice, rng):
     ctx = torus.context
+    randint = rng.randint
     gamma: dict = {}
-    for _ in range(rng.randint(1, 4)):
-        g = tuple(rng.randint(-2, 2) for _ in range(torus.rank))
+    for _ in range(randint(1, 4)):
+        g = tuple(randint(-2, 2) for _ in range(torus.rank))
         if torus.is_central(g):
             continue
-        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        c = Fraction(randint(-6, 6), randint(1, 4))
         gamma[g] = gamma.get(g, 0) + c
+    zero = [0] * torus.rank
     theta = {}
     for name in torus.names:
         img: dict = {}
-        for _ in range(rng.randint(0, 2)):
-            coords = [rng.randint(-1, 1) for _ in lattice]
-            vec = tuple(sum(c * b[i] for c, b in zip(coords, lattice))
-                        for i in range(torus.rank))
-            img[vec] = img.get(vec, 0) + rng.randint(-5, 5)
-        # the checked constructor drops the zero coefficients
-        theta[name] = LaurentPoly(ctx, img)
+        for _ in range(randint(0, 2)):
+            vec = zero
+            for c, b in zip([randint(-1, 1) for _ in lattice], lattice):
+                vec = [v + c * x for v, x in zip(vec, b)]
+            vec = tuple(vec)
+            img[vec] = img.get(vec, 0) + randint(-5, 5)
+        # a lattice vector is a valid torus monomial; the zero sums are
+        # dropped here, as the checked constructor would
+        theta[name] = LaurentPoly._of(ctx, {v: Fraction(c) for v, c in img.items() if c})
     return LaurentPoly(ctx, gamma), theta
 
 

@@ -24,9 +24,11 @@ denominators of the a's, and c_g = a_y den / P_y; an error message
 divides back by den and reads in lam units.  apply_decomposition gives
 the generator images of ham_gamma + D_theta, with ham_gamma from
 ``structure.generator_brackets``, which reads the bracket table, not the
-pairings: a roundtrip, apply_decomposition(decompose_derivation(D)) ==
-D.images, then checks both halves against each other, where a wrong
-pairing on both sides would cancel out.
+pairings, and D_theta(t_i) = theta(e_i) t_i as each term of theta(e_i)
+with its exponent shifted by e_i, with no product taken: a roundtrip,
+apply_decomposition(decompose_derivation(D)) == D.images, then checks
+both halves against each other, where a wrong pairing on both sides
+would cancel out.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .expr import ContextMismatch, ExprError, LaurentPoly, VarContext, rational
+from .expr import (ContextMismatch, ExprError, LaurentPoly, VarContext,
+                   accumulate, rational)
 from .linalg import integer_kernel
 from .poisson import DerivationSpec, PoissonStructure
 
@@ -69,7 +72,7 @@ class TorusStructure:
             if len(row) != n:
                 raise ExprError("lambda matrix must be square")
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 if lam[i][j] != -lam[j][i]:
                     raise ExprError("lambda matrix must be antisymmetric")
         return TorusStructure(lam, tuple(f"t{i + 1}" for i in range(n)))
@@ -115,11 +118,6 @@ class TorusStructure:
 
     def is_central(self, g: Sequence[int]) -> bool:
         return not any(self.pairings(g))
-
-    @cached_property
-    def generators(self) -> tuple[LaurentPoly, ...]:
-        """t1..tn as polynomials, built once per torus."""
-        return tuple(map(self.context.var, self.names))
 
     def monomial(self, g: Sequence[int], coeff=1) -> LaurentPoly:
         """coeff * t^g; ExprError unless g has one entry per generator."""
@@ -187,7 +185,16 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposit
 
 
 def apply_decomposition(dec: Decomposition, torus: TorusStructure) -> dict[str, LaurentPoly]:
-    """Generator images of ham_gamma + D_theta."""
+    """Generator images of ham_gamma + D_theta: theta(e_i) * t_i adds each
+    term of theta(e_i) into the image of t_i at its exponent shifted by
+    e_i."""
     ham = torus.structure.generator_brackets(dec.gamma)
-    return {name: image + dec.theta_images[name] * t
-            for name, image, t in zip(torus.names, ham, torus.generators)}
+    images = {}
+    for i, (name, image) in enumerate(zip(torus.names, ham)):
+        terms = dict(image.terms)
+        accumulate(terms, {m[:i] + (m[i] + 1,) + m[i + 1:]: c
+                           for m, c in dec.theta_images[name].terms.items()})
+        # ham's and theta's own coefficients and their nonzero sums; every
+        # monomial is valid on the torus, whose generators are invertible
+        images[name] = LaurentPoly._of(torus.context, terms)
+    return images

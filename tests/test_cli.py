@@ -845,16 +845,47 @@ class TestBuiltOncePerProcess:
         assert code == 0
         assert text.encode("utf-8") == GOLDEN_CHAIN.read_bytes()
 
+    def test_parser_keeps_no_state_between_calls(self, monkeypatch, capsys):
+        # each call through the one cached parser prints what it prints
+        # through a parser built for that call alone
+        from poisson_forge import cli
+
+        calls = [("verify", "torus", "--format", "json"), ("verify", "torus"),
+                 ("nf", "x3^2", "--alpha", "1", "--beta", "1"), ("nf", "x3^2"),
+                 ("verify", "nosuch"), ("eta",)]
+
+        def outputs():
+            seen = []
+            for argv in calls:
+                code, text = run_cli(*argv)
+                if "json" in argv:
+                    payload = json.loads(text)
+                    for suite in payload["suites"]:
+                        suite["seconds"] = 0
+                    text = payload
+                seen.append((code, text, capsys.readouterr().err))
+            return seen
+
+        assert cli.build_parser() is cli.build_parser()
+        shared = outputs()
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+        assert "invalid choice: 'nosuch'" in shared[4][2]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert outputs() == shared
+
     def test_import_builds_nothing(self):
         # the benchmark's normal-form and centre-search set-ups import the
-        # command line; a chain, tower, ring or torus built at import would add
-        # to each of them.  A profile hook sees every build, whichever
-        # module makes it; the run of verify afterwards shows that it does.
+        # command line; a chain, tower, ring, torus or argument parser built
+        # at import would add to each of them.  A profile hook sees every
+        # build, whichever module makes it; the run of verify afterwards
+        # shows that it does.
         src = Path(__file__).resolve().parent.parent / "src"
         code = """if True:
             import io, os, sys
             builds = {("chain.py", "run_chain"), ("chain.py", "chain_elements"),
-                      ("quotient.py", "__init__"), ("torus.py", "make")}
+                      ("quotient.py", "__init__"), ("torus.py", "make"),
+                      ("cli.py", "build_parser")}
             seen = set()
 
             def profile(frame, event, arg):

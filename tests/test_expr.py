@@ -124,6 +124,7 @@ class TestRational:
     ])
     def test_plain_forms_accepted(self, value, expected):
         assert rational(value) == expected
+        assert type(rational(value)) is Fraction
 
     @pytest.mark.parametrize("value", ["1e5", "2.5E-3", 1e16, Decimal("1e2")])
     def test_exponent_text_rejected(self, value):

@@ -181,8 +181,8 @@ class TestCentralLattice:
         torus = TorusStructure.make([[0, 1], [-1, 0]])
         assert torus.context is torus.context
         assert torus.structure is torus.structure
-        assert torus.generators is torus.generators
-        assert torus.generators == (torus.context.var("t1"), torus.context.var("t2"))
+        assert torus._rows is torus._rows
+        assert torus._rows == ((0, 1), (-1, 0))
 
     @pytest.mark.parametrize("g", [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7)])
     def test_monomial_needs_one_exponent_per_generator(self, g):
@@ -343,6 +343,26 @@ class TestDecomposition:
             assert all(torus.is_central(g) for g in img.terms)
         assert apply_decomposition(dec, torus) == D.images
 
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+    def test_apply_matches_the_products_on_the_suite_cases(self, seed):
+        lattice = central_lattice(M6)
+        rng = random.Random(seed)
+        for _ in range(TORUS_ROUNDS):
+            dec = Decomposition(*_random_decomposition(M6, lattice, rng))
+            _assert_apply_matches_the_products(dec, M6)
+
+    @pytest.mark.parametrize("gamma, theta", [
+        ("-t2", {"t1": "0", "t2": "0"}),
+        ("-t2 + 2*t1^-1*t2^3", {"t1": "5", "t2": "-1/3"}),
+        # theta(e1) * t1 cancels ham_gamma(t1) = t1*t2: a zero sum
+        ("-t2", {"t1": "-t2 + t1^-2", "t2": "7/2*t1^-1"}),
+    ])
+    def test_apply_matches_the_products_on_rank2(self, gamma, theta):
+        ctx = RANK2.context
+        dec = Decomposition(parse_expr(gamma, ctx),
+                            {name: parse_expr(text, ctx) for name, text in theta.items()})
+        _assert_apply_matches_the_products(dec, RANK2)
+
     def test_perturbed_theta_fails(self):
         ctx = RANK2.context
         D = DerivationSpec(ctx, {"t1": ctx.monomial({"t1": 1, "t2": 1}),
@@ -389,6 +409,19 @@ class TestDecomposition:
         D = DerivationSpec(M6.context,
                            apply_decomposition(Decomposition(gamma, theta), M6))
         assert all(r.is_zero() for _, r in derivation_residues(D, M6.structure))
+
+
+def _assert_apply_matches_the_products(dec, torus):
+    """apply_decomposition equals generator_brackets(gamma)[i] +
+    theta(e_i) * t_i, with the product taken by LaurentPoly, and holds
+    only nonzero Fraction coefficients."""
+    ham = torus.structure.generator_brackets(dec.gamma)
+    reference = {name: ham[i] + dec.theta_images[name] * torus.context.var(name)
+                 for i, name in enumerate(torus.names)}
+    images = apply_decomposition(dec, torus)
+    assert images == reference
+    for img in images.values():
+        assert all(type(c) is Fraction and c for c in img.terms.values())
 
 
 def _image_coefficients(D, torus):
