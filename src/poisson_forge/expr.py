@@ -46,6 +46,8 @@ Rational = Fraction
 #: valid at positions the context marks invertible.
 Monomial = tuple[int, ...]
 
+_ONE = Fraction(1)
+
 
 class ExprError(ValueError):
     """Base error for expression-level failures."""
@@ -200,7 +202,9 @@ class VarContext:
         return LaurentPoly(self, {(0,) * self.rank: c})
 
     def var(self, name: str) -> "LaurentPoly":
-        return self.monomial({name: 1})
+        i = self.index(name)
+        # an exponent of +1 is valid on every variable
+        return LaurentPoly._of(self, {(0,) * i + (1,) + (0,) * (self.rank - i - 1): _ONE})
 
     def monomial(self, powers: Mapping[str, int], coeff=1) -> "LaurentPoly":
         exps = [0] * self.rank

@@ -20,7 +20,11 @@ With g a generator x_g the formula needs only the table entries b_vg:
 so ``generator_brackets(f)`` gives {f, x_g} for every g from one pass
 over the terms of f, and ``bracket_rows`` the same for basis monomials
 and the slots of a Poisson generating set (``generating_slots``), whose
-brackets decide centrality.
+brackets decide centrality.  Terms of b_vg / x_v at different positions v
+often share an exponent shift (on a log-canonical torus every b_vg / x_v
+is a multiple of x_g), so ``generator_brackets`` sums the integer
+coefficients of each (g, shift) first and builds one image monomial per
+nonzero sum.
 
 Jacobi and Poisson-derivation checking run on generators only: the
 Jacobiator of a biderivation-extended bracket is a tri-derivation, and the
@@ -216,26 +220,45 @@ class PoissonStructure:
         den = self._den
         return monomials, rows, lambda key: den, packing.key
 
+    @cached_property
+    def _by_group(self) -> tuple:
+        """``_by_position`` grouped by (generator slot, exponent shift): the
+        distinct (g, shift) pairs, and per context position v one (group
+        id, numerator) per term, so the terms that send x^m to one image
+        monomial x^(m + shift) in one slot share an id."""
+        ids: dict[tuple, int] = {}
+        table = tuple(tuple((ids.setdefault((g, shift), len(ids)), n)
+                            for g, shift, n in terms)
+                      for terms in self._by_position)
+        return tuple(ids), table
+
     def generator_brackets(self, f: LaurentPoly) -> list[LaurentPoly]:
         """[{f, x_g} for each generator slot g], from one pass over the
-        terms of f: each term a*x^m adds k*a*n*x^(m + shift) to slot g for
-        each term (g, shift, n) of ``_by_position`` at a position v with
-        k = m_v != 0."""
+        terms of f: for each term a*x^m, the integer sum s of k*n over the
+        terms (id, n) of ``_by_group`` at the positions v with
+        k = m_v != 0 is taken per group id first, and each nonzero s
+        adds a*s*x^(m + shift) to slot g of its group (g, shift), one
+        exponent tuple per group and none for a group that cancels."""
         if f.context != self.context:
             raise ContextMismatch("bracket operand over wrong context")
         fterms, fden = integer_terms(f)
-        table = self._by_position
+        groups, table = self._by_group
         accs = [{} for _ in self.context.generators()]
         for m, a in fterms:
+            sums: dict[int, int] = {}
             for k, terms in zip(m, table):
                 if k:
-                    ak = a * k
-                    for g, shift, n in terms:
-                        mm = tuple(map(add, m, shift))
-                        acc = accs[g]
-                        acc[mm] = acc.get(mm, 0) + ak * n
+                    for gid, n in terms:
+                        sums[gid] = sums.get(gid, 0) + k * n
+            for gid, s in sums.items():
+                if s:
+                    g, shift = groups[gid]
+                    mm = tuple(map(add, m, shift))
+                    acc = accs[g]
+                    acc[mm] = acc.get(mm, 0) + a * s
         den = fden * self._den
-        # m + shift is x^m * b_vg / x_v with m_v != 0, valid as in bracket
+        # m + shift is x^m * b_vg / x_v for a position v with m_v != 0, which
+        # a nonzero sum has, valid as in bracket
         return [LaurentPoly._of(self.context,
                                 {m: Fraction(n, den) for m, n in acc.items() if n})
                 for acc in accs]

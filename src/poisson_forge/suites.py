@@ -20,6 +20,13 @@ gets a tower of its own.  ``pdda`` checks every stage's log-canonical
 contract and the torus of level 2 in one call,
 ``chain.verify_log_canonical``, which brackets each distinct pair of
 chain generator objects once.
+
+Each of the sixteen mutation checks of ``jacobi`` asks only whether some
+generator triple of the mutated table has a nonzero Jacobiator.  It tries
+first the triples that hold both positions of the changed entry, where a
+bumped coefficient shows at once on the built-in table, and then every
+other triple, so the verdict is that of ``check_jacobi`` from 18
+Jacobiators instead of 69.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import functools
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 from . import g2
 from .chain import (FractionElement, builtin_chain, chain_elements,
@@ -37,7 +45,7 @@ from .chain import (FractionElement, builtin_chain, chain_elements,
 from .expr import LaurentPoly
 from .parse import parse_expr
 from .poisson import (DerivationSpec, EtaError, PoissonStructure, WeightVector,
-                      check_grading, check_jacobi, jacobi_residues)
+                      check_grading, jacobi_residues, jacobiator)
 from .quotient import (QuotientRing, bounded_centre, bounded_inner_search,
                        check_casimirs, check_quotient_derivation,
                        hamiltonian_quotient_images, parse_derivation,
@@ -74,9 +82,10 @@ def _triple_items(structure: PoissonStructure):
             for (i, j, k), residue in jacobi_residues(structure)]
 
 
-def _mutations(structure: PoissonStructure):
-    """The sixteen single-coefficient mutations: +1 on the leading
-    coefficient of each of the 15 table entries, plus the distinguished
+def _mutation_cases(structure: PoissonStructure):
+    """(label, mutated structure, changed entry (i, j)) for the sixteen
+    single-coefficient mutations: +1 on the leading coefficient of each of
+    the 15 table entries, plus the distinguished
     {X3, X1} -> -X1*X3 - 2*X2 perturbation."""
     ctx = structure.context
     cases = []
@@ -88,14 +97,29 @@ def _mutations(structure: PoissonStructure):
         table[(i, j)] = LaurentPoly(ctx, bumped)
         cases.append((f"mutation ({ctx.names[i]},{ctx.names[j]}) leading"
                       " coefficient +1 is detected",
-                      PoissonStructure(ctx, table)))
+                      PoissonStructure(ctx, table), (i, j)))
     table = dict(structure.table)
     table[(0, 2)] = parse_expr("X1*X3 + 2*X2", ctx)
     cases.append(("mutation {X3,X1} -> -X1*X3 - 2*X2 is detected",
-                  PoissonStructure(ctx, table)))
-    return [CheckItem(label, check_jacobi(mutated) is not None,
+                  PoissonStructure(ctx, table), (0, 2)))
+    return cases
+
+
+def _mutations(structure: PoissonStructure):
+    return [CheckItem(label, _fails_jacobi(mutated, entry),
                       "mutation passed the Jacobi check")
-            for label, mutated in cases]
+            for label, mutated, entry in _mutation_cases(structure)]
+
+
+def _fails_jacobi(structure: PoissonStructure, entry) -> bool:
+    """``check_jacobi(structure) is not None``, trying first the generator
+    triples that hold both positions of the changed ``entry`` (i, j), then
+    every other triple, each group in ``combinations`` order: the first
+    group's Jacobiators hold the changed entry itself."""
+    i, j = entry
+    triples = sorted(combinations(structure.context.generators(), 3),
+                     key=lambda triple: not (i in triple and j in triple))
+    return any(not jacobiator(structure, *triple).is_zero() for triple in triples)
 
 
 def suite_jacobi():
@@ -176,7 +200,7 @@ def _random_decomposition(torus, lattice, rng):
     randint = rng.randint
     gamma: dict = {}
     for _ in range(randint(1, 4)):
-        g = tuple(randint(-2, 2) for _ in range(torus.rank))
+        g = tuple([randint(-2, 2) for _ in range(torus.rank)])
         if torus.is_central(g):
             continue
         c = Fraction(randint(-6, 6), randint(1, 4))
@@ -187,14 +211,18 @@ def _random_decomposition(torus, lattice, rng):
         img: dict = {}
         for _ in range(randint(0, 2)):
             vec = zero
-            for c, b in zip([randint(-1, 1) for _ in lattice], lattice):
-                vec = [v + c * x for v, x in zip(vec, b)]
+            for b in lattice:
+                c = randint(-1, 1)
+                if c:
+                    vec = [v + c * x for v, x in zip(vec, b)]
             vec = tuple(vec)
             img[vec] = img.get(vec, 0) + randint(-5, 5)
         # a lattice vector is a valid torus monomial; the zero sums are
         # dropped here, as the checked constructor would
         theta[name] = LaurentPoly._of(ctx, {v: Fraction(c) for v, c in img.items() if c})
-    return LaurentPoly(ctx, gamma), theta
+    # each coefficient of gamma is a Fraction, and every monomial is valid
+    # on the torus, whose generators are all invertible
+    return LaurentPoly._of(ctx, {g: c for g, c in gamma.items() if c}), theta
 
 
 def suite_derivations():

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import neg
 from typing import Sequence
 
 from .expr import (ContextMismatch, ExprError, LaurentPoly, VarContext,
@@ -63,19 +64,38 @@ class TorusStructure:
     @staticmethod
     def make(matrix: list[list]) -> "TorusStructure":
         """The torus of ``matrix``, a list of rows, each a list of rationals
-        (numbers or "p/q" text); ExprError on anything else."""
+        (numbers or "p/q" text); ExprError on anything else.
+
+        Each distinct entry, told apart by type and value so that True is
+        not read as 1, is converted once, and antisymmetry is checked on
+        the integer rows of lam * den, which the torus keeps as its
+        ``den`` and ``_rows``."""
         if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
             raise ExprError("lambda matrix must be a list of rows, each a list")
-        lam = tuple(tuple(rational(v) for v in row) for row in matrix)
-        n = len(lam)
-        for row in lam:
+        try:
+            ids: dict = {}
+            indices = [[ids.setdefault((type(v), v), len(ids)) for v in row]
+                       for row in matrix]
+            values = [v for _, v in ids]
+        except TypeError:  # an unhashable entry: each entry read on its own
+            values = [v for row in matrix for v in row]
+            position = iter(range(len(values)))
+            indices = [[next(position) for _ in row] for row in matrix]
+        distinct = list(map(rational, values))
+        n = len(indices)
+        for row in indices:
             if len(row) != n:
                 raise ExprError("lambda matrix must be square")
-        for i in range(n):
-            for j in range(i, n):
-                if lam[i][j] != -lam[j][i]:
-                    raise ExprError("lambda matrix must be antisymmetric")
-        return TorusStructure(lam, tuple(f"t{i + 1}" for i in range(n)))
+        den = lcm(*(c.denominator for c in distinct))
+        scaled = [c.numerator * (den // c.denominator) for c in distinct]
+        rows = tuple(tuple(map(scaled.__getitem__, row)) for row in indices)
+        if rows != tuple(tuple(map(neg, column)) for column in zip(*rows)):
+            raise ExprError("lambda matrix must be antisymmetric")
+        torus = TorusStructure(tuple(tuple(map(distinct.__getitem__, row))
+                                     for row in indices),
+                               tuple(f"t{i + 1}" for i in range(n)))
+        vars(torus).update(den=den, _rows=rows)
+        return torus
 
     @property
     def rank(self) -> int:

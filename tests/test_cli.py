@@ -906,3 +906,40 @@ class TestBuiltOncePerProcess:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[] True"
+
+
+class TestWarmRoundWork:
+    """Work counts of one warm ``verify all`` round, the 11 ``verify``
+    commands after a first round built the shared objects: unlike wall
+    time they do not depend on the machine."""
+
+    def test_bracket_calls_per_suite(self, monkeypatch):
+        from poisson_forge import suites
+        from poisson_forge.poisson import PoissonStructure, check_jacobi
+
+        run_suites(SUITE_NAMES)
+        counts = dict.fromkeys(SUITE_NAMES, 0)
+        running = []
+        original = PoissonStructure.bracket
+
+        def counting(self, f, g):
+            counts[running[-1]] += 1
+            return original(self, f, g)
+        monkeypatch.setattr(PoissonStructure, "bracket", counting)
+        for name in SUITE_NAMES:
+            running.append(name)
+            assert run_cli("verify", name)[0] == 0
+        # jacobi: 20 triples of the table, then 18 Jacobiators for the 16
+        # mutations, each tried first on the triples that hold its entry;
+        # three brackets per Jacobiator
+        assert {name: n for name, n in counts.items() if n} == {
+            "jacobi": 60 + 54, "pdda": 39, "quotient": 60, "derivations": 6,
+            "centre": 42}
+        assert sum(counts.values()) == 261
+
+        structure = g2.builtin_algebra().structure
+        cases = suites._mutation_cases(structure)
+        items = suites._mutations(structure)
+        assert [item.label for item in items] == [label for label, _, _ in cases]
+        assert [item.ok for item in items] == [
+            check_jacobi(mutated) is not None for _, mutated, _ in cases]

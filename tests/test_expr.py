@@ -172,6 +172,15 @@ class TestContext:
         with pytest.raises(InvertibilityError):
             CTX.monomial({"X1": -1})
 
+    @pytest.mark.parametrize("ctx", [TCTX, QCTX], ids=["invertible", "parameters"])
+    def test_var_is_the_unit_monomial(self, ctx):
+        for name in ctx.names:
+            x = ctx.var(name)
+            assert x == ctx.monomial({name: 1})
+            assert [type(c) for c in x.terms.values()] == [Fraction]
+        with pytest.raises(ExprError, match="^unknown variable 'y1'$"):
+            ctx.var("y1")
+
 
 class TestArithmetic:
     def test_additive_inverse(self):

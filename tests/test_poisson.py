@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -131,6 +132,10 @@ class TestBracketReference:
 # negative x5, x6 exponents and alpha, beta exponents
 LOCAL_QUOTIENT = QuotientRing(localized=True).structure
 TORUS = TorusStructure.make(g2.TORUS_MATRIX).structure
+# one exponent shift in two slots: x^m * {y0, y1} / y0 and x^m * {y0, y2} / y0
+# both hold x^m * y2
+SHARED_SHIFT = PoissonStructure(YCTX, {(0, 1): parse_expr("y0*y2 + y1", YCTX),
+                                       (0, 2): parse_expr("3*y0*y2", YCTX)})
 
 
 class TestGeneratorBrackets:
@@ -157,6 +162,37 @@ class TestGeneratorBrackets:
     @given(laurent_polys(RATIONAL.context))
     def test_rational_table(self, f):
         self.check(RATIONAL, f)
+
+    @given(laurent_polys(SHARED_SHIFT.context))
+    def test_one_shift_in_two_slots(self, f):
+        self.check(SHARED_SHIFT, f)
+
+    def test_one_shift_in_two_slots_on_a_generator(self):
+        y0 = YCTX.var("y0")
+        self.check(SHARED_SHIFT, y0)
+        assert SHARED_SHIFT.generator_brackets(y0) == [
+            YCTX.zero(), parse_expr("y0*y2 + y1", YCTX), parse_expr("3*y0*y2", YCTX)]
+
+    @pytest.mark.parametrize("m", [(1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1),
+                                   (2, -1, 2, -1, 2, -1)])
+    def test_central_torus_monomials_have_zero_images(self, m):
+        # every (slot, shift) group of a central monomial sums to zero
+        f = LaurentPoly(TORUS.context, {m: Fraction(3, 2)})
+        self.check(TORUS, f)
+        assert all(image.is_zero() for image in TORUS.generator_brackets(f))
+
+    def test_torus_groups_keep_the_non_central_pairing(self):
+        # t1*t2*t3*t5 is t2 times the central t1*t3*t5: in the group of
+        # each slot g only lam(e2, e_g) survives
+        ctx = TORUS.context
+        f = parse_expr("t1*t2*t3*t5 - 2*t2^-1", ctx)
+        self.check(TORUS, f)
+        lam = TorusStructure.make(g2.TORUS_MATRIX).lam
+        for g, image in enumerate(TORUS.generator_brackets(f)):
+            unit = tuple(int(v == g) for v in range(6))
+            assert image == LaurentPoly(ctx, {
+                tuple(map(add, (1, 1, 1, 0, 1, 0), unit)): lam[1][g],
+                tuple(map(add, (0, -1, 0, 0, 0, 0), unit)): 2 * lam[1][g]})
 
     def test_zero(self):
         for structure in (S, LOCAL_QUOTIENT, TORUS):

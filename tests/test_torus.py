@@ -177,6 +177,36 @@ class TestCentralLattice:
             assert [Fraction(p, torus.den) for p in pairings] == column_products
             assert torus.is_central(g) == (not any(column_products))
 
+    def test_make_reads_mixed_entries(self):
+        # each distinct entry is converted once; the integer rows of
+        # lam * den that make checks antisymmetry on are those the torus
+        # would derive from lam itself
+        matrix = [[0, "1/2", 1], ["-1/2", 0, "2/4"], [-1, "-1/2", 0]]
+        torus = TorusStructure.make(matrix)
+        assert torus.lam == tuple(tuple(Fraction(v) for v in row) for row in matrix)
+        assert all(type(c) is Fraction for row in torus.lam for c in row)
+        assert (torus.den, torus._rows) == (2, ((0, 1, 2), (-1, 0, 1), (-2, -1, 0)))
+        fresh = TorusStructure(torus.lam, torus.names)
+        assert (fresh.den, fresh._rows) == (torus.den, torus._rows)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[0, 1], [-1, True]], "expected a rational, got True"),
+        ([[0, True], [-1, 0]], "expected a rational, got True"),
+        ([[0, [1]], [-1, 0]], "expected a rational, got [1]"),
+        ([["x", [1]], [-1, 0]], "expected a rational, got 'x'"),
+        ([[[1], "x"], [-1, 0]], "expected a rational, got [1]"),
+        ([[0, 1], [-1]], "lambda matrix must be square"),
+        ([[0, "1/2"], ["1/2", 0]], "lambda matrix must be antisymmetric"),
+        ([[0, 1], [-1, "1/3"]], "lambda matrix must be antisymmetric"),
+    ], ids=["true-after-one", "true", "list", "text-before-list",
+            "list-before-text", "square", "antisymmetric", "diagonal"])
+    def test_make_refuses(self, matrix, message):
+        # True equals 1 and hashes as 1, yet is refused after a 1 too; an
+        # unhashable entry is refused where it stands
+        with pytest.raises(ExprError) as raised:
+            TorusStructure.make(matrix)
+        assert str(raised.value) == message
+
     def test_derived_data_built_once(self):
         torus = TorusStructure.make([[0, 1], [-1, 0]])
         assert torus.context is torus.context
