@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -260,7 +260,11 @@ class LaurentPoly:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]))
+        """The terms in ``_term_key`` order: descending lex first, then a
+        stable sort by ascending positive degree."""
+        terms = sorted(self.terms.items(), key=itemgetter(0), reverse=True)
+        terms.sort(key=lambda kv: sum(e for e in kv[0] if e > 0))
+        return terms
 
     # -- ring operations -------------------------------------------------
     def _coerce(self, other) -> "LaurentPoly":

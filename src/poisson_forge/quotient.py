@@ -10,16 +10,24 @@ lexicographically, and the weight 2a + 3b = 2(a + b) + b drops by at
 least one.  With termination, local confluence gives, by Newman's lemma
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*), a result that
 does not depend on the order of the rewrites, so ``QuotientRing._reduce``
-may rewrite in falling weight, each monomial once.  It does so on packed
-keys (``poisson.ExponentPacking``): each monomial a rule applies to is
-packed into one integer, a rewrite adds the rule term's packed shift to
-it and an integer multiple of the rule term's scaled coefficient to its
-numerator, and each key left is unpacked once, from its bytes.  The
-field width comes from the largest exponent the reduction can reach (the
-largest |exponent| of the terms it rewrites plus their highest weight
-times the rules' largest shift component), and the rules on packed keys
-are kept on the ring per width.  The normal forms are the unique
-representatives over the monomial basis
+may rewrite in falling weight, each monomial once.  Rewriting also
+commutes with multiplying by a monomial u free of x3 and x4:
+NF(u x3^a x4^b) = u NF(x3^a x4^b).  So each ring keeps a table of
+NF(x3^a x4^b) for the weights 2a + 3b up to ``TABLE_WEIGHT`` (10, that of
+x3^2 x4^2, the most a product of two normal forms reaches), at most 10
+entries, each made on first use and dropped when the rules change, as in
+the symbolic preprocessing of F4 (Faugère 1999).  An input up to that
+weight adds each term's scaled entry into one integer accumulator.  A
+heavier input is rewritten on packed keys (``poisson.ExponentPacking``),
+the bucket path, which makes the entries too: each monomial a rule
+applies to is packed into one integer, a rewrite adds the rule term's
+packed shift to it and an integer multiple of the rule term's scaled
+coefficient to its numerator, and each key left is unpacked once, from
+its bytes.  The field width comes from the largest exponent the
+reduction can reach (the largest |exponent| of the terms it rewrites
+plus their highest weight times the rules' largest shift component), and
+the rules on packed keys are kept on the ring per width.  The normal
+forms are the unique representatives over the monomial basis
 
     x1^i x2^j x3^e1 x4^e2 x5^k x6^l,  e1, e2 in {0, 1},
 
@@ -60,17 +68,14 @@ one integer add; ``key(g, m)`` gives the key of slot g and exponent
 tuple m.  Each row is its coefficients times its own nonzero
 ``scale(key)``: the structure's common denominator on the ambient rows,
 times a power of the rules' denominator set by the weight on the
-quotient rows.  On the quotient, rewriting commutes with multiplying by
-a monomial u free of x3 and x4, so NF(u * x3^a x4^b) = u * NF(x3^a x4^b):
-each call reduces every x3^a x4^b that its images hold once, with the
-packed rewrite loop of ``normal_form`` on the call's own keys, into a
-table that lives for the call, and adds each image term into its rows
-through it.  A row times a
-nonzero constant has the same solutions, so the kernel is the same, and
-the inner search multiplies each rhs entry by its row's scale.  The
-centre loads its rows into ``LinearSystem.from_rows`` as they are, the
-inner search (``linalg.solve``) with the scaled rhs as one more column
-after the unknowns; both searches check their answer through
+quotient rows.  On the quotient each call reads every x3^a x4^b that its
+images hold from the ring's table, packs the entry's shifts on the
+call's own keys, and adds each image term into its rows through it.  A
+row times a nonzero constant has the same solutions, so the kernel is
+the same, and the inner search multiplies each rhs entry by its row's
+scale.  The centre loads its rows into ``LinearSystem.from_rows`` as
+they are, the inner search (``linalg.solve``) with the scaled rhs as one
+more column after the unknowns; both searches check their answer through
 ``bracket`` on all six generators, and an inner-search answer that
 fails only on generators other than x1 and x6 means that D is not inner
 in that degree.
@@ -81,7 +86,9 @@ ideal.
 
 A reduction that passes ``MAX_TERMS`` terms or ``MAX_REWRITES``
 rewritten monomials raises ``WorkLimitError``, so hostile input ends in
-bounded time as well as bounded memory.  ``check_casimirs`` reads the
+bounded time as well as bounded memory; the table path is taken only
+when the bucket path could pass neither limit, so the same inputs are
+refused either way.  ``check_casimirs`` reads the
 golden texts of ``g2.REWRITE_IDENTITIES`` through ``g2.golden_poly``,
 which parses each once per process and context, as the chain reads its
 formulas.
@@ -100,7 +107,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
-from operator import mul
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .expr import (ExprError, LaurentPoly, VarContext, WorkLimitError,
                    accumulate, rational)
@@ -130,7 +138,21 @@ MAX_TERMS = 100_000
 # 3.11 on a 2-core Xeon).  `nf x3^40` rewrites 161137 monomials, and
 # `nf "(x3*x4*x3*x4*x3*x4)^9"` passes MAX_TERMS terms after 209971.
 MAX_REWRITES = 300_000
+# The highest weight 2a + 3b whose NF(x3^a x4^b) a ring keeps in its table:
+# that of x3^2 x4^2, the highest a product of two normal forms reaches.
+TABLE_WEIGHT = 10
 _AMBIENT_TO_QUOTIENT = {f"X{i}": f"x{i}" for i in range(1, 7)}
+
+
+class _Entry(NamedTuple):
+    """NF(x3^a x4^b) as integer numerators over ``den``, each with its
+    exponent shift from x3^a x4^b, and the work the bucket path did for it
+    (``QuotientRing._entry``)."""
+
+    den: int
+    terms: tuple[tuple[tuple[int, ...], int], ...]
+    peak: int
+    rewrites: int
 
 
 def _parameter(value) -> Fraction | None:
@@ -204,7 +226,9 @@ class QuotientRing:
         c*m of the rule for x3^2 (x4^2): the shift is m / x3^2 (m / x4^2),
         and the integer is c * R^d, where d >= 1 is how far the term lowers
         the weight 2a + 3b.  ``_growth`` is the largest |component| of a
-        shift, and ``_packed`` caches the rules on packed keys per width.
+        shift, ``_longest`` the most terms of a rule, ``_packed`` caches
+        the rules on packed keys per width, and ``_table`` the entries of
+        ``_entry``, which hold for these rules only.
         """
         i3, i4 = self._i3, self._i4
         R = lcm(*(c.denominator for rule in rules for c in rule.terms.values()))
@@ -219,7 +243,9 @@ class QuotientRing:
         self._rules = (R, scaled[0], scaled[1] if len(scaled) > 1 else None)
         self._growth = max(abs(e) for pairs in scaled for shift, _ in pairs
                            for e in shift)
+        self._longest = max(len(pairs) for pairs in scaled)
         self._packings: dict[int, tuple] = {}
+        self._table: dict[tuple[int, int], _Entry] = {}
 
     def _packed(self, reach: int):
         """(packing, rules) for exponents up to ``reach``: an
@@ -241,26 +267,36 @@ class QuotientRing:
     def _reduce(self, p: LaurentPoly) -> LaurentPoly:
         """The normal form of p under the rules in use.
 
-        Terms that no rule applies to are copied as they are.  The others
-        are rewritten on integers and packed keys.  Let D be the lcm of
-        their denominators, R that of the rules, and ``top`` their highest
-        weight.  Each enters the term dict once, under its packed key: base
-        plus the dot product of its exponents with the packing's units.
-        The dict holds, for each monomial of weight w, the integer
-        numerator n of its coefficient n / (D * R^k), at the level
-        k = top - w, and ``_rewrite`` keeps it so.  Each key left is
-        unpacked once, from its bytes, with one Fraction per term, and
-        added to the copied terms, a sum that cancels being dropped.
+        Terms that no rule applies to are copied as they are.  The others,
+        the source, are rewritten, and the result is added to the copied
+        terms, a sum that cancels being dropped.  Let ``top`` be the
+        highest weight 2a + 3b of the source ((a, b) the x3, x4
+        exponents).  Up to ``TABLE_WEIGHT`` the source goes through the
+        ring's table (``_entry``): rewriting commutes with multiplying by a
+        monomial u free of x3 and x4, so NF(u x3^a x4^b) = u NF(x3^a x4^b),
+        and each term adds its entry, shifted by u and times its own
+        coefficient, into one integer accumulator on exponent tuples over
+        one common denominator, with one Fraction per output term.  Heavier
+        sources keep the bucket path, ``_rewritten``, which shares the
+        rewrites of a cascade across terms.
 
-        The packing holds every exponent the reduction meets: at most
-        ``top`` rewrites lead to any monomial, as each lowers the weight,
-        and each moves an exponent by at most ``_growth``.  So the width
-        comes from the largest |exponent| of the rewritten terms plus
-        ``top`` times ``_growth``, the bound ``bracket_rows`` uses too.
+        The table path keeps the work limits of the bucket path exact: it
+        is taken only when the bucket path could pass neither
+        ``MAX_TERMS`` nor ``MAX_REWRITES``, that is when the sums over the
+        source of its entries' ``peak`` and ``rewrites`` stay within them.
+        Rewriting is linear and rewrites each monomial by a rule fixed by
+        the monomial, so once every monomial above a weight is rewritten,
+        the bucket path's term dict is the sum of those of the source
+        terms reduced one by one, and holds at most the sum of their term
+        counts.  A monomial it rewrites, with a nonzero coefficient, some
+        source term on its own rewrites too; and a monomial joins a bucket
+        once per source term or once per (rewrite, rule term) pair that
+        brings it back, so the bucket entries number at most one per
+        source term plus the longest rule's length per rewrite of the
+        terms on their own.
         """
         i3, i4 = self._i3, self._i4
-        R, _, rule4 = self._rules
-        low4 = inf if rule4 is None else 2
+        low4 = inf if self._rules[2] is None else 2
         out = {}
         source = {}
         for m, c in p.terms.items():
@@ -274,6 +310,85 @@ class QuotientRing:
         if top > MAX_TERMS:  # before _rewrite makes top + 1 buckets
             raise WorkLimitError(f"normal form of weight {top} is over the"
                                  f" limit of {MAX_TERMS}")
+        rewritten = None
+        if top <= TABLE_WEIGHT:
+            rewritten = self._through_table(source)
+        if rewritten is None:
+            rewritten = self._rewritten(source, top)[0]
+        accumulate(out, rewritten)  # a rewritten term may cancel a copied one
+        # each target is m + m' - 2*e3 (or e4) with m[i3] >= 2 (m[i4] >= 2)
+        # and m' a term of the rule
+        return LaurentPoly._of(self.context, out)
+
+    def _through_table(self, source: dict) -> dict | None:
+        """The normal form of ``source``, terms of weight at most
+        ``TABLE_WEIGHT`` that a rule applies to, from the table, or None
+        when the bucket path could pass a work limit (see ``_reduce``)."""
+        i3, i4 = self._i3, self._i4
+        entries = [self._entry(m[i3], m[i4]) for m in source]
+        if (sum(entry.peak for entry in entries) > MAX_TERMS
+                or sum(entry.rewrites for entry in entries) > MAX_REWRITES):
+            return None
+        D = lcm(*(c.denominator * entry.den
+                  for c, entry in zip(source.values(), entries)))
+        acc: dict = {}
+        get = acc.get
+        for (m, c), (den, nf, _, _) in zip(source.items(), entries):
+            f = c.numerator * (D // (c.denominator * den))
+            for shift, n in nf:
+                mm = tuple(map(add, m, shift))
+                acc[mm] = get(mm, 0) + f * n
+        return {m: Fraction(n, D) for m, n in acc.items() if n}
+
+    def _entry(self, a: int, b: int) -> _Entry:
+        """NF(x3^a x4^b) under the rules in use, from the ring's table.
+
+        Built on first use by the bucket path and kept when its weight
+        2a + 3b is at most ``TABLE_WEIGHT``: at most 10 entries per rule
+        set, ``_use_rules`` clearing them.  ``peak`` is the most terms the
+        bucket path held at one of its checks, and ``rewrites`` bounds the
+        bucket entries that x3^a x4^b brings into a joint reduction: one
+        for itself and the longest rule's length per monomial it rewrote.
+        """
+        entry = self._table.get((a, b))
+        if entry is not None:
+            return entry
+        m = [0] * self.context.rank
+        m[self._i3], m[self._i4] = a, b
+        m = tuple(m)
+        w = 2 * a + 3 * b
+        rewritten, peak, steps = self._rewritten({m: Fraction(1)}, w)
+        den = lcm(*(c.denominator for c in rewritten.values()))
+        entry = _Entry(den, tuple((tuple(map(sub, t, m)),
+                                   c.numerator * (den // c.denominator))
+                                  for t, c in rewritten.items()),
+                       peak, 1 + steps * self._longest)
+        if w <= TABLE_WEIGHT:
+            self._table[a, b] = entry
+        return entry
+
+    def _rewritten(self, source: dict, top: int) -> tuple[dict, int, int]:
+        """The bucket path: the normal form of ``source``, terms a rule
+        applies to of weight at most ``top``, with the peak term count and
+        the rewrite steps of ``_rewrite``.
+
+        The source is rewritten on integers and packed keys.  Let D be the
+        lcm of its denominators and R that of the rules.  Each term enters
+        the term dict once, under its packed key: base plus the dot product
+        of its exponents with the packing's units.  The dict holds, for
+        each monomial of weight w, the integer numerator n of its
+        coefficient n / (D * R^k), at the level k = top - w, and
+        ``_rewrite`` keeps it so.  Each key left is unpacked once, from its
+        bytes, with one Fraction per term.
+
+        The packing holds every exponent the reduction meets: at most
+        ``top`` rewrites lead to any monomial, as each lowers the weight,
+        and each moves an exponent by at most ``_growth``.  So the width
+        comes from the largest |exponent| of the source plus ``top`` times
+        ``_growth``, the bound ``bracket_rows`` uses too.
+        """
+        i3, i4 = self._i3, self._i4
+        R = self._rules[0]
         reach = max(max(map(max, source)), -min(map(min, source)))
         packing, rules = self._packed(reach + top * self._growth)
         D = lcm(*(c.denominator for c in source.values()))
@@ -282,7 +397,7 @@ class QuotientRing:
                  c.numerator * (D // c.denominator)
                  * R ** (top - 2 * m[i3] - 3 * m[i4])
                  for m, c in source.items()}
-        self._rewrite(terms, top, rules, packing)
+        peak, steps = self._rewrite(terms, top, rules, packing)
         scale = [D]
         for _ in range(top):
             scale.append(scale[-1] * R)
@@ -291,17 +406,17 @@ class QuotientRing:
         for k, n in terms.items():
             m = exponents(k)
             rewritten[m] = Fraction(n, scale[top - 2 * m[i3] - 3 * m[i4]])
-        accumulate(out, rewritten)  # a rewritten term may cancel a copied one
-        # each target is m + m' - 2*e3 (or e4) with m[i3] >= 2 (m[i4] >= 2)
-        # and m' a term of the rule
-        return LaurentPoly._of(self.context, out)
+        return rewritten, peak, steps
 
     def _rewrite(self, terms: dict[int, int], top: int, rules,
-                 packing: ExponentPacking) -> None:
+                 packing: ExponentPacking) -> tuple[int, int]:
         """Rewrite to normal form, in place, a term dict on the keys of
-        ``packing`` whose levels count down from ``top`` (see ``_reduce``),
-        with ``rules`` as ``_packed`` gives them for that packing.  This is
-        the one rewrite loop: ``_reduce`` and ``bracket_rows`` both call it.
+        ``packing`` whose levels count down from ``top`` (see
+        ``_rewritten``), with ``rules`` as ``_packed`` gives them for that
+        packing, and return its peak term count and rewrite steps.  This
+        is the one rewrite loop: the bucket path of ``_reduce`` and each
+        entry of the table of NF(x3^a x4^b) that ``_reduce`` and
+        ``bracket_rows`` read come from it.
 
         Rewriting a monomial of weight w = 2a + 3b ((a, b) its x3, x4
         exponents) only adds to monomials of lower weight.  So the
@@ -320,14 +435,15 @@ class QuotientRing:
         that to the target's numerator, with no rescaling.  Past
         ``MAX_TERMS`` terms or ``MAX_REWRITES`` rewritten monomials (each
         entry of a bucket counts), both checked once per bucket, it raises
-        ``WorkLimitError``.
+        ``WorkLimitError``.  The peak is the most terms one of these checks
+        saw, and the steps are the bucket entries counted.
         """
         _, rule3, rule4 = rules
         low4 = inf if rule4 is None else 2
         bias, mask = packing.bias, (1 << packing.width) - 1
         off3, off4 = packing.offsets[self._i3], packing.offsets[self._i4]
         buckets: list[list] = [[] for _ in range(top + 1)]
-        steps = 0
+        peak = steps = 0
         for k in terms:
             a = ((k >> off3) & mask) - bias
             b = ((k >> off4) & mask) - bias
@@ -335,7 +451,8 @@ class QuotientRing:
                 buckets[2 * a + 3 * b].append((k, a, b))
         get = terms.get
         for w in range(top, 3, -1):  # x3^2 has the least reducible weight, 4
-            if len(terms) > MAX_TERMS:
+            peak = max(peak, len(terms))
+            if peak > MAX_TERMS:
                 raise WorkLimitError(f"normal form needs more than {MAX_TERMS}"
                                      " terms")
             steps += len(buckets[w])
@@ -360,6 +477,7 @@ class QuotientRing:
                             terms[kk] = s
                         else:
                             del terms[kk]
+        return peak, steps
 
     def normal_form(self, p: LaurentPoly | str) -> LaurentPoly:
         if isinstance(p, str):
@@ -407,46 +525,44 @@ class QuotientRing:
         u * NF(x3^a x4^b), and the levels compose: an image term at level
         top - w times a term t of NF(x3^a x4^b) at level w - w(t) lands at
         level top - w(t).  So each (a, b) met among the image terms is
-        reduced once per call by ``_rewrite``, on the call's own packed
-        keys, as in the symbolic preprocessing of F4 (Faugère 1999), and
-        every image term is added into its row through that table.  The
-        table lives for the call only.
+        read once per call from the ring's table (``_entry``), as in the
+        symbolic preprocessing of F4 (Faugère 1999): its shifts packed on
+        the call's keys and its numerators put at their levels, and every
+        image term is added into its row through it.
 
         The packing holds every exponent the call reaches, by the bound of
-        ``_reduce``: image exponents are at most degree + s, s the table's
-        shift reach; a basis monomial holds x3 and x4 at most once, so
-        image weights, and ``top``, are at most 5 (1 + s); and at most
-        ``top`` rewrites move an exponent by at most ``_growth`` each.
+        ``_rewritten``: image exponents are at most degree + s, s the
+        bracket table's shift reach; a basis monomial holds x3 and x4 at
+        most once, so image weights, and ``top``, are at most 5 (1 + s);
+        and at most ``top`` rewrites move an exponent by at most
+        ``_growth`` each.
         """
         i3, i4 = self._i3, self._i4
         structure = self.structure
         monomials = list(self.basis_monomials(degree))
         s = structure._shift_reach
-        packing, rules = self._packed(max(degree, 0) + s
-                                      + 5 * (1 + s) * self._growth)
+        packing = ExponentPacking(self.context, max(degree, 0) + s
+                                  + 5 * (1 + s) * self._growth)
         images = structure.monomial_brackets(monomials, packing,
                                              self.generating_slots)
         # x4 follows x3 in the context, so one mask reads both exponents
         low, mask = packing.offsets[i3], (1 << 2 * packing.width) - 1
-        # the key of x3^a x4^b less its (a, b) code
-        rest = (packing.base - (packing.bias << packing.offsets[i3])
-                - (packing.bias << packing.offsets[i4]))
         pairs = {code: (packing.exponent(code << low, i3),
                         packing.exponent(code << low, i4))
                  for code in {(mm >> low) & mask for image in images for mm in image}}
         top = max((2 * a + 3 * b for a, b in pairs.values()), default=0)
-        power = [rules[0] ** k for k in range(top + 1)]
+        power = [self._rules[0] ** k for k in range(top + 1)]
         # per (a, b): the level factor of an image term and NF(x3^a x4^b)
-        # as (packed shift from x3^a x4^b, numerator)
+        # as (packed shift from x3^a x4^b, numerator at its level)
         reduced = {}
         for code, (a, b) in pairs.items():
             w = 2 * a + 3 * b
             nf = ((0, 1),)
             if a >= 2 or b >= 2:
-                start = rest + (code << low)
-                terms = {start: 1}
-                self._rewrite(terms, w, rules, packing)
-                nf = tuple((k - start, n) for k, n in terms.items())
+                den, terms, *_ = self._entry(a, b)
+                nf = tuple((packing.shift(t),
+                            n * power[-2 * t[i3] - 3 * t[i4]] // den)
+                           for t, n in terms)
             reduced[code] = power[top - w], nf
         rows: dict[int, dict[int, int]] = {}
         for idx, image in enumerate(images):

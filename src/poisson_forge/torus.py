@@ -128,13 +128,24 @@ class TorusStructure:
         return tuple(tuple(c.numerator * (self.den // c.denominator) for c in row)
                      for row in self.lam)
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # the nonzero (column, value) pairs of each row of lam * den
+        return tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                     for row in self._rows)
+
     def pairings(self, g: Sequence[int]) -> tuple[int, ...]:
         """(lam(g, e_1), ..., lam(g, e_n)) * den, integers, for the
         biadditive extension lam(g, h) = g . lam . h: the sum of g_v times
-        row v of lam * den over the nonzero entries g_v only, so a sparse
-        support costs its entries times n, not n^2."""
-        scaled = [[k * c for c in row] for k, row in zip(g, self._rows) if k]
-        return tuple(map(sum, zip([0] * self.rank, *scaled)))
+        row v of lam * den over the nonzero entries g_v only, each row
+        read at its nonzero entries only, so a sparse support costs its
+        entries times their rows' nonzero entries, not n^2."""
+        out = [0] * self.rank
+        for k, row in zip(g, self._sparse_rows):
+            if k:
+                for j, c in row:
+                    out[j] += k * c
+        return tuple(out)
 
     def is_central(self, g: Sequence[int]) -> bool:
         return not any(self.pairings(g))
@@ -177,11 +188,11 @@ def decompose_derivation(D: DerivationSpec, torus: TorusStructure) -> Decomposit
         name: {} for name in torus.names}
     for g, a in sorted(coeffs.items()):
         pairings = torus.pairings(g)
-        y = next((i for i, p in enumerate(pairings) if p), None)
-        if y is None:
+        if not any(pairings):
             for i, c in a.items():
                 theta_terms[torus.names[i]][g] = c
             continue
+        y = next(i for i, p in enumerate(pairings) if p)
         a_y = a.get(y, _ZERO)
         # a_x P_y = a_y P_x with the denominators of a_x and a_y cleared
         scale_y = a_y.denominator * pairings[y]

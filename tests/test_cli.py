@@ -943,3 +943,35 @@ class TestWarmRoundWork:
         assert [item.label for item in items] == [label for label, _, _ in cases]
         assert [item.ok for item in items] == [
             check_jacobi(mutated) is not None for _, mutated, _ in cases]
+
+    def test_rewrite_calls_per_suite(self, monkeypatch):
+        # Before the per-ring table of NF(x3^a x4^b) a warm round ran the
+        # bucket rewrite 26 times: pl2 6, localization 4, derivations 11,
+        # centre 5 (bracket_rows reducing its x3^a x4^b per call).  Now the
+        # suites' rings, built once per process, fill their entries in the
+        # first round, and no reduction of a warm round is heavier than
+        # weight 10: pl2, localization and derivations take the table path
+        # 6, 4 and 3 times, bracket_rows reads the entries, and nothing is
+        # rewritten.
+        from poisson_forge.quotient import QuotientRing
+
+        run_suites(SUITE_NAMES)
+        counts = {"_rewrite": dict.fromkeys(SUITE_NAMES, 0),
+                  "_through_table": dict.fromkeys(SUITE_NAMES, 0)}
+        running = []
+
+        def counting(name):
+            original = getattr(QuotientRing, name)
+
+            def count(self, *args):
+                counts[name][running[-1]] += 1
+                return original(self, *args)
+            monkeypatch.setattr(QuotientRing, name, count)
+        for name in counts:
+            counting(name)
+        for name in SUITE_NAMES:
+            running.append(name)
+            assert run_cli("verify", name)[0] == 0
+        assert {name: n for name, n in counts["_rewrite"].items() if n} == {}
+        assert {name: n for name, n in counts["_through_table"].items() if n} == {
+            "pl2": 6, "localization": 4, "derivations": 3}

@@ -421,3 +421,25 @@ class TestDivision:
         if g.is_zero():
             return
         assert divide_exact(f * g, g) == f
+
+
+class TestTermOrder:
+    @staticmethod
+    def printed_order(exps):
+        # the order format_poly prints terms in, written out on its own:
+        # ascending positive degree, then descending lex
+        return (sum(e for e in exps if e > 0), tuple(-e for e in exps))
+
+    @given(st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * 6),
+                    unique=True, max_size=12))
+    @example([(0, 0, 0, 0, 1, -1), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, -2, 0)])
+    def test_sorted_terms_follow_the_printed_order(self, monomials):
+        # negative exponents go on the invertible T positions only
+        p = LaurentPoly(TCTX, {m: Fraction(len(monomials) - k, 3)
+                               for k, m in enumerate(monomials)})
+        assert p.sorted_terms() == sorted(
+            p.terms.items(), key=lambda kv: self.printed_order(kv[0]))
+
+    def test_printed_order(self):
+        assert str(parse_expr("X5^3*X6^-2 - 3*X3*X5*X6^-1 + 3/2*X4*X6^-1 + X2",
+                              CTX)) == "X2 + 3/2*X4*X6^-1 - 3*X3*X5*X6^-1 + X5^3*X6^-2"

@@ -26,9 +26,10 @@ from poisson_forge.linalg import solve
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
                                    PoissonStructure, WeightVector, check_jacobi,
                                    field_width, hamiltonian_derivation)
-from poisson_forge.quotient import (MAX_TERMS, QuotientElement, QuotientRing,
-                                    bounded_centre, bounded_inner_search,
-                                    check_casimirs, check_quotient_derivation,
+from poisson_forge.quotient import (MAX_TERMS, TABLE_WEIGHT, QuotientElement,
+                                    QuotientRing, bounded_centre,
+                                    bounded_inner_search, check_casimirs,
+                                    check_quotient_derivation,
                                     hamiltonian_quotient_images,
                                     parse_derivation, quotient_jacobi_items,
                                     spans_same_space)
@@ -289,13 +290,17 @@ def reduction_reach(ring, p):
 # (ring, input, field width the reduction packs it with); the growth is 3
 # on both rings, so with x4^2 (weight 6) the highest weight, x5^-109 gives
 # the reach 109 + 6*3 = 127, the most that 8-bit fields hold, and x5^-110
-# gives 128
+# gives 128.  Inputs of weight at most TABLE_WEIGHT go through the ring's
+# table and pack nothing (those two and x1^(2^70)); with x4^4 (weight 12)
+# x5^-91 and x5^-92 take the packed bucket path to the same two edges.
 WIDTH_CASES = [
     (LOC, "x5^-40*x6^-33*x3^6", 8),
     (LOC, "x1^300*x4^5", 16),
     (SYM, "alpha^50*x3^7", 8),
     (LOC, "x5^-109*x4^2 + 1/3*x1^90*x3^2 + x6^-7", 8),
     (LOC, "x5^-110*x4^2 + 1/3*x1^90*x3^2 + x6^-7", 16),
+    (LOC, "x5^-91*x4^4 + 1/3*x1^90*x3^2 + x6^-7", 8),
+    (LOC, "x5^-92*x4^4 + 1/3*x1^90*x3^2 + x6^-7", 16),
     (LOC, LOC.context.monomial({"x1": 2 ** 70, "x5": -5, "x3": 3}, "2/7")
      + LOC.context.monomial({"x4": 3}), 128),
 ]
@@ -327,6 +332,121 @@ class TestPackingWidth:
             assert packing.exponents(key) == m
             assert [packing.exponent(key, v) for v in range(len(m))] == list(m)
         assert packing.key(0, (bias,) + (0,) * 7) is None
+
+
+# every (a, b) whose x3^a x4^b a rule applies to, of weight 2a + 3b at most
+# TABLE_WEIGHT: the entries a ring's table can hold
+TABLE_PAIRS = [(a, b) for a in range(6) for b in range(4)
+               if 2 * a + 3 * b <= TABLE_WEIGHT and (a >= 2 or b >= 2)]
+
+
+def free_monomial(ring, rng):
+    """A monomial in x1, x2, x5 and x6 only, negative powers of x5 and x6
+    on a localised ring, so it commutes with rewriting."""
+    low = -3 if ring.localized else 0
+    return {"x1": rng.randint(0, 3), "x2": rng.randint(0, 2),
+            "x5": rng.randint(low, 2), "x6": rng.randint(low, 2)}
+
+
+class TestNormalFormTable:
+    """The ring's table of NF(x3^a x4^b), weight at most TABLE_WEIGHT, that
+    reductions up to that weight read, against the Fraction reference."""
+
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=REFERENCE_IDS)
+    def test_every_entry_times_a_free_monomial(self, ring):
+        assert len(TABLE_PAIRS) == 10
+        rng = random.Random(33)
+        for a, b in TABLE_PAIRS:
+            u = free_monomial(ring, rng)
+            p = (ring.context.monomial({**u, "x3": a, "x4": b}, Fraction(-5, 7))
+                 + ring.context.monomial(free_monomial(ring, rng), 2))
+            assert ring.normal_form(p).terms == reference_normal_form(
+                ring, p, random.Random(a + 7 * b)), (a, b)
+        assert set(ring._table) == set(TABLE_PAIRS)
+
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=REFERENCE_IDS)
+    def test_products_across_the_table_weight(self, ring, monkeypatch):
+        # a product of two normal forms reaches weight 10, x3^2 x4^2; with
+        # factors heavier than normal forms the products run from weight 9
+        # to 13, and those above 10 take the bucket path
+        rng = random.Random(34)
+        tables = []
+        original = QuotientRing._through_table
+
+        def recording(self, source):
+            tables.append(max(2 * m[self._i3] + 3 * m[self._i4] for m in source))
+            return original(self, source)
+        monkeypatch.setattr(QuotientRing, "_through_table", recording)
+        ctx = ring.context
+        for (a1, b1), (a2, b2) in [((1, 1), (2, 0)), ((1, 1), (1, 1)),
+                                   ((1, 2), (0, 1)), ((1, 1), (2, 1)),
+                                   ((1, 2), (1, 1))]:
+            f = (ctx.monomial({**free_monomial(ring, rng), "x3": a1, "x4": b1},
+                              Fraction(3, 4))
+                 + ctx.monomial({**free_monomial(ring, rng), "x3": 1}, -1))
+            g = (ctx.monomial({**free_monomial(ring, rng), "x3": a2, "x4": b2}, 2)
+                 + ctx.monomial({**free_monomial(ring, rng), "x4": 1}, Fraction(1, 3)))
+            p = f * g
+            tables.clear()
+            assert ring.normal_form(p).terms == reference_normal_form(
+                ring, p, random.Random(a1 + 3 * b2)), ((a1, b1), (a2, b2))
+            weight = 2 * (a1 + a2) + 3 * (b1 + b2)
+            assert tables == ([weight] if weight <= TABLE_WEIGHT else [])
+
+    def test_no_entry_above_the_table_weight(self):
+        ring = QuotientRing(alpha=1, beta=1)
+        ring.normal_form("x3^20")
+        (ring.element("x1*x3*x4") * ring.element("x3*x4 + x5")).poly
+        # x3^5 x4 (weight 13) through _entry, as bracket_rows
+        # would ask for it: the right normal form, not kept
+        x3_5_x4 = ring._entry(5, 1)
+        assert {tuple(map(operator.add, t, (0, 0, 5, 1, 0, 0, 0, 0))):
+                Fraction(n, x3_5_x4.den) for t, n in x3_5_x4.terms} == \
+            ring.normal_form("x3^5*x4").terms
+        assert list(ring._table) == [(2, 2)]
+
+    def test_rules_in_use_own_the_table(self):
+        # while the x4 rule is built only the x3 rule is in use, and an
+        # entry made then leaves x4^2 as it is; taking both rules again
+        # empties the table, so NF(x3^2 x4) is made anew
+        ring = QuotientRing(alpha=1, beta=1)
+        expected = ring.normal_form("x3^2*x4")
+        ring._use_rules(ring.rewrite_x3)
+        x3_only = ring.normal_form("x3^2*x4")
+        assert any(m[3] >= 2 for m in x3_only.terms)
+        assert (2, 1) in ring._table
+        ring._use_rules(ring.rewrite_x3, ring.rewrite_x4)
+        assert ring._table == {}
+        assert ring.normal_form("x3^2*x4") == expected
+
+    @pytest.mark.parametrize("a, b, peak, copies", [(0, 2, 14, 7143),
+                                                    (2, 2, 70, 1429)])
+    def test_table_path_keeps_the_term_limit(self, a, b, peak, copies):
+        # copies of x3^a x4^b whose normal forms are far apart (x1^(8i),
+        # each spanning x1^0..x1^6): the bucket path holds `peak` terms per
+        # copy at its fullest check, just over MAX_TERMS in all, and refuses
+        # them, while one copy fewer stays within it; the normal forms hold
+        # 14 and 63 terms each.  The table path leaves x4^2 to the bucket
+        # path on its term count alone, x3^2 x4^2 on its rewrite bound too
+        assert (copies - 1) * peak <= MAX_TERMS < copies * peak
+        ring = QuotientRing(alpha=1, beta=1)
+        exponents = (0, 0, a, b, 0, 0, 0, 0)
+        p = LaurentPoly(ring.context, {(8 * i,) + exponents[1:]: 1
+                                       for i in range(copies)})
+        with pytest.raises(WorkLimitError,
+                           match=f"^normal form needs more than {MAX_TERMS} terms$"):
+            ring.normal_form(p)
+
+    def test_table_path_keeps_the_rewrite_budget(self, monkeypatch):
+        # the bucket path rewrites 20 monomials for x3^2 x4^2, 60 for three
+        # copies far apart: a budget of 59 refuses them on either path
+        ring = QuotientRing(alpha=1, beta=1)
+        p = LaurentPoly(ring.context, {(8 * i, 0, 2, 2, 0, 0, 0, 0): 1
+                                       for i in range(3)})
+        monkeypatch.setattr(quotient, "MAX_REWRITES", 59)
+        with pytest.raises(WorkLimitError,
+                           match="^normal form needs more than 59 rewrite steps$"):
+            ring.normal_form(p)
 
 
 NORMAL_FORMS = Path(__file__).parent / "data" / "normal_forms.txt"
