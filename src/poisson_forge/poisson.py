@@ -205,10 +205,10 @@ class PoissonStructure:
     def bracket_rows(self, degree: int):
         """The basis monomials of degree <= d, the matrix of
         f -> ({f, x_g} for g in ``generating_slots``) on their span as
-        integer rows row key -> {monomial index: numerator}, the scale of a
-        row (its entries over ``scale(key)`` are the coefficients) and
-        ``key(g, m)``, the row key of generator slot g and exponent vector
-        m.  Here every row has the one scale ``_den``."""
+        integer rows row key -> {monomial index: numerator}, the scale of
+        every row, an int (a row's entries over it are the coefficients;
+        here ``_den``), and ``key(g, m)``, the row key of generator slot g
+        and exponent vector m."""
         monomials = list(self.basis_monomials(degree))
         packing = ExponentPacking(self.context, max(degree, 0) + self._shift_reach)
         rows: dict[int, dict[int, int]] = {}
@@ -217,8 +217,7 @@ class PoissonStructure:
             for mm, n in image.items():
                 if n:
                     rows.setdefault(mm, {})[idx] = n
-        den = self._den
-        return monomials, rows, lambda key: den, packing.key
+        return monomials, rows, self._den, packing.key
 
     @cached_property
     def _by_group(self) -> tuple:
@@ -364,8 +363,12 @@ def field_width(reach: int) -> int:
 
 
 def exponents_up_to(n: int, degree: int):
-    """Exponent vectors in N^n (n >= 1) of total degree <= degree, in
-    lexicographic order."""
+    """Exponent vectors in N^n of total degree <= degree, in lexicographic
+    order: for n = 0 the empty vector once when degree >= 0."""
+    if n == 0:
+        if degree >= 0:
+            yield ()
+        return
     for e in range(degree + 1):
         if n == 1:
             yield (e,)

@@ -65,17 +65,17 @@ is one integer that holds a generator slot and an exponent vector
 (``poisson.ExponentPacking``, its field width chosen per call from the
 largest exponent the call can reach), so multiplying by a monomial is
 one integer add; ``key(g, m)`` gives the key of slot g and exponent
-tuple m.  Each row is its coefficients times its own nonzero
-``scale(key)``: the structure's common denominator on the ambient rows,
-times a power of the rules' denominator set by the weight on the
-quotient rows.  On the quotient each call reads every x3^a x4^b that its
-images hold from the ring's table, packs the entry's shifts on the
-call's own keys, and adds each image term into its rows through it.  A
-row times a nonzero constant has the same solutions, so the kernel is
-the same, and the inner search multiplies each rhs entry by its row's
-scale.  The centre loads its rows into ``LinearSystem.from_rows`` as
-they are, the inner search (``linalg.solve``) with the scaled rhs as one
-more column after the unknowns; both searches check their answer through
+tuple m.  Every row is its coefficients times one positive int
+``scale``: the structure's common denominator, times on the quotient
+the lcm of the denominators of the table entries the call reads.  On
+the quotient each call reads every x3^a x4^b that its images hold from
+the ring's table, packs the entry's shifts on the call's own keys, and
+adds each image term into its rows through it.  The rows times a
+nonzero constant have the same solutions, so the kernel is the same,
+and the inner search multiplies its rhs by the scale.  The centre loads
+its rows into ``LinearSystem.from_rows`` as they are, the inner search
+(``linalg.solve``) with the scaled rhs as one more column after the
+unknowns; both searches check their answer through
 ``bracket`` on all six generators, and an inner-search answer that
 fails only on generators other than x1 and x6 means that D is not inner
 in that degree.
@@ -349,6 +349,10 @@ class QuotientRing:
         bucket path held at one of its checks, and ``rewrites`` bounds the
         bucket entries that x3^a x4^b brings into a joint reduction: one
         for itself and the longest rule's length per monomial it rewrote.
+        The bound can be up to ``_longest`` (14) times the steps the bucket
+        path counts: x3^2 x4^2 on (1,1) reads 281 against 20, so 1067
+        far-apart copies of it take the table path and 1068 the bucket
+        path, which is slower.
         """
         entry = self._table.get((a, b))
         if entry is not None:
@@ -517,25 +521,21 @@ class QuotientRing:
         """``PoissonStructure.bracket_rows`` over the quotient basis, each
         bracket reduced to normal form.
 
-        The images are reduced at one ``top`` for the whole call, the
-        highest weight among them, so the row of (g, m'') holds integers at
-        the one scale den * R^(top - w(m'')), den the structure's
-        denominator and R the rules'.  Rewriting commutes with multiplying
-        by a monomial u free of x3 and x4, so NF(u * x3^a x4^b) =
-        u * NF(x3^a x4^b), and the levels compose: an image term at level
-        top - w times a term t of NF(x3^a x4^b) at level w - w(t) lands at
-        level top - w(t).  So each (a, b) met among the image terms is
-        read once per call from the ring's table (``_entry``), as in the
-        symbolic preprocessing of F4 (Faugère 1999): its shifts packed on
-        the call's keys and its numerators put at their levels, and every
-        image term is added into its row through it.
+        Rewriting commutes with multiplying by a monomial u free of x3 and
+        x4, so NF(u * x3^a x4^b) = u * NF(x3^a x4^b).  So each (a, b) met
+        among the image terms is read once per call from the ring's table
+        (``_entry``), as in the symbolic preprocessing of F4 (Faugère
+        1999): its shifts packed on the call's keys and its numerators put
+        over L, the lcm of the entries' denominators, and every image term
+        is added into its row through it.  A monomial that no rule applies
+        to is its own normal form, L / L.  So every row holds integers at
+        the one scale den * L, den the structure's denominator.
 
-        The packing holds every exponent the call reaches, by the bound of
-        ``_rewritten``: image exponents are at most degree + s, s the
-        bracket table's shift reach; a basis monomial holds x3 and x4 at
-        most once, so image weights, and ``top``, are at most 5 (1 + s);
-        and at most ``top`` rewrites move an exponent by at most
-        ``_growth`` each.
+        The packing holds every exponent the call reaches: image exponents
+        are at most degree + s, s the bracket table's shift reach; a basis
+        monomial holds x3 and x4 at most once, so image weights are at most
+        5 (1 + s); and an entry of weight w moves an exponent by at most
+        w * ``_growth``, as at most w rewrites lead to any of its terms.
         """
         i3, i4 = self._i3, self._i4
         structure = self.structure
@@ -547,42 +547,30 @@ class QuotientRing:
                                              self.generating_slots)
         # x4 follows x3 in the context, so one mask reads both exponents
         low, mask = packing.offsets[i3], (1 << 2 * packing.width) - 1
-        pairs = {code: (packing.exponent(code << low, i3),
-                        packing.exponent(code << low, i4))
-                 for code in {(mm >> low) & mask for image in images for mm in image}}
-        top = max((2 * a + 3 * b for a, b in pairs.values()), default=0)
-        power = [self._rules[0] ** k for k in range(top + 1)]
-        # per (a, b): the level factor of an image term and NF(x3^a x4^b)
-        # as (packed shift from x3^a x4^b, numerator at its level)
-        reduced = {}
-        for code, (a, b) in pairs.items():
-            w = 2 * a + 3 * b
-            nf = ((0, 1),)
-            if a >= 2 or b >= 2:
-                den, terms, *_ = self._entry(a, b)
-                nf = tuple((packing.shift(t),
-                            n * power[-2 * t[i3] - 3 * t[i4]] // den)
-                           for t, n in terms)
-            reduced[code] = power[top - w], nf
+        entries = {}
+        for code in {(mm >> low) & mask for image in images for mm in image}:
+            a = packing.exponent(code << low, i3)
+            b = packing.exponent(code << low, i4)
+            entries[code] = self._entry(a, b) if a >= 2 or b >= 2 else None
+        L = lcm(*(entry.den for entry in entries.values() if entry))
+        # per (a, b): NF(x3^a x4^b) as (packed shift from x3^a x4^b,
+        # numerator over L)
+        reduced = {code: ((0, L),) if entry is None else
+                   tuple((packing.shift(t), n * (L // entry.den))
+                         for t, n in entry.terms)
+                   for code, entry in entries.items()}
         rows: dict[int, dict[int, int]] = {}
         for idx, image in enumerate(images):
             acc: dict[int, int] = {}
             for mm, n in image.items():
                 if n:
-                    factor, nf = reduced[(mm >> low) & mask]
-                    n *= factor
-                    for shift, c in nf:
+                    for shift, c in reduced[(mm >> low) & mask]:
                         k = mm + shift
                         acc[k] = acc.get(k, 0) + n * c
             for k, n in acc.items():
                 if n:
                     rows.setdefault(k, {})[idx] = n
-        den = structure._den
-
-        def scale(key):
-            a, b = packing.exponent(key, i3), packing.exponent(key, i4)
-            return den * power[top - 2 * a - 3 * b]
-        return monomials, rows, scale, packing.key
+        return monomials, rows, structure._den * L, packing.key
 
 
 @dataclass(frozen=True)
@@ -696,9 +684,8 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
 
     The equations are those of the generators of ``ring.generating_slots``
     only, x1 and x6 (see ``bounded_centre``).  Each is the row of
-    ``ring.bracket_rows`` with its rhs times the row's scale, which leaves
-    the solutions as they are; only the rows of the rhs monomials have a
-    nonzero rhs, so only those are scaled.  An rhs monomial that no row
+    ``ring.bracket_rows`` with its rhs times the rows' one scale, which
+    leaves the solutions as they are.  An rhs monomial that no row
     reaches makes the system infeasible.  Two solutions of these
     equations differ by an element whose brackets with x1 and x6 vanish,
     a central one, so all of them have one Hamiltonian; when the system
@@ -717,7 +704,7 @@ def bounded_inner_search(D: DerivationSpec, ring: QuotientRing,
            for m, c in images[QUOTIENT_NAMES[g]].terms.items()}
     if not rhs.keys() <= rows.keys():
         return None
-    rhs = {k: c * scale(k) for k, c in rhs.items()}
+    rhs = {k: c * scale for k, c in rhs.items()}
     solution = solve(((row, rhs.get(k, 0)) for k, row in rows.items()),
                      len(monomials))
     if solution is None:

@@ -25,7 +25,8 @@ from poisson_forge.parse import parse_expr
 from poisson_forge.linalg import solve
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
                                    PoissonStructure, WeightVector, check_jacobi,
-                                   field_width, hamiltonian_derivation)
+                                   exponents_up_to, field_width,
+                                   hamiltonian_derivation)
 from poisson_forge.quotient import (MAX_TERMS, TABLE_WEIGHT, QuotientElement,
                                     QuotientRing, bounded_centre,
                                     bounded_inner_search, check_casimirs,
@@ -447,6 +448,35 @@ class TestNormalFormTable:
         with pytest.raises(WorkLimitError,
                            match="^normal form needs more than 59 rewrite steps$"):
             ring.normal_form(p)
+
+    def test_rewrite_bound_crossover(self, monkeypatch):
+        # the rewrite bound of x3^2 x4^2 is 281 (1 + 20 bucket steps times
+        # the longest rule's 14 terms) where the bucket path counts 20: so
+        # 1067 far-apart copies take the table path and 1068 the bucket
+        # path, both to the sum of the copies' own normal forms
+        ring = QuotientRing(alpha=1, beta=1)
+        m = (0, 0, 2, 2, 0, 0, 0, 0)
+        entry = ring._entry(2, 2)
+        assert (entry.rewrites, ring._rewritten({m: Fraction(1)}, 10)[2],
+                ring._longest) == (281, 20, 14)
+        paths = []
+        original = QuotientRing._through_table
+
+        def recording(self, source):
+            out = original(self, source)
+            paths.append("bucket" if out is None else "table")
+            return out
+        monkeypatch.setattr(QuotientRing, "_through_table", recording)
+        for copies, path in ((1067, "table"), (1068, "bucket")):
+            assert (copies * 281 <= quotient.MAX_REWRITES) == (path == "table")
+            p = LaurentPoly(ring.context, {(8 * i,) + m[1:]: 1
+                                           for i in range(copies)})
+            expected = {(8 * i + t[0],) + tuple(map(operator.add, m[1:], t[1:])):
+                        Fraction(n, entry.den)
+                        for i in range(copies) for t, n in entry.terms}
+            paths.clear()
+            assert ring.normal_form(p).terms == expected
+            assert paths == [path]
 
 
 NORMAL_FORMS = Path(__file__).parent / "data" / "normal_forms.txt"
@@ -871,9 +901,10 @@ def assert_rows_match(structure_or_ring, degree):
     packed = {key(g, m): row for (g, m), row in expected.items()}
     assert None not in packed and len(packed) == len(expected)
     assert rows.keys() == packed.keys()
+    assert type(scale) is int and scale > 0
     for k, row in rows.items():
         assert all(type(n) is int for n in row.values()), k
-        assert {idx: Fraction(n, scale(k)) for idx, n in row.items()} \
+        assert {idx: Fraction(n, scale) for idx, n in row.items()} \
             == packed[k], k
 
 
@@ -1017,7 +1048,7 @@ def row_oracle_mismatches(ring, degree):
     for k, row in rows.items():
         for idx, n in row.items():
             images.setdefault((idx, k & slot_mask), {})[
-                packing.exponents(k)] = Fraction(n, scale(k))
+                packing.exponents(k)] = Fraction(n, scale)
     i3, i4 = ring._i3, ring._i4
     mismatches = []
     for idx, m in enumerate(monomials):
@@ -1126,6 +1157,13 @@ class TestBoundedSearches:
     def test_symbolic_ring_rejected(self):
         with pytest.raises(ExprError, match="numeric"):
             bounded_inner_search({}, SYM, degree=1)
+
+    def test_centre_of_a_context_of_parameters_only(self):
+        # no generators: the basis is the empty exponent vector, 1, alone
+        alg = g2.load_algebra({"variables": ["p"], "parameters": ["p"],
+                               "brackets": {}})
+        assert [list(exponents_up_to(0, d)) for d in (-1, 0, 2)] == [[], [()], [()]]
+        assert bounded_centre(alg.structure, 2) == [alg.context.one()]
 
     def test_ambient_centre_small_degrees(self):
         alg = g2.builtin_algebra()
@@ -1282,8 +1320,8 @@ class TestGeneratingSet:
         expected = {k: row for k, row in full.items() if k & slot_mask in (0, 5)}
         assert rows.keys() == expected.keys()
         for k, row in rows.items():
-            assert {i: Fraction(n, scale(k)) for i, n in row.items()} == \
-                {i: Fraction(n, full_scale(k)) for i, n in expected[k].items()}
+            assert {i: Fraction(n, scale) for i, n in row.items()} == \
+                {i: Fraction(n, full_scale) for i, n in expected[k].items()}
 
     def test_row_counts(self, monkeypatch):
         # deterministic work counts of the rows of all six generators and
@@ -1339,6 +1377,28 @@ class TestGeneratingSet:
         all_slots(monkeypatch)
         assert all(bounded_inner_search(D, ring, 2) is None for D in perturbed)
         assert bounded_inner_search(ham, ring, 2) == f
+
+    @pytest.mark.parametrize("ab", [(1, 1), (1, 0), ("-2/3", 5)],
+                             ids=["1,1", "1,0", "-2/3,5"])
+    def test_inner_search_at_degree_three(self, ab):
+        # x3, x4 and x3*x4 terms put the rhs of ham_f on rows whose images
+        # reduce through entries of several denominators and weights,
+        # which the rows' one scale covers; x3*x4 added to the image of
+        # x3 is refused by the check through bracket
+        ring = GENERATING_RINGS[ab]
+        rng = random.Random(34)
+        basis = [m for m in ring.basis_monomials(3) if any(m)]
+        picked = {rng.choice([m for m in basis if m[2:4] == e]) for e in
+                  ((1, 0), (0, 1), (1, 1))} | set(rng.sample(basis, 3))
+        f = LaurentPoly(ring.context, {m: Fraction(rng.choice([-3, -1, 2, 5]),
+                                                   rng.randint(1, 4))
+                                       for m in picked})
+        ham = hamiltonian_quotient_images(f, ring)
+        assert bounded_inner_search(ham, ring, 3) == f
+        images = dict(ham.images)
+        images["x3"] = images["x3"] + ring.context.monomial({"x3": 1, "x4": 1})
+        assert bounded_inner_search(DerivationSpec(ring.context, images),
+                                    ring, 3) is None
 
     def test_set_is_found_on_first_use_once_per_process(self):
         # ring and algebra set-up run no Jacobi check; the first search
