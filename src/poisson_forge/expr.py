@@ -429,8 +429,13 @@ def accumulate(terms: dict[Monomial, Fraction], other: Mapping[Monomial, Fractio
 
 def integer_terms(p: LaurentPoly) -> tuple[list[tuple[Monomial, int]], int]:
     """The terms of p as integer numerators over their common denominator."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
+    if len(p.terms) == 1:  # a monomial, the most common operand: no lcm
+        (m, c), = p.terms.items()
+        n, den = c.as_integer_ratio()
+        return [(m, n)], den
+    ratios = [(m, c.as_integer_ratio()) for m, c in p.terms.items()]
+    den = lcm(*[d for _, (_, d) in ratios])
+    return [(m, n * (den // d)) for m, (n, d) in ratios], den
 
 
 def _coefficient_text(c: Fraction) -> str:

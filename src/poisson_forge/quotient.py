@@ -94,7 +94,12 @@ which parses each once per process and context, as the chain reads its
 formulas.
 
 A ``QuotientElement`` is an element of the quotient, its polynomial in
-normal form.  The localisation tower t1..t6 lives beside the chain
+normal form.  The product of two (``QuotientRing._product``) builds no
+unreduced product: it multiplies their integer numerators, sends the
+monomials a rule applies to through the ring's table, which a product of
+two normal forms never outgrows, and makes one Fraction per output term;
+other operands go through ``normal_form``.  The localisation tower
+t1..t6 lives beside the chain
 (``chain.chain_elements``), which reads the localised ring through
 ``context``, ``structure``, ``normal_form``, ``alpha_poly``,
 ``beta_poly`` and ``localized``; this module imports nothing of the
@@ -111,7 +116,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .expr import (ExprError, LaurentPoly, VarContext, WorkLimitError,
-                   accumulate, rational)
+                   accumulate, integer_terms, rational)
 from .g2 import REWRITE_IDENTITIES, builtin_algebra, golden_poly
 from .linalg import LinearSystem, solve
 from .parse import parse_expr
@@ -216,7 +221,9 @@ class QuotientRing:
                     c = c * value ** m[i]
                     m = m[:i] + (0,) + m[i + 1:]
             terms[m] = terms.get(m, 0) + c
-        return LaurentPoly(self.context, terms)
+        # zeroing parameter exponents keeps each monomial valid; a parameter
+        # valued 0, or a sum that cancels, leaves a zero to drop
+        return LaurentPoly._of(self.context, {m: c for m, c in terms.items() if c})
 
     def _use_rules(self, *rules: LaurentPoly) -> None:
         """Rewrite with the x3 rule and, if given, the x4 rule from now on.
@@ -271,12 +278,10 @@ class QuotientRing:
         the source, are rewritten, and the result is added to the copied
         terms, a sum that cancels being dropped.  Let ``top`` be the
         highest weight 2a + 3b of the source ((a, b) the x3, x4
-        exponents).  Up to ``TABLE_WEIGHT`` the source goes through the
-        ring's table (``_entry``): rewriting commutes with multiplying by a
-        monomial u free of x3 and x4, so NF(u x3^a x4^b) = u NF(x3^a x4^b),
-        and each term adds its entry, shifted by u and times its own
-        coefficient, into one integer accumulator on exponent tuples over
-        one common denominator, with one Fraction per output term.  Heavier
+        exponents).  Up to ``TABLE_WEIGHT`` the source, as integer
+        numerators over its common denominator D, goes through the ring's
+        table (``_through_table``, the loop ``_product`` shares), and each
+        rewritten numerator over D * L becomes one Fraction.  Heavier
         sources keep the bucket path, ``_rewritten``, which shares the
         rewrites of a cascade across terms.
 
@@ -310,35 +315,97 @@ class QuotientRing:
         if top > MAX_TERMS:  # before _rewrite makes top + 1 buckets
             raise WorkLimitError(f"normal form of weight {top} is over the"
                                  f" limit of {MAX_TERMS}")
-        rewritten = None
+        reduced = None
         if top <= TABLE_WEIGHT:
-            rewritten = self._through_table(source)
-        if rewritten is None:
+            D = lcm(*(c.denominator for c in source.values()))
+            reduced = self._through_table({m: c.numerator * (D // c.denominator)
+                                           for m, c in source.items()})
+        if reduced is None:
             rewritten = self._rewritten(source, top)[0]
+        else:
+            acc, L = reduced
+            rewritten = {m: Fraction(n, D * L) for m, n in acc.items() if n}
         accumulate(out, rewritten)  # a rewritten term may cancel a copied one
         # each target is m + m' - 2*e3 (or e4) with m[i3] >= 2 (m[i4] >= 2)
         # and m' a term of the rule
         return LaurentPoly._of(self.context, out)
 
-    def _through_table(self, source: dict) -> dict | None:
-        """The normal form of ``source``, terms of weight at most
-        ``TABLE_WEIGHT`` that a rule applies to, from the table, or None
-        when the bucket path could pass a work limit (see ``_reduce``)."""
+    def _through_table(self, source: dict) -> tuple[dict, int] | None:
+        """The normal form of ``source``, integer numerators on monomials
+        of weight at most ``TABLE_WEIGHT`` that a rule applies to, from the
+        ring's table, or None when the bucket path could pass a work limit
+        (see ``_reduce``).  It is ``(acc, L)``: ``acc`` holds the normal
+        form's numerators over L, the lcm of the entries' denominators,
+        zero sums left in.  Rewriting commutes with multiplying by a
+        monomial u free of x3 and x4, so NF(u x3^a x4^b) = u NF(x3^a x4^b),
+        and each term adds its entry (``_entry``), shifted by u and times
+        its numerator, into ``acc``.  This is the one table loop:
+        ``_reduce`` and ``_product`` both reduce through it."""
         i3, i4 = self._i3, self._i4
         entries = [self._entry(m[i3], m[i4]) for m in source]
         if (sum(entry.peak for entry in entries) > MAX_TERMS
                 or sum(entry.rewrites for entry in entries) > MAX_REWRITES):
             return None
-        D = lcm(*(c.denominator * entry.den
-                  for c, entry in zip(source.values(), entries)))
+        L = lcm(*(entry.den for entry in entries))
         acc: dict = {}
         get = acc.get
-        for (m, c), (den, nf, _, _) in zip(source.items(), entries):
-            f = c.numerator * (D // (c.denominator * den))
-            for shift, n in nf:
+        for (m, n), (den, nf, _, _) in zip(source.items(), entries):
+            f = n * (L // den)
+            for shift, c in nf:
                 mm = tuple(map(add, m, shift))
-                acc[mm] = get(mm, 0) + f * n
-        return {m: Fraction(n, D) for m, n in acc.items() if n}
+                acc[mm] = get(mm, 0) + f * c
+        return acc, L
+
+    def _product(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+        """NF(f g) for f and g in normal form, on integers throughout.
+
+        Each operand's terms are integer numerators over its common
+        denominator (``integer_terms``), and their pairwise products are
+        summed in one integer dict over fden * gden.  The monomials with a
+        nonzero sum that a rule applies to go through the ring's table
+        (``_through_table``), the others are copied, and the result is one
+        integer dict over fden * gden * L, with one Fraction per output
+        term; no unreduced product is built.  A normal form holds x3 and x4
+        at most once each, so a product of two reaches weight 2a + 3b at
+        most 10, x3^2 x4^2, and never needs the bucket path.
+
+        Operands over another context, a numeric parameter's exponent in
+        an operand (which ``_specialise`` would remove), a product above
+        ``TABLE_WEIGHT`` (from operands that are not normal forms), or one
+        that the table path leaves to the bucket path for its work limits,
+        go through ``normal_form(f * g)``: each returns or raises what the
+        unfused product does.
+        """
+        ctx, fixed = self.context, self._fixed
+        if (not (f.context is ctx is g.context or f.context == ctx == g.context)
+                or fixed and any(m[i] for p in (f, g) for m in p.terms
+                                 for i, _ in fixed)):
+            return self.normal_form(f * g)
+        fterms, fden = integer_terms(f)
+        gterms, gden = integer_terms(g)
+        acc: dict = {}
+        get = acc.get
+        for m1, a1 in fterms:
+            for m2, a2 in gterms:
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + a1 * a2
+        i3, i4 = self._i3, self._i4
+        low4 = inf if self._rules[2] is None else 2
+        source = {m: n for m, n in acc.items()
+                  if n and (m[i3] >= 2 or m[i4] >= low4)}
+        den = fden * gden
+        if source:
+            if max(2 * m[i3] + 3 * m[i4] for m in source) > TABLE_WEIGHT:
+                return self.normal_form(f * g)
+            reduced = self._through_table(source)
+            if reduced is None:
+                return self.normal_form(f * g)
+            rewritten, L = reduced
+            acc = {m: n * L for m, n in acc.items() if m not in source}
+            accumulate(acc, rewritten)  # a rewritten term may cancel a copied one
+            den *= L
+        # sums of valid exponent vectors, and table targets, are valid
+        return LaurentPoly._of(ctx, {m: Fraction(n, den) for m, n in acc.items() if n})
 
     def _entry(self, a: int, b: int) -> _Entry:
         """NF(x3^a x4^b) under the rules in use, from the ring's table.
@@ -419,8 +486,8 @@ class QuotientRing:
         ``_rewritten``), with ``rules`` as ``_packed`` gives them for that
         packing, and return its peak term count and rewrite steps.  This
         is the one rewrite loop: the bucket path of ``_reduce`` and each
-        entry of the table of NF(x3^a x4^b) that ``_reduce`` and
-        ``bracket_rows`` read come from it.
+        entry of the table of NF(x3^a x4^b) that ``_reduce``, ``_product``
+        and ``bracket_rows`` read come from it.
 
         Rewriting a monomial of weight w = 2a + 3b ((a, b) its x3, x4
         exponents) only adds to monomials of lower weight.  So the
@@ -602,7 +669,7 @@ class QuotientElement:
             # a scalar multiple of a normal form is one
             return QuotientElement(self.ring, self.poly * other)
         return QuotientElement(self.ring,
-                               self.ring.normal_form(self.poly * self._lift(other).poly))
+                               self.ring._product(self.poly, self._lift(other).poly))
 
     __rmul__ = __mul__
 
@@ -747,7 +814,8 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
 def _combine(ctx: VarContext, vec: list[Fraction],
              monomials: list[tuple]) -> LaurentPoly:
     """sum_idx vec[idx] * x^monomials[idx], the monomials distinct."""
-    return LaurentPoly(ctx, {m: c for c, m in zip(vec, monomials) if c})
+    # vec holds Fractions, and basis monomials are valid
+    return LaurentPoly._of(ctx, {m: c for c, m in zip(vec, monomials) if c})
 
 
 def spans_same_space(basis: list[LaurentPoly], expected: list[LaurentPoly]) -> bool:

@@ -549,6 +549,18 @@ class TestSpecialise:
         assert ALPHA_ONLY._specialise(p) == parse_expr("alpha", SYM.context)
         assert BETA_ONLY._specialise(p) == parse_expr("3*beta", SYM.context)
 
+    @pytest.mark.parametrize("values, text, expected", [
+        ((0, 1), "alpha*x1", "0"),
+        ((1, 1), "alpha*x1 - x1", "0"),
+        ((0, 1), "alpha*x1 + x2", "x2")])
+    def test_zero_coefficients_dropped(self, values, text, expected):
+        # a parameter valued 0, or a sum that cancels once the values are
+        # in, leaves no zero coefficient behind
+        ring = QuotientRing(*values)
+        want = parse_expr(expected, ring.context).terms
+        assert_as_checked(ring._specialise(parse_expr(text, ring.context)), want)
+        assert_as_checked(ring.normal_form(text), want)
+
 
 class TestQuotientBracket:
     def test_table_value(self):
@@ -690,6 +702,166 @@ class TestQuotientElement:
         x3 = QuotientElement(NUM11, NUM11.context.var("x3"))
         assert [f.name for f in dataclasses.fields(x3)] == ["ring", "poly"]
         assert (x3 * x3).poly == NUM11.normal_form("x3^2")
+
+
+# the rings of the reference reducer and (0,0), where both rules lose
+# their constant term
+PRODUCT_RINGS = REFERENCE_RINGS + [QuotientRing(alpha=0, beta=0)]
+PRODUCT_IDS = REFERENCE_IDS + ["0,0"]
+
+
+@st.composite
+def normal_forms(draw, ring):
+    """A normal form of 1-4 terms over x3^e1 x4^e2, e1, e2 in {0, 1}, each
+    times powers of x1 and x2, of x5 and x6 (negative ones on a localised
+    ring) and of the parameters that the ring leaves symbolic."""
+    low = -2 if ring.localized else 0
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    bit, small = st.integers(0, 1), st.integers(0, 2)
+    laurent = st.integers(low, 2)
+    alpha = bit if ring.alpha is None else st.just(0)
+    beta = bit if ring.beta is None else st.just(0)
+    term = st.tuples(coeffs, st.tuples(small, small, bit, bit, laurent, laurent,
+                                       alpha, beta))
+    p = ring.context.zero()
+    for c, exps in draw(st.lists(term, min_size=1, max_size=4)):
+        p = p + ring.context.monomial(dict(zip(ring.context.names, exps)), c)
+    return p
+
+
+def assert_element_products(ring, a, b, seed):
+    """a * b, b * a and a * b.poly are the normal form of the product of
+    the polynomials, as ``normal_form`` and the reference make it."""
+    p = a.poly * b.poly
+    expected = ring.normal_form(p)
+    assert expected.terms == reference_normal_form(ring, p, random.Random(seed))
+    for product in (a * b, b * a, a * b.poly):
+        assert product.ring is ring
+        assert_as_checked(product.poly, expected.terms)
+
+
+class TestElementProduct:
+    """``QuotientElement.__mul__`` multiplies two normal forms on integers
+    through the ring's table (``QuotientRing._product``)."""
+
+    @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=PRODUCT_IDS)
+    @settings(max_examples=25)
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+    def test_matches_the_reference(self, ring, data, seed):
+        a, b = (QuotientElement(ring, data.draw(normal_forms(ring))) for _ in range(2))
+        assert_element_products(ring, a, b, seed)
+
+    @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=PRODUCT_IDS)
+    @pytest.mark.parametrize("a, b", [
+        # x1 x2 x3^2 comes from two pairs and cancels, so only x1^2 x3^2
+        # and x2^2 x3^2 go through the table
+        ("x1*x3 + x2*x3", "x2*x3 - x1*x3"),
+        ("1/2*x1*x3 - x2*x4", "x2*x5 + 3/4*x1"),  # nothing to rewrite
+        ("0", "x3*x4 + x1"),
+        ("x3*x4 - 2/3*x1*x4", "0"),
+        ("x3*x4", "x3*x4")])
+    def test_edge_products(self, ring, a, b):
+        a, b = ring.element(a), ring.element(b)
+        assert_element_products(ring, a, b, 5)
+
+    @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=PRODUCT_IDS)
+    @pytest.mark.parametrize("scalar", [0, 3, -1, Fraction(-2, 3)])
+    def test_scalars(self, ring, scalar):
+        a = ring.element("1/2*x1*x3*x4 - x2*x5 + 7")
+        expected = a.poly * scalar
+        for product in (a * scalar, scalar * a):
+            assert_as_checked(product.poly, expected.terms)
+
+    @pytest.mark.parametrize("ring, a, b", [
+        (NUM11, "x3^3*x4", "x3*x4 + x1"),  # weight 14, over the table's
+        (NUM11, "alpha*x3", "x3 + x2")])   # alpha = 1 to specialise
+    def test_operands_not_in_normal_form_fall_back(self, ring, a, b, monkeypatch):
+        a = QuotientElement(ring, parse_expr(a, ring.context))
+        b = QuotientElement(ring, parse_expr(b, ring.context))
+        expected = ring.normal_form(a.poly * b.poly)
+        calls = []
+        original = QuotientRing.normal_form
+
+        def recording(self, p):
+            calls.append(p)
+            return original(self, p)
+        monkeypatch.setattr(QuotientRing, "normal_form", recording)
+        assert (a * b).poly == expected
+        assert calls == [a.poly * b.poly]
+
+    def test_mismatched_contexts_still_refused(self):
+        with pytest.raises(ExprError, match="different contexts"):
+            LOC.element("x1") * SYM.element("x3")
+
+    def test_no_unreduced_product_and_no_rewrite(self, monkeypatch):
+        # once the entries are made, a product of two normal forms within
+        # the work limits builds no LaurentPoly product and rewrites nothing
+        ring = QuotientRing(alpha=1, beta=1)
+        a = ring.element("x1*x3*x4 + 2/3*x3 - x5")
+        b = ring.element("x3*x4 + 1/2*x4 + x2*x3")
+        expected = ring.normal_form(a.poly * b.poly)
+
+        def refused(*args):
+            raise AssertionError("unexpected call")
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(LaurentPoly, name, refused)
+        monkeypatch.setattr(QuotientRing, "_rewrite", refused)
+        assert (a * b).poly == expected
+        assert (b * a).poly == expected
+
+
+def far_apart_copies(ring, copies):
+    """The sum of x1^(8i) x3 x4 for i < copies, a normal form whose
+    product with x3 x4 has far-apart copies of x3^2 x4^2."""
+    return QuotientElement(ring, LaurentPoly(
+        ring.context, {(8 * i, 0, 1, 1, 0, 0, 0, 0): 1 for i in range(copies)}))
+
+
+class TestElementProductLimits:
+    """Element products keep the work limits of ``normal_form``, as
+    ``test_table_path_keeps_the_term_limit`` and
+    ``test_rewrite_bound_crossover`` pin them for the table path."""
+
+    def test_term_limit(self):
+        ring = QuotientRing(alpha=1, beta=1)
+        a, b = far_apart_copies(ring, 1429), ring.element("x3*x4")
+        with pytest.raises(WorkLimitError) as direct:
+            ring.normal_form(a.poly * b.poly)
+        with pytest.raises(WorkLimitError,
+                           match=f"^normal form needs more than {MAX_TERMS} terms$") as fused:
+            a * b
+        assert str(fused.value) == str(direct.value)
+
+    def test_rewrite_bound_crossover(self, monkeypatch):
+        ring = QuotientRing(alpha=1, beta=1)
+        entry = ring._entry(2, 2)
+        assert entry.rewrites == 281
+        paths, buckets = [], []
+        through_table, rewritten = QuotientRing._through_table, QuotientRing._rewritten
+
+        def recording(self, source):
+            out = through_table(self, source)
+            paths.append("bucket" if out is None else "table")
+            return out
+
+        def counting(self, source, top):
+            buckets.append(top)
+            return rewritten(self, source, top)
+        monkeypatch.setattr(QuotientRing, "_through_table", recording)
+        monkeypatch.setattr(QuotientRing, "_rewritten", counting)
+        b = ring.element("x3*x4")
+        for copies, path in ((1067, "table"), (1068, "bucket")):
+            a = far_apart_copies(ring, copies)
+            expected = {(8 * i + t[0], t[1], 2 + t[2], 2 + t[3]) + t[4:]:
+                        Fraction(n, entry.den)
+                        for i in range(copies) for t, n in entry.terms}
+            paths.clear()
+            buckets.clear()
+            assert (a * b).poly.terms == expected
+            # the bucket path is the fallback through normal_form, which
+            # checks the table's limits once more before it rewrites
+            assert paths == ([path] if path == "table" else [path, path])
+            assert buckets == ([] if path == "table" else [TABLE_WEIGHT])
 
 
 # The images in the localised quotient of X[1,6], X[2,6], X[3,6], X[3,5]
