@@ -1,8 +1,13 @@
 """Exact linear algebra over Q and Z used by the centre and lattice searches.
 
-Rows are sparse dicts column -> Fraction.  The reducer keeps a fully
-reduced (RREF) pivot set so null spaces and particular solutions read off
-directly.  A batch of homogeneous rows is loaded by
+Rows are sparse dicts column -> coefficient, ints or Fractions; a row
+that holds a Fraction is scaled once to integers when it enters the
+RREF, so the elimination runs on Python ints alone.  The reducer keeps a
+fully reduced pivot set, each pivot row an integer row divided by its
+content with a positive lead (fraction-free, as in Bareiss 1968): a row
+is reduced by row = lead * row - f * pivot and divided by its gcd, so no
+Fraction is made until a null-space vector or a solution is read out.
+A batch of homogeneous rows is loaded by
 ``LinearSystem.from_rows``, which settles the single-entry rows (each
 forces its column to zero) before the RREF sees the rest: one pass over
 the rows against a growing set of settled columns with C-level set
@@ -10,9 +15,10 @@ differences, then a queue of one-entry rows for the few rows left.  A
 pass repeated until nothing changes was rejected: it is quadratic on a
 chain of two-entry rows, where each pass settles one column.  ``solve``
 puts the rhs in as one more column, so it needs no path of its own.  The
-RREF of a span is unique for a given column order, so two row sets span
-the same space exactly when their pivot sets are equal, and the rank is
-``len(pivots)``.  Integer lattice kernels go through
+RREF of a span is unique for a given column order, and so is its
+primitive integer form, so two row sets span the same space exactly when
+their pivot rows are equal, and the rank is the number of pivots.
+Integer lattice kernels go through
 unimodular row reduction of [A^T | I], which yields a saturated basis,
 then a row-style Hermite normal form for a canonical answer.
 """
@@ -20,17 +26,25 @@ then a row-style Hermite normal form for a canonical answer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Row = dict[int, Fraction]
+Row = dict[int, Fraction | int]
+IntRow = dict[int, int]
 
 
 class LinearSystem:
-    """Incrementally reduced sparse linear system over Q."""
+    """Incrementally reduced sparse linear system over Q, on integer rows."""
 
     def __init__(self):
-        self.pivots: dict[int, Row] = {}  # pivot column -> reduced row
+        # pivot column -> its reduced row, primitive with a positive lead
+        self.rows: dict[int, IntRow] = {}
+
+    @property
+    def pivots(self) -> dict[int, dict[int, Fraction]]:
+        """The RREF: pivot column -> its row over Fractions, lead 1."""
+        return {c: {col: Fraction(v, row[c]) for col, v in row.items()}
+                for c, row in self.rows.items()}
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row]) -> LinearSystem:
@@ -97,27 +111,39 @@ class LinearSystem:
         for row in left:
             if row:
                 system.add_row(row)
-        one = Fraction(1)
         for c in settled:
-            system.pivots[c] = {c: one}
+            system.rows[c] = {c: 1}
         return system
 
-    def reduce_row(self, row: Row) -> Row:
-        # Pivot rows carry no other pivot columns, so one pass over the
-        # pivot columns present in the incoming row fully reduces it.
-        row = {c: v if type(v) is Fraction else Fraction(v)
-               for c, v in row.items() if v != 0}
-        for c in sorted(c for c in row if c in self.pivots):
-            factor = row.get(c)
-            if not factor:
+    def reduce_row(self, row: Row) -> IntRow:
+        """``row`` less its part in the span of the pivots, as a primitive
+        integer row (a nonzero multiple of the reduction over Q).
+
+        Pivot rows carry no other pivot columns, so one pass over the
+        pivot columns present in the incoming row fully reduces it, each
+        step lead * row - f * pivot on ints.
+        """
+        if all(type(v) is int for v in row.values()):
+            row = {c: v for c, v in row.items() if v}
+        else:
+            den = lcm(*(Fraction(v).denominator for v in row.values()))
+            row = {c: int(v * den) for c, v in row.items() if v}
+        pivots = self.rows
+        for c in sorted(c for c in row if c in pivots):
+            f = row.get(c)
+            if not f:
                 continue
-            for pc, pv in self.pivots[c].items():
-                s = row.get(pc, 0) - factor * pv
+            pivot = pivots[c]
+            lead = pivot[c]
+            if lead != 1:
+                row = {col: lead * v for col, v in row.items()}
+            for pc, pv in pivot.items():
+                s = row.get(pc, 0) - f * pv
                 if s:
                     row[pc] = s
                 else:
-                    row.pop(pc, None)
-        return row
+                    del row[pc]
+        return _primitive(row)
 
     def add_row(self, row: Row) -> bool:
         """Insert a row; returns True when it added a new pivot."""
@@ -126,33 +152,56 @@ class LinearSystem:
             return False
         c = min(row)
         lead = row[c]
-        row = {col: v / lead for col, v in row.items()}
-        for pivot in self.pivots.values():
-            if c in pivot:
-                factor = pivot[c]
+        if lead < 0:
+            row = {col: -v for col, v in row.items()}
+            lead = -lead
+        # back-substitute: the new row has no other pivot column, so
+        # lead * pivot - f * row keeps each pivot's positive lead
+        for pc, pivot in self.rows.items():
+            f = pivot.get(c)
+            if f:
+                if lead != 1:
+                    pivot = {col: lead * v for col, v in pivot.items()}
                 for col, v in row.items():
-                    s = pivot.get(col, 0) - factor * v
+                    s = pivot.get(col, 0) - f * v
                     if s:
                         pivot[col] = s
                     else:
-                        pivot.pop(col, None)
-        self.pivots[c] = row
+                        del pivot[col]
+                self.rows[pc] = _primitive(pivot)
+        self.rows[c] = row
         return True
 
     def null_space(self, ncols: int) -> list[list[Fraction]]:
         """Canonical kernel basis, one vector per free column."""
+        # free column -> (pivot column, -entry / lead) over the pivot rows
+        # holding it: the RREF's only entries outside the pivot columns
+        at_free: dict[int, list[tuple[int, Fraction]]] = {}
+        for pc, row in self.rows.items():
+            if len(row) > 1:
+                lead = row[pc]
+                for col, v in row.items():
+                    if col != pc:
+                        at_free.setdefault(col, []).append((pc, Fraction(-v, lead)))
+        zero, one = Fraction(0), Fraction(1)
         basis = []
         for free in range(ncols):
-            if free in self.pivots:
+            if free in self.rows:
                 continue
-            vec = [Fraction(0)] * ncols
-            vec[free] = Fraction(1)
-            for pc, row in self.pivots.items():
-                v = row.get(free)
-                if v:
-                    vec[pc] = -v
+            vec = [zero] * ncols
+            vec[free] = one
+            for pc, v in at_free.get(free, ()):
+                vec[pc] = v
             basis.append(vec)
         return basis
+
+
+def _primitive(row: IntRow) -> IntRow:
+    """``row`` divided by the gcd of its entries (in place when that is 1)."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
 
 
 def solve(rows: Iterable[tuple[Row, Fraction]], ncols: int) -> list[Fraction] | None:
@@ -163,7 +212,8 @@ def solve(rows: Iterable[tuple[Row, Fraction]], ncols: int) -> list[Fraction] | 
     None when the system is inconsistent.  The rhs joins the homogeneous
     system as column ``ncols``, an ordinary column after every unknown: a
     pivot there certifies infeasibility, and otherwise each pivot row of
-    the unique RREF of [A | b] reads x[pc] = its entry at ``ncols``.
+    the unique RREF of [A | b] reads x[pc] = its entry at ``ncols`` over
+    its lead.
     """
     full_rows = []
     for row, b in rows:
@@ -171,12 +221,14 @@ def solve(rows: Iterable[tuple[Row, Fraction]], ncols: int) -> list[Fraction] | 
             row[ncols] = b
         full_rows.append(row)
     system = LinearSystem.from_rows(full_rows)
-    if ncols in system.pivots:
+    if ncols in system.rows:
         return None
     zero = Fraction(0)
     x = [zero] * ncols
-    for pc, row in system.pivots.items():
-        x[pc] = row.get(ncols, zero)
+    for pc, row in system.rows.items():
+        b = row.get(ncols)
+        if b:
+            x[pc] = Fraction(b, row[pc])
     return x
 
 

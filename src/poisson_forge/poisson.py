@@ -101,19 +101,21 @@ class PoissonStructure:
     def gen(self, i: int) -> LaurentPoly:
         return self.context.var(self.context.names[i])
 
-    def basis_monomials(self, degree: int):
+    def basis_monomials(self, degree: int) -> list[tuple[int, ...]]:
         """Exponent vectors over the context of the monomials in the
-        generators of total degree <= degree."""
+        generators of total degree <= degree, in lexicographic order."""
         ctx = self.context
         gens = ctx.generators()
-        for exps in exponents_up_to(len(gens), degree):
-            if len(gens) == ctx.rank:
-                yield exps
-            else:
-                m = [0] * ctx.rank
-                for i, e in zip(gens, exps):
-                    m[i] = e
-                yield tuple(m)
+        exps = exponents_up_to(len(gens), degree)
+        if len(gens) == ctx.rank:
+            return exps
+        out = []
+        for e in exps:
+            m = [0] * ctx.rank
+            for i, k in zip(gens, e):
+                m[i] = k
+            out.append(tuple(m))
+        return out
 
     @cached_property
     def _shift_reach(self) -> int:
@@ -182,41 +184,50 @@ class PoissonStructure:
         return everything
 
     def monomial_brackets(self, monomials, packing: ExponentPacking,
-                          slots) -> list[dict[int, int]]:
-        """For each exponent vector m, {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v
-        for every generator slot g in ``slots`` at once, as
-        {row key: integer numerator over ``_den``}, the row key
-        ``packing.key(g, m'')`` of each image monomial m''; an entry may be
-        zero where terms cancel.  Each image term is one integer add to the
-        packed key of m."""
+                          slots) -> dict[int, dict[int, int]]:
+        """For the exponent vectors m of ``monomials``,
+        {x^m, x_g} = sum_v m_v * x^m * b_vg / x_v for every generator slot g
+        in ``slots`` at once, as integer rows over ``_den``: the row key
+        ``packing.key(g, m'')`` of each image monomial m'' -> {index of m in
+        ``monomials``: numerator}.  The caller's packing holds every
+        exponent of the monomials and of their images, so the key of m is
+        ``base`` plus m dotted with ``units``, with no range check, and each
+        image term is one integer add to it, summed straight into its row.
+        The keys of the rows where a sum cancelled are noted, and their
+        zero entries, and the rows left empty, are dropped in one pass at
+        the end."""
         table = self._by_variable(packing, slots)
-        out = []
-        for m in monomials:
-            key = packing.key(0, m)
-            image: dict[int, int] = {}
+        base, units = packing.base, packing.units
+        rows: dict[int, dict[int, int]] = {}
+        cancelled = []
+        for idx, m in enumerate(monomials):
+            key = base + sum(map(mul, m, units))
             for k, terms in zip(m, table):
                 if k:
                     for shift, n in terms:
                         mm = key + shift
-                        image[mm] = image.get(mm, 0) + k * n
-            out.append(image)
-        return out
+                        row = rows.get(mm)
+                        if row is None:
+                            rows[mm] = {idx: k * n}
+                        else:
+                            s = row.get(idx, 0) + k * n
+                            row[idx] = s
+                            if not s:
+                                cancelled.append(mm)
+        drop_cancelled(rows, cancelled)
+        return rows
 
     def bracket_rows(self, degree: int):
         """The basis monomials of degree <= d, the matrix of
         f -> ({f, x_g} for g in ``generating_slots``) on their span as
-        integer rows row key -> {monomial index: numerator}, the scale of
-        every row, an int (a row's entries over it are the coefficients;
-        here ``_den``), and ``key(g, m)``, the row key of generator slot g
-        and exponent vector m."""
-        monomials = list(self.basis_monomials(degree))
+        integer rows row key -> {monomial index: numerator}, with no zero
+        entry and no empty row, the scale of every row, an int (a row's
+        entries over it are the coefficients; here ``_den``), and
+        ``key(g, m)``, the row key of generator slot g and exponent
+        vector m."""
+        monomials = self.basis_monomials(degree)
         packing = ExponentPacking(self.context, max(degree, 0) + self._shift_reach)
-        rows: dict[int, dict[int, int]] = {}
-        images = self.monomial_brackets(monomials, packing, self.generating_slots)
-        for idx, image in enumerate(images):
-            for mm, n in image.items():
-                if n:
-                    rows.setdefault(mm, {})[idx] = n
+        rows = self.monomial_brackets(monomials, packing, self.generating_slots)
         return monomials, rows, self._den, packing.key
 
     @cached_property
@@ -362,19 +373,33 @@ def field_width(reach: int) -> int:
     return width
 
 
-def exponents_up_to(n: int, degree: int):
+def exponents_up_to(n: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent vectors in N^n of total degree <= degree, in lexicographic
-    order: for n = 0 the empty vector once when degree >= 0."""
-    if n == 0:
-        if degree >= 0:
-            yield ()
-        return
-    for e in range(degree + 1):
-        if n == 1:
-            yield (e,)
-        else:
-            for rest in exponents_up_to(n - 1, degree - e):
-                yield (e,) + rest
+    order: for n = 0 the empty vector once when degree >= 0.
+
+    Built level by level: ``levels[r]`` holds the vectors over the last
+    k positions of total degree <= r, and each step puts every first
+    exponent e before the vectors of ``levels[r - e]``."""
+    if degree < 0:
+        return []
+    levels = [[()]] * (degree + 1)
+    for _ in range(n):
+        levels = [[(e,) + rest for e in range(r + 1) for rest in levels[r - e]]
+                  for r in range(degree + 1)]
+    return levels[degree]
+
+
+def drop_cancelled(rows: dict[int, dict[int, int]], keys) -> None:
+    """Drop the zero entries of the rows at ``keys``, where a sum
+    cancelled, from ``rows`` in place, and those rows if left empty."""
+    for key in keys:
+        row = rows.get(key)
+        if row is not None and not all(row.values()):
+            row = {idx: n for idx, n in row.items() if n}
+            if row:
+                rows[key] = row
+            else:
+                del rows[key]
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,9 @@ the same table, once per process and on first use.
 ``bracket_rows(degree)`` returns ``(monomials, rows, scale, key)``: the
 matrix of f -> ({f, x_g} for g in ``generating_slots``) on the basis
 monomials (exponent tuples; polynomials are built only for the results),
-built in one integer pass per monomial, as rows keyed by opaque packed
-keys.  A key
+as integer rows keyed by opaque packed keys, from the one image kernel
+``PoissonStructure.monomial_brackets``, which adds each image term
+straight into its row.  A key
 is one integer that holds a generator slot and an exponent vector
 (``poisson.ExponentPacking``, its field width chosen per call from the
 largest exponent the call can reach), so multiplying by a monomial is
@@ -70,12 +71,14 @@ tuple m.  Every row is its coefficients times one positive int
 the lcm of the denominators of the table entries the call reads.  On
 the quotient each call reads every x3^a x4^b that its images hold from
 the ring's table, packs the entry's shifts on the call's own keys, and
-adds each image term into its rows through it.  The rows times a
-nonzero constant have the same solutions, so the kernel is the same,
+adds each image row through it into the rows it reaches.  The rows times
+a nonzero constant have the same solutions, so the kernel is the same,
 and the inner search multiplies its rhs by the scale.  The centre loads
 its rows into ``LinearSystem.from_rows`` as they are, the inner search
 (``linalg.solve``) with the scaled rhs as one more column after the
-unknowns; both searches check their answer through
+unknowns, and both eliminate on integers: no Fraction is made from the
+basis enumeration to the kernel until ``null_space`` or ``solve`` reads
+out a vector; both searches check their answer through
 ``bracket`` on all six generators, and an inner-search answer that
 fails only on generators other than x1 and x6 means that D is not inner
 in that degree.
@@ -122,7 +125,7 @@ from .linalg import LinearSystem, solve
 from .parse import parse_expr
 from .poisson import (DerivationSpec, ExponentPacking, PoissonStructure,
                       derivation_residues, exponents_up_to, field_width,
-                      hamiltonian_derivation, jacobi_residues)
+                      hamiltonian_derivation, jacobi_residues, drop_cancelled)
 from .report import CheckItem, check_item
 
 QUOTIENT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -569,12 +572,12 @@ class QuotientRing:
                 in self.structure.generator_brackets(self._specialise(f))]
 
     # -- basis enumeration ----------------------------------------------------
-    def basis_monomials(self, degree: int):
+    def basis_monomials(self, degree: int) -> list[tuple[int, ...]]:
         """Exponent vectors over the context of the quotient basis
         monomials with total x-degree <= degree."""
-        for e1, e2 in itertools.product((0, 1), repeat=2):
-            for i, j, k, l in exponents_up_to(4, degree - e1 - e2):
-                yield (i, j, e1, e2, k, l, 0, 0)
+        return [(i, j, e1, e2, k, l, 0, 0)
+                for e1, e2 in itertools.product((0, 1), repeat=2)
+                for i, j, k, l in exponents_up_to(4, degree - e1 - e2)]
 
     @property
     def generating_slots(self) -> tuple[int, ...]:
@@ -589,14 +592,17 @@ class QuotientRing:
         bracket reduced to normal form.
 
         Rewriting commutes with multiplying by a monomial u free of x3 and
-        x4, so NF(u * x3^a x4^b) = u * NF(x3^a x4^b).  So each (a, b) met
-        among the image terms is read once per call from the ring's table
-        (``_entry``), as in the symbolic preprocessing of F4 (Faugère
-        1999): its shifts packed on the call's keys and its numerators put
-        over L, the lcm of the entries' denominators, and every image term
-        is added into its row through it.  A monomial that no rule applies
-        to is its own normal form, L / L.  So every row holds integers at
-        the one scale den * L, den the structure's denominator.
+        x4, so NF(u * x3^a x4^b) = u * NF(x3^a x4^b).  The structure's
+        ``monomial_brackets`` gives the unreduced rows, one per image key;
+        each (a, b) met among those keys is read once per call from the
+        ring's table (``_entry``), as in the symbolic preprocessing of F4
+        (Faugère 1999): its shifts packed on the call's keys and its
+        numerators put over L, the lcm of the entries' denominators, and
+        the image row is added through it into every row it reaches.  A
+        row whose monomial no rule applies to is its own normal form,
+        times L / L.  So every row holds integers at the one scale
+        den * L, den the structure's denominator; entries that cancel, and
+        rows left empty, are dropped.
 
         The packing holds every exponent the call reaches: image exponents
         are at most degree + s, s the bracket table's shift reach; a basis
@@ -606,7 +612,7 @@ class QuotientRing:
         """
         i3, i4 = self._i3, self._i4
         structure = self.structure
-        monomials = list(self.basis_monomials(degree))
+        monomials = self.basis_monomials(degree)
         s = structure._shift_reach
         packing = ExponentPacking(self.context, max(degree, 0) + s
                                   + 5 * (1 + s) * self._growth)
@@ -615,28 +621,40 @@ class QuotientRing:
         # x4 follows x3 in the context, so one mask reads both exponents
         low, mask = packing.offsets[i3], (1 << 2 * packing.width) - 1
         entries = {}
-        for code in {(mm >> low) & mask for image in images for mm in image}:
+        for code in {(mm >> low) & mask for mm in images}:
             a = packing.exponent(code << low, i3)
             b = packing.exponent(code << low, i4)
             entries[code] = self._entry(a, b) if a >= 2 or b >= 2 else None
         L = lcm(*(entry.den for entry in entries.values() if entry))
         # per (a, b): NF(x3^a x4^b) as (packed shift from x3^a x4^b,
         # numerator over L)
-        reduced = {code: ((0, L),) if entry is None else
-                   tuple((packing.shift(t), n * (L // entry.den))
-                         for t, n in entry.terms)
-                   for code, entry in entries.items()}
+        reduced = {code: tuple((packing.shift(t), n * (L // entry.den))
+                               for t, n in entry.terms)
+                   for code, entry in entries.items() if entry}
+        # a row no rule applies to is its own normal form, times L; the
+        # rows of the other keys are added into the rows their entries reach
         rows: dict[int, dict[int, int]] = {}
-        for idx, image in enumerate(images):
-            acc: dict[int, int] = {}
-            for mm, n in image.items():
-                if n:
-                    for shift, c in reduced[(mm >> low) & mask]:
-                        k = mm + shift
-                        acc[k] = acc.get(k, 0) + n * c
-            for k, n in acc.items():
-                if n:
-                    rows.setdefault(k, {})[idx] = n
+        rewritten = []
+        for mm, image in images.items():
+            if (mm >> low) & mask in reduced:
+                rewritten.append(mm)
+            else:
+                rows[mm] = image if L == 1 else {idx: n * L for idx, n in image.items()}
+        cancelled = []
+        for mm in rewritten:
+            image = images[mm]
+            for shift, c in reduced[(mm >> low) & mask]:
+                k = mm + shift
+                row = rows.get(k)
+                if row is None:
+                    rows[k] = {idx: n * c for idx, n in image.items()}
+                else:
+                    for idx, n in image.items():
+                        v = row.get(idx, 0) + n * c
+                        row[idx] = v
+                        if not v:
+                            cancelled.append(k)
+        drop_cancelled(rows, cancelled)
         return monomials, rows, structure._den * L, packing.key
 
 
@@ -814,8 +832,11 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
 def _combine(ctx: VarContext, vec: list[Fraction],
              monomials: list[tuple]) -> LaurentPoly:
     """sum_idx vec[idx] * x^monomials[idx], the monomials distinct."""
-    # vec holds Fractions, and basis monomials are valid
-    return LaurentPoly._of(ctx, {m: c for c, m in zip(vec, monomials) if c})
+    # vec holds Fractions, and basis monomials are valid; a kernel vector
+    # is mostly zeros, and reading the numerator slot of each costs a
+    # quarter of calling Fraction.__bool__
+    return LaurentPoly._of(ctx, {m: c for c, m in zip(vec, monomials)
+                                 if c._numerator})
 
 
 def spans_same_space(basis: list[LaurentPoly], expected: list[LaurentPoly]) -> bool:
@@ -826,5 +847,5 @@ def spans_same_space(basis: list[LaurentPoly], expected: list[LaurentPoly]) -> b
     def pivots(polys):
         return LinearSystem.from_rows(
             {columns.setdefault(m, len(columns)): c for m, c in p.terms.items()}
-            for p in polys).pivots
+            for p in polys).rows
     return pivots(basis) == pivots(expected)

@@ -1,12 +1,16 @@
-"""Singleton elimination in LinearSystem.from_rows against row-by-row add_row."""
+"""Singleton elimination in LinearSystem.from_rows against row-by-row
+add_row, and the integer RREF against a Fraction reference."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poisson_forge import g2, quotient
 from poisson_forge.linalg import LinearSystem, solve
+from poisson_forge.quotient import QuotientRing
 
 VALUES = st.one_of(st.integers(min_value=-3, max_value=3),
                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -164,3 +168,179 @@ def test_examples_fix_a_column_twice():
     assert solve(zip(rows, rhs), ncols) == [Fraction(0), Fraction(2), Fraction(-2)]
     ncols, rows, rhs = FIXED_TWICE_INCONSISTENT
     assert solve(zip(rows, rhs), ncols) is None
+
+
+# -- the integer RREF against a Fraction reference ------------------------------
+
+class FractionRREF:
+    """Test-only reference: the RREF on Fraction rows with lead 1, as
+    ``LinearSystem`` kept it before it ran on primitive integer rows."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce_row(self, row):
+        row = {c: v if type(v) is Fraction else Fraction(v)
+               for c, v in row.items() if v != 0}
+        for c in sorted(c for c in row if c in self.pivots):
+            factor = row.get(c)
+            if not factor:
+                continue
+            for pc, pv in self.pivots[c].items():
+                s = row.get(pc, 0) - factor * pv
+                if s:
+                    row[pc] = s
+                else:
+                    row.pop(pc, None)
+        return row
+
+    def add_row(self, row):
+        row = self.reduce_row(row)
+        if not row:
+            return False
+        c = min(row)
+        lead = row[c]
+        row = {col: v / lead for col, v in row.items()}
+        for pivot in self.pivots.values():
+            if c in pivot:
+                factor = pivot[c]
+                for col, v in row.items():
+                    s = pivot.get(col, 0) - factor * v
+                    if s:
+                        pivot[col] = s
+                    else:
+                        pivot.pop(col, None)
+        self.pivots[c] = row
+        return True
+
+    def null_space(self, ncols):
+        basis = []
+        for free in range(ncols):
+            if free in self.pivots:
+                continue
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            for pc, row in self.pivots.items():
+                v = row.get(free)
+                if v:
+                    vec[pc] = -v
+            basis.append(vec)
+        return basis
+
+
+def fraction_reference(rows):
+    reference = FractionRREF()
+    for row in rows:
+        reference.add_row(dict(row))
+    return reference
+
+
+def fraction_solve(rows, rhs, ncols):
+    pivots = fraction_reference(with_rhs(rows, rhs, ncols)).pivots
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, row in pivots.items():
+        x[c] = row.get(ncols, Fraction(0))
+    return x
+
+
+def assert_primitive(system):
+    # every stored row is integers over their content, lead positive, and
+    # holds no other pivot column
+    for c, row in system.rows.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+        assert not (row.keys() - {c}) & system.rows.keys()
+
+
+def assert_matches_reference(rows, ncols, rhs=None):
+    """``from_rows``, row-by-row ``add_row`` and ``null_space`` (and
+    ``solve`` for an rhs) on copies of ``rows`` equal the reference's."""
+    reference = fraction_reference(rows)
+    system = LinearSystem.from_rows([dict(row) for row in rows])
+    assert system.pivots == reference.pivots
+    assert_primitive(system)
+    by_row = LinearSystem()
+    added = [by_row.add_row(dict(row)) for row in rows]
+    check = FractionRREF()
+    assert added == [check.add_row(dict(row)) for row in rows]
+    assert by_row.pivots == reference.pivots
+    assert_primitive(by_row)
+    assert system.null_space(ncols) == reference.null_space(ncols)
+    if rhs is not None:
+        copies = [dict(row) for row in rows]
+        assert solve(zip(copies, rhs), ncols) == fraction_solve(rows, rhs, ncols)
+
+
+@settings(max_examples=150)
+@given(systems())
+@example(FIXED_TWICE)
+@example(FIXED_TWICE_INCONSISTENT)
+def test_integer_rref_matches_the_fraction_reference(system):
+    ncols, rows, rhs = system
+    assert_matches_reference(rows, ncols, rhs)
+    assert_matches_reference(with_rhs(rows, rhs, ncols), ncols + 1)
+
+
+def centre_system(structure_or_ring, degree):
+    monomials, rows, *_ = structure_or_ring.bracket_rows(degree)
+    return list(rows.values()), len(monomials)
+
+
+def inner_search_system():
+    """The rows, rhs and unknowns that ``bounded_inner_search`` hands to
+    ``solve`` for the beta=0 scalar derivation on (1,0) at degree 4."""
+    ring = QuotientRing(alpha=1, beta=0)
+    theta = quotient.parse_derivation(
+        g2.builtin_scalar_derivation("beta_zero")["images"], ring)
+    seen = []
+
+    def recording(rows, ncols):
+        rows = [(dict(row), b) for row, b in rows]
+        seen.append((rows, ncols))
+        return solve([(dict(row), b) for row, b in rows], ncols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotient, "solve", recording)
+        assert quotient.bounded_inner_search(theta, ring, 4) is None
+    (pairs, ncols), = seen
+    return [row for row, _ in pairs], [b for _, b in pairs], ncols
+
+
+REAL_SYSTEMS = (
+    [(f"ambient-d{d}", lambda d=d: centre_system(g2.builtin_algebra().structure, d))
+     for d in range(6)]
+    + [(f"{a},{b}-d{d}", lambda a=a, b=b, d=d: centre_system(QuotientRing(a, b), d))
+       for a, b in ((1, 1), (1, 0)) for d in range(5)])
+
+
+@pytest.mark.parametrize("build", [build for _, build in REAL_SYSTEMS],
+                         ids=[name for name, _ in REAL_SYSTEMS])
+def test_centre_systems_match_the_fraction_reference(build):
+    rows, ncols = build()
+    assert_matches_reference(rows, ncols)
+
+
+def test_inner_search_system_matches_the_fraction_reference():
+    rows, rhs, ncols = inner_search_system()
+    assert any(rhs)
+    assert solve(zip([dict(row) for row in rows], rhs), ncols) is None
+    assert_matches_reference(rows, ncols, rhs)
+
+
+def test_one_changed_coefficient_changes_the_pivots():
+    # negative control: the rows of the ambient centre at degree 3 kill
+    # Omega1, so one more unit on one of their coefficients at a monomial
+    # of Omega1 leaves it out of the kernel and changes the pivots
+    alg = g2.builtin_algebra()
+    monomials, rows, *_ = alg.structure.bracket_rows(3)
+    support = {monomials.index(m) for m in alg.casimirs["Omega1"].terms}
+    pivots = LinearSystem.from_rows([dict(row) for row in rows.values()]).pivots
+    changed = [dict(row) for row in rows.values()]
+    target = next(row for row in changed if row.keys() & support)
+    target[min(target.keys() & support)] += 1
+    system = LinearSystem.from_rows([dict(row) for row in changed])
+    assert system.pivots != pivots
+    assert len(system.null_space(len(monomials))) == 1  # the constants
+    assert_matches_reference(changed, len(monomials))

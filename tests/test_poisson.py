@@ -1,5 +1,6 @@
 """Bracket evaluation, Jacobi/derivation checks, eta, gradings."""
 
+import itertools
 import re
 from fractions import Fraction
 from operator import add
@@ -16,8 +17,8 @@ from poisson_forge.expr import LaurentPoly
 from poisson_forge.poisson import (DerivationSpec, EtaError, ExponentPacking,
                                    PoissonOreData, PoissonStructure,
                                    WeightVector, check_grading, check_jacobi,
-                                   derivation_residues, hamiltonian_derivation,
-                                   jacobiator)
+                                   derivation_residues, exponents_up_to,
+                                   hamiltonian_derivation, jacobiator)
 from poisson_forge.quotient import QuotientRing
 from poisson_forge.torus import TorusStructure
 from tests.test_expr import small_polys
@@ -207,22 +208,50 @@ class TestGeneratorBrackets:
     @pytest.mark.parametrize("structure", [S, LOCAL_QUOTIENT, TORUS],
                              ids=["builtin", "localized-quotient", "torus"])
     def test_basis_monomials_match_monomial_brackets(self, structure):
-        # the packed images of bracket_rows, unpacked: slot in the low
-        # bits, the exponents above it, numerators over the table's den
+        # the packed rows of bracket_rows, read back per monomial and
+        # unpacked: slot in the low bits, the exponents above it,
+        # numerators over the table's den; no entry is zero
         ctx = structure.context
         monomials = list(structure.basis_monomials(3))
         packing = ExponentPacking(ctx, 3 + structure._shift_reach)
         slot_mask = (1 << packing.low) - 1
-        packed = structure.monomial_brackets(monomials, packing,
-                                             tuple(range(len(ctx.generators()))))
+        rows = structure.monomial_brackets(monomials, packing,
+                                           tuple(range(len(ctx.generators()))))
+        packed = [{} for _ in monomials]
+        for key, row in rows.items():
+            for idx, n in row.items():
+                packed[idx][key] = n
         for m, image in zip(monomials, packed):
             expected = [{} for _ in ctx.generators()]
             for key, n in image.items():
-                if n:
-                    expected[key & slot_mask][packing.exponents(key)] = Fraction(
-                        n, structure._den)
+                expected[key & slot_mask][packing.exponents(key)] = Fraction(
+                    n, structure._den)
             got = structure.generator_brackets(LaurentPoly(ctx, {m: 1}))
             assert [image.terms for image in got] == expected
+
+    def test_cancelled_images_leave_no_zero_entry_and_no_empty_row(self):
+        # {y0, y2} = y0*y2 and {y1, y2} = -y1*y2, so
+        # {y0^a y1^b y2^c, y2} = (a - b) y0^a y1^b y2^c cancels inside one
+        # monomial when a = b: its entry is dropped, and so is the row
+        # (slot of y2, y0^a y1^a y2^(c+1)), which no other monomial reaches
+        structure = log_canonical(entries=((0, 2, 1), (1, 2, -1)))
+        assert structure.generating_slots == (0, 1, 2)
+        monomials, rows, scale, key = structure.bracket_rows(3)
+        assert all(row and all(row.values()) for row in rows.values())
+        for m in ((1, 1, 0), (1, 1, 1)):
+            assert key(2, tuple(map(add, m, (0, 0, 1)))) not in rows
+            assert not any(monomials.index(m) in rows.get(key(2, mm), ())
+                           for mm in monomials)
+        row = rows[key(2, (2, 0, 1))]  # {y0^2, y2} = 2 y0^2 y2
+        assert row == {monomials.index((2, 0, 0)): 2 * scale}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_exponents_up_to_is_the_lex_sorted_filter(n):
+    for degree in range(-1, 6):
+        expected = sorted(e for e in itertools.product(range(degree + 1), repeat=n)
+                          if sum(e) <= degree) if degree >= 0 else []
+        assert exponents_up_to(n, degree) == expected
 
 
 class TestJacobi:

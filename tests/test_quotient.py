@@ -22,7 +22,7 @@ from poisson_forge.chain import (chain_elements, verify_centrality,
                                  verify_localized_identities)
 from poisson_forge.expr import ExprError, LaurentPoly, VarContext, WorkLimitError
 from poisson_forge.parse import parse_expr
-from poisson_forge.linalg import solve
+from poisson_forge.linalg import LinearSystem, solve
 from poisson_forge.poisson import (DerivationSpec, ExponentPacking,
                                    PoissonStructure, WeightVector, check_jacobi,
                                    exponents_up_to, field_width,
@@ -1415,6 +1415,27 @@ class TestBoundedSearches:
         basis = bounded_centre(NUM11, 3)
         assert spans_same_space(basis, [NUM11.context.one()])
 
+    def test_ambient_centre_at_degree_six_does_the_same_rref_work(self, monkeypatch):
+        # the elimination runs on ints and does the work it did on
+        # Fractions: the same 37 integer rows (94 entries, pinned by their
+        # digest) reach add_row, 920 pivots, and a basis of 4
+        seen, systems = [], set()
+        original = LinearSystem.add_row
+
+        def recording(self, row):
+            seen.append(sorted(row.items()))
+            systems.add(self)
+            return original(self, row)
+        monkeypatch.setattr(LinearSystem, "add_row", recording)
+        basis = bounded_centre(g2.builtin_algebra().structure, 6)
+        assert len(seen) == 37 and sum(map(len, seen)) == 94
+        assert all(type(v) is int for row in seen for _, v in row)
+        assert hashlib.sha256(repr(sorted(seen)).encode()).hexdigest() == (
+            "6d39d1558f08a7149061aab786678bd49c39dad59e657f909e88e514372c1e53")
+        system, = systems
+        assert len(system.rows) == 920
+        assert len(basis) == 4
+
     def test_span_comparison_detects_difference(self):
         ctx = SYM.context
         assert not spans_same_space([ctx.one()], [ctx.var("x1")])
@@ -1426,6 +1447,54 @@ class TestBoundedSearches:
         assert spans_same_space([x1 + x2, x1 - x2, x3 + x1],
                                 [x3 + 3 * x1, x2, Fraction(1, 2) * x1])
         assert not spans_same_space([x1 + x2, x3], [x1, x2, x3])
+
+
+def sympy_matrix(rows, ncols):
+    import sympy
+    return sympy.Matrix([[row.get(col, 0) for col in range(ncols)]
+                         for row in rows] or [[0] * ncols])
+
+
+def from_sympy(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+class TestQuotientKernelsAgainstSympy:
+    """sympy eliminates the rows that ``bounded_centre`` and
+    ``bounded_inner_search`` build, on its own rational arithmetic: an
+    oracle for the quotient centre's dimension and basis besides the
+    golden file, and for the pinned solution."""
+
+    @pytest.mark.parametrize("degree", range(4))
+    @pytest.mark.parametrize("ab", [(1, 1), (1, 0), (0, 1)],
+                             ids=["1,1", "1,0", "0,1"])
+    def test_centre_is_the_sympy_nullspace_of_its_rows(self, ab, degree):
+        # both set one free column to 1 and the other free columns to 0
+        # per basis vector, free columns in monomial order
+        ring = GENERATING_RINGS[ab]
+        monomials, rows, *_ = ring.bracket_rows(degree)
+        expected = [[from_sympy(v) for v in vec] for vec in
+                    sympy_matrix(rows.values(), len(monomials)).nullspace()]
+        basis = bounded_centre(ring, degree)
+        assert [[p.terms.get(m, 0) for m in monomials] for p in basis] == expected
+        assert len(basis) == 1  # the scalars
+
+    def test_inner_search_is_sympy_solve_with_free_unknowns_zero(self):
+        import sympy
+        ring = NUM11
+        f = parse_expr("x1*x4 - 2*x5*x6 + x2 + 3*x3*x5", ring.context)
+        ham = hamiltonian_quotient_images(f, ring)
+        monomials, rows, scale, key = ring.bracket_rows(2)
+        rhs = {key(g, m): c * scale for g in ring.generating_slots
+               for m, c in ham.images[quotient.QUOTIENT_NAMES[g]].terms.items()}
+        assert rhs.keys() <= rows.keys()
+        b = sympy.Matrix([sympy.Rational(rhs.get(k, 0)) for k in rows])
+        solution, free = sympy_matrix(rows.values(), len(monomials)).gauss_jordan_solve(b)
+        solution = solution.subs({tau: 0 for tau in free})
+        assert len(free) == 1  # the constant
+        expected = LaurentPoly(ring.context, {m: from_sympy(v)
+                                              for m, v in zip(monomials, solution)})
+        assert bounded_inner_search(ham, ring, 2) == expected == f
 
 
 def all_slots(monkeypatch):
