@@ -9,7 +9,8 @@ is reduced by row = lead * row - f * pivot and divided by its gcd, so no
 Fraction is made until a null-space vector or a solution is read out.
 A batch of homogeneous rows is loaded by
 ``LinearSystem.from_rows``, which settles the single-entry rows (each
-forces its column to zero) before the RREF sees the rest: one pass over
+forces its column to zero), after the columns its caller has settled
+already, before the RREF sees the rest: one pass over
 the rows against a growing set of settled columns with C-level set
 differences, then a queue of one-entry rows for the few rows left.  A
 pass repeated until nothing changes was rejected: it is quadratic on a
@@ -47,17 +48,21 @@ class LinearSystem:
                 for c, row in self.rows.items()}
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Row]) -> LinearSystem:
+    def from_rows(cls, rows: Iterable[Row],
+                  settled: Iterable[int] = ()) -> LinearSystem:
         """The reduced system of the homogeneous ``rows``, which are
-        consumed in place.
+        consumed in place, and of the columns of ``settled``, each forced
+        to zero by rows the caller left out (``centre_rows`` of a
+        ``PoissonStructure``); nothing is settled by default.
 
         Singleton elimination first (LaMacchia-Odlyzko structured Gaussian
         elimination): a row with one nonzero entry forces its column to
         zero, and that column drops out of every other row, which may
-        leave new one-entry rows.  The columns of the one-entry rows start
-        the set of settled columns.  One pass over the other rows takes
-        the columns each has outside that set (``row.keys() - settled``,
-        in C) and settles the column of a row left with one; the set grows
+        leave new one-entry rows.  ``settled`` and the columns of the
+        one-entry rows start the set of settled columns.  One pass over
+        the other rows takes the columns each has outside that set
+        (``row.keys() - settled``, in C) and settles the column of a row
+        left with one; the set grows
         during the pass, which is sound because every settled column is a
         forced zero.  The few rows left with two or more live columns lose
         their settled columns and go through a queue of one-entry rows
@@ -71,7 +76,7 @@ class LinearSystem:
         the pivot row {c: 1}.  The RREF of a span is unique for a given
         column order, so the pivots are those ``add_row`` alone gives.
         """
-        settled: set[int] = set()
+        settled = set(settled)
         others = []
         for row in rows:
             if not all(row.values()):

@@ -38,9 +38,10 @@ otherwise; coefficients are polynomials in the parameters alpha, beta
 A numeric or symbolic ``QuotientRing`` and an ambient ``PoissonStructure``
 serve one bracket protocol: ``context``, ``bracket(f, g)``,
 ``generator_brackets(f)`` (every {f, x_g} from one pass),
-``basis_monomials(degree)``, ``bracket_rows(degree)`` and
-``generating_slots``.  ``bounded_centre``, ``bounded_inner_search`` and
-``poisson.hamiltonian_derivation`` are written against it, so each runs
+``basis_monomials(degree)``, ``bracket_rows(degree)``,
+``centre_rows(degree)`` and ``generating_slots``.  ``bounded_centre``,
+``bounded_inner_search`` and ``poisson.hamiltonian_derivation`` are
+written against it, so each runs
 unchanged on the ambient algebra (no reduction) and on the quotient
 (brackets reduced to normal form).
 
@@ -73,8 +74,12 @@ the quotient each call reads every x3^a x4^b that its images hold from
 the ring's table, packs the entry's shifts on the call's own keys, and
 adds each image row through it into the rows it reaches.  The rows times
 a nonzero constant have the same solutions, so the kernel is the same,
-and the inner search multiplies its rhs by the scale.  The centre loads
-its rows into ``LinearSystem.from_rows`` as they are, the inner search
+and the inner search multiplies its rhs by the scale.  The centre
+loads the rows of ``centre_rows`` into ``LinearSystem.from_rows`` with
+the columns it settled: on the ambient structure the columns that their
+lead row forces to zero, whose images are never built (see
+``PoissonStructure.centre_rows``), and on the quotient none, with every
+row of ``bracket_rows``.  The inner search loads its rows
 (``linalg.solve``) with the scaled rhs as one more column after the
 unknowns, and both eliminate on integers: no Fraction is made from the
 basis enumeration to the kernel until ``null_space`` or ``solve`` reads
@@ -657,6 +662,15 @@ class QuotientRing:
         drop_cancelled(rows, cancelled)
         return monomials, rows, structure._den * L, packing.key
 
+    def centre_rows(self, degree: int):
+        """``PoissonStructure.centre_rows`` on the quotient: the monomials
+        and rows of ``bracket_rows``, with no column settled.  A column's
+        top image term may need rewriting, and a table entry can raise
+        its packed key (NF(x4^2) has the shift (0,1,0,-1,0,1)), so its
+        lead is not known before its reduced image is."""
+        monomials, rows, *_ = self.bracket_rows(degree)
+        return monomials, rows, ()
+
 
 @dataclass(frozen=True)
 class QuotientElement:
@@ -808,17 +822,21 @@ def bounded_centre(structure_or_ring, degree: int) -> list[LaurentPoly]:
 
     Accepts either an ambient PoissonStructure (polynomial ring, no
     reduction) or a numeric QuotientRing (brackets reduced to normal form).
-    The rows come from ``bracket_rows`` for the generators of
-    ``generating_slots`` only (x1 and x6 on the built-in table), each
+    The system is the one of ``bracket_rows`` for the generators of
+    ``generating_slots`` only (x1 and x6 on the built-in table), each row
     scaled by a nonzero constant, which leaves the kernel as it is: an f
     whose brackets with a Poisson generating set vanish is central.  The
     kernel, and with it the unique RREF of the rows and the null-space
-    basis, is the one of all the rows.  Every basis element is checked to
-    be central through ``bracket`` on every generator.
+    basis, is the one of all the rows.  It is read through
+    ``centre_rows``: on the ambient structure the columns that their lead
+    row forces to zero come settled, with their images never built, and
+    ``LinearSystem.from_rows`` takes them as settled; on the quotient all
+    of the rows come.  Every basis element is checked to be central
+    through ``bracket`` on every generator.
     """
     ctx = structure_or_ring.context
-    monomials, rows, *_ = structure_or_ring.bracket_rows(degree)
-    system = LinearSystem.from_rows(rows.values())
+    monomials, rows, settled = structure_or_ring.centre_rows(degree)
+    system = LinearSystem.from_rows(rows.values(), settled)
     basis = [_combine(ctx, vec, monomials)
              for vec in system.null_space(len(monomials))]
     for f in basis:

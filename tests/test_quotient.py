@@ -1155,11 +1155,15 @@ class TestBracketRows:
     def test_certificate_catches_misplaced_rows(self, search, monkeypatch):
         # columns taken for the wrong monomials give a wrong answer, which
         # the check through bracket refuses as an internal error
-        for cls in (PoissonStructure, QuotientRing):
-            def reversed_columns(self, degree, original=cls.bracket_rows):
+        # the ambient centre reads its rows from centre_rows, the quotient's
+        # centre_rows reads bracket_rows (patched once, not reversed twice)
+        for cls, method in ((PoissonStructure, "bracket_rows"),
+                            (QuotientRing, "bracket_rows"),
+                            (PoissonStructure, "centre_rows")):
+            def reversed_columns(self, degree, original=getattr(cls, method)):
                 monomials, *rest = original(self, degree)
                 return monomials[::-1], *rest
-            monkeypatch.setattr(cls, "bracket_rows", reversed_columns)
+            monkeypatch.setattr(cls, method, reversed_columns)
         with pytest.raises(RuntimeError, match="bracket_rows disagrees"):
             if search == "centre":
                 bounded_centre(g2.builtin_algebra().structure, 2)
@@ -1181,6 +1185,77 @@ class TestBracketRows:
         basis = bounded_centre(g2.builtin_algebra().structure, 4)
         assert len(basis) == 3  # 1, Omega1, Omega2
         assert len(calls) <= 6 * len(basis)  # 1260 with a bracket per row build
+
+
+def assert_centre_rref_is_the_full_rref(structure, degree):
+    """The rows of ``centre_rows`` with the columns it settled eliminate
+    to the RREF of every row of ``bracket_rows``, no column settled."""
+    monomials, rows, settled = structure.centre_rows(degree)
+    _, full, *_ = structure.bracket_rows(degree)
+    assert LinearSystem.from_rows(rows.values(), settled).rows == \
+        LinearSystem.from_rows(full.values()).rows
+
+
+TORUS_STRUCTURE = TorusStructure.make(g2.TORUS_MATRIX).structure
+
+
+class TestCentreRows:
+    """The ambient centre settles the columns that their lead row forces
+    to zero without building their images, and eliminates to the RREF
+    of all the rows of ``bracket_rows``."""
+
+    # the log-canonical torus takes all six slots, one group per slot,
+    # whose sum cancels on the central monomials
+    @pytest.mark.parametrize("structure, degree",
+                             [(S, d) for d in range(-1, 7)]
+                             + [(TORUS_STRUCTURE, d) for d in range(5)],
+                             ids=[f"g2-d{d}" for d in range(-1, 7)]
+                             + [f"torus-d{d}" for d in range(5)])
+    def test_gives_the_rref_of_all_rows(self, structure, degree):
+        assert_centre_rref_is_the_full_rref(structure, degree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_structures(), st.integers(0, 2))
+    def test_wide_laurent_tables_give_the_rref_of_all_rows(self, structure, degree):
+        assert_centre_rref_is_the_full_rref(structure, degree)
+
+    def test_work_shape_at_degree_six(self):
+        # 741 of 924 columns settle by lead, 182 are live and one, the
+        # constant, is free; the live columns build 441 of the 3109 rows
+        monomials, rows, settled = S.centre_rows(6)
+        live = {idx for row in rows.values() for idx in row}
+        assert live.isdisjoint(settled) and len(set(settled)) == len(settled)
+        assert (len(monomials), len(settled), len(live)) == (924, 741, 182)
+        assert (len(rows), sum(map(len, rows.values()))) == (441, 996)
+        assert all(row and all(row.values()) for row in rows.values())
+
+    def test_live_rows_are_the_full_rows_less_the_settled_columns(self):
+        # the live columns' rows are those of bracket_rows, less the
+        # entries of settled columns
+        monomials, rows, settled = S.centre_rows(4)
+        _, full, *_ = S.bracket_rows(4)
+        for k, row in rows.items():
+            assert row == {i: n for i, n in full[k].items() if i not in settled}
+
+    def test_degrees_below_one(self):
+        assert S.centre_rows(-1) == ([], {}, [])
+        assert bounded_centre(S, -1) == []
+        assert bounded_centre(S, 0) == [S.context.one()]
+
+    def test_generator_in_no_entry_is_a_free_column(self):
+        # {a, b} = a*b leaves z out of every entry: its column has no
+        # entry, is not settled, and its powers make up the centre
+        ctx = VarContext.make(["a", "b", "z"])
+        structure = PoissonStructure(ctx, {(0, 1): parse_expr("a*b", ctx)})
+        monomials, rows, settled = structure.centre_rows(2)
+        z = monomials.index((0, 0, 1))
+        assert z not in settled and all(z not in row for row in rows.values())
+        z = ctx.var("z")
+        assert bounded_centre(structure, 2) == [ctx.one(), z, z * z]
+
+    def test_quotient_settles_nothing(self):
+        monomials, rows, scale, key = NUM11.bracket_rows(2)
+        assert NUM11.centre_rows(2) == (monomials, rows, ())
 
 
 @functools.cache
